@@ -36,7 +36,9 @@ from .svd import (
     RANK_TOL,
     BlockGrouping,
     CdsvdResult,
+    Decomposition,
     cdsvd,
+    decompose,
     dual_singular_values,
     group_singular_values,
 )

@@ -21,14 +21,12 @@ from .pipeline import (
     _write_json,
     _write_matrix,
     analyze,
-    coarse_grain,
+    coarse_grain_methods,
     detect_k,
     norm_sweep,
     random_initial_state,
-    run_pipeline,
+    write_artifacts,
     write_sweep_csv,
-    WITH_INFINITESIMAL,
-    WITHOUT_INFINITESIMAL,
 )
 
 
@@ -125,10 +123,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "pipeline":
-            run_pipeline(cfg, out, fmt=args.format)
-            with open(out / "detection.json") as fh:
-                k_star = json.load(fh)["k_star"]
-            print(f"pipeline complete: k_star={k_star}, artifacts in {out}")
+            result = analyze(cfg)
+            write_artifacts(result, out, fmt=args.format)
+            print(
+                f"pipeline complete: k_star={result.detection.k_star}, "
+                f"artifacts in {out}"
+            )
             return 0
 
         if args.command == "generate":
@@ -173,19 +173,8 @@ def main(argv=None) -> int:
             return 0
 
         # coarse-grain
-        seeds = cfg.child_seeds()
-        payload = {}
-        for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
-            cg = coarse_grain(
-                report.p,
-                detection.k_star,
-                method=method,
-                seed=seeds["kmeans"],
-                max_iter=cfg.kmeans_max_iter,
-                retries=cfg.kmeans_retries,
-                group_tol=cfg.group_tol,
-            )
-            payload[method] = cg.to_dict()
+        coarse = coarse_grain_methods(report.p, detection.k_star, cfg)
+        payload = {method: cg.to_dict() for method, cg in coarse.items()}
         _write_json(out / "coarse.json", payload)
         print(f"coarse-grained to k={detection.k_star}, wrote {out / 'coarse.json'}")
         return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DualMatrix, DualScalar, dm_inverse
+from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
 
@@ -266,20 +267,24 @@ def simulate(m: np.ndarray, x1: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def delta_gamma(p: np.ndarray, k: int, p_exp: float) -> float:
+def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:
     """Vague causal-emergence degree (1/k)||P||_(k,p)^p - (1/n)||P||_Sp^p.
 
-    Uses the real Ky Fan p-k and Schatten p norms of the matrix; identically
-    zero at k = n and at matrices with all singular values equal.
+    Uses the real Ky Fan p-k and Schatten p norms of the matrix, so both
+    terms are sums of sigma^p: over the first k singular values and over
+    all of them.  A Decomposition supplies the singular values of its
+    standard part.  Identically zero at k = n and at matrices with all
+    singular values equal.
     """
-    p = np.asarray(p, dtype=float)
+    if not isinstance(p, Decomposition):
+        p = np.asarray(p, dtype=float)
     n = p.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     p_exp = float(p_exp)
     if not 1.0 <= p_exp < 2.0:
         raise ValueError(f"p must be in [1, 2), got {p_exp}")
-    sigma = np.linalg.svd(p, compute_uv=False)
+    sigma = p.s if isinstance(p, Decomposition) else np.linalg.svd(p, compute_uv=False)
     powered = sigma**p_exp
     return float(np.sum(powered[:k]) / k - np.sum(powered) / n)
 

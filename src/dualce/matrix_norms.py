@@ -1,15 +1,17 @@
 """Dual-valued matrix norms, trace, and determinant.
 
 Unitarily invariant kinds (Ky Fan p-k, Ky Fan k, spectral, Schatten p,
-nuclear, Frobenius) take the closed forms built from the SVD of the standard
-part, with repeated singular values handled through the same block grouping
-as the dual SVD so the two modules agree on multiplicity splits.  Operator
-1- and infinity-norms are lexicographic maxima of dual column / row 1-norms.
+nuclear) are thin functions of a Decomposition: the SVD of the standard part,
+its block grouping (shared with the dual SVD so the two modules agree on
+multiplicity splits), and B = U^T A_i V.  Each accepts a DualMatrix or a
+prebuilt Decomposition, which keeps the tolerances it was built with, so
+many norms of one matrix need one SVD.  Operator 1- and infinity-norms are
+lexicographic maxima of dual column / row 1-norms.
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
-when A_s is exactly zero.  Inputs with m < n are transposed first for the
-unitarily invariant kinds; operator norms keep their row/column meaning and
-are never transposed.
+when A_s is exactly zero.  Inputs with m < n are decomposed through their
+transpose for the unitarily invariant kinds; operator norms keep their
+row/column meaning and are never transposed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DualMatrix, DualScalar, DualVector, sym
-from .svd import GROUP_TOL, RANK_TOL, group_singular_values
+from .svd import GROUP_TOL, RANK_TOL, Decomposition, decompose
 from .vector_norms import dual_vector_norm
 
 ADJUGATE_COND_LIMIT = 1e8
@@ -40,41 +42,36 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def _full_svd(a_s: np.ndarray):
-    u, s, vt = np.linalg.svd(a_s, full_matrices=True)
-    v = vt.T
-    # Deterministic sign convention on the leading pairs, matching cdsvd.
-    for j in range(len(s)):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, s, v
+def _decomposed(
+    a: DualMatrix | Decomposition, group_tol: float, rank_tol: float
+) -> Decomposition:
+    return a if isinstance(a, Decomposition) else decompose(a, group_tol, rank_tol)
 
 
-def _real_kyfan_pk(a: np.ndarray, k: int, p: float) -> float:
-    s = np.linalg.svd(a, compute_uv=False)
-    top = s[:k]
-    if math.isinf(p):
-        return float(top[0]) if top.size else 0.0
-    return float(np.sum(top**p) ** (1.0 / p))
+def _check_k(a: DualMatrix | Decomposition, k: int) -> None:
+    n = min(a.shape)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
 
 
-def _split_at_k(s: np.ndarray, k: int, group_tol: float, rank_tol: float):
-    """Block structure around the k-th singular value (1-based k).
+def _p_norm(x: np.ndarray, p: float) -> float:
+    return float(np.sum(x**p) ** (1.0 / p))
 
-    Returns (a, b, zero) where [a, b) is the block containing index k-1
-    under the dual-SVD grouping and zero says whether sigma_k is below the
-    rank threshold.
-    """
-    grouping = group_singular_values(s, group_tol)
-    a, b = grouping.block_of(k - 1)
-    zero = s[0] <= 0.0 or s[k - 1] <= rank_tol * s[0]
-    return a, b, zero
+
+def _head(d: Decomposition, stop: int, p: float, value: float) -> float:
+    """<U Sigma^(p-1) V^T, A_i> / value^(p-1) over the leading stop pairs."""
+    # sum_j (sigma_j / value)^(p-1) B_jj; the ratios keep every power in [0, 1].
+    ratios = (d.s[:stop] / value) ** (p - 1.0)
+    return float(np.sum(ratios * np.diagonal(d.b)[:stop]))
+
+
+def _block_eigenvalues(d: Decomposition, start: int, stop: int) -> np.ndarray:
+    """Descending eigenvalues of sym(U_g^T A_i V_g) on one block."""
+    return np.sort(np.linalg.eigvalsh(sym(d.b[start:stop, start:stop])))[::-1]
 
 
 def ky_fan_pk_norm(
-    a: DualMatrix,
+    a: DualMatrix | Decomposition,
     k: int,
     p: float,
     group_tol: float = GROUP_TOL,
@@ -91,41 +88,28 @@ def ky_fan_pk_norm(
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"ky_fan_pk_norm requires 1 < p < inf, got {p}")
-    m, n = a.shape
-    if m < n:
-        return ky_fan_pk_norm(a.T, k, p, group_tol=group_tol, rank_tol=rank_tol)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if not a.s.any():
-        return DualScalar(0.0, _real_kyfan_pk(a.i, k, p))
+    _check_k(a, k)
+    d = _decomposed(a, group_tol, rank_tol)
+    if d.rank == 0:
+        return DualScalar(0.0, _p_norm(np.linalg.svd(d.b, compute_uv=False)[:k], p))
 
-    u, s, v = _full_svd(a.s)
-    value = float(np.sum(s[:k] ** p) ** (1.0 / p))
-    blk_a, blk_b, zero = _split_at_k(s, k, group_tol, rank_tol)
-
-    if zero:
+    value = _p_norm(d.s[:k], p)
+    if k > d.rank:
         warnings.warn(
             f"Ky Fan ({k},{p}) norm at sigma_{k} = 0: block term vanishes",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-        r = int(np.count_nonzero(s > rank_tol * s[0]))
-        ratios = (s[:r] / value) ** (p - 1.0)
-        deriv = _inner(u[:, :r] * ratios[None, :] @ v[:, :r].T, a.i)
-        return DualScalar(value, deriv)
+        return DualScalar(value, _head(d, d.rank, p, value))
 
-    # Ratios (sigma / value) keep every power in [0, 1].
-    ratios = (s[:blk_a] / value) ** (p - 1.0)
-    head = _inner(u[:, :blk_a] * ratios[None, :] @ v[:, :blk_a].T, a.i)
-    mm = sym(u[:, blk_a:blk_b].T @ a.i @ v[:, blk_a:blk_b])
-    lam = np.sort(np.linalg.eigvalsh(mm))[::-1]
-    t = k - blk_a
-    deriv = head + (s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[:t]))
-    return DualScalar(value, deriv)
+    blk_a, blk_b = d.grouping.block_of(k - 1)
+    lam = _block_eigenvalues(d, blk_a, blk_b)
+    block = (d.s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[: k - blk_a]))
+    return DualScalar(value, _head(d, blk_a, p, value) + block)
 
 
 def ky_fan_norm(
-    a: DualMatrix,
+    a: DualMatrix | Decomposition,
     k: int,
     group_tol: float = GROUP_TOL,
     rank_tol: float = RANK_TOL,
@@ -138,48 +122,32 @@ def ky_fan_norm(
     N = U(:, a+1:m)^T A_i V(:, a+1:n), which accounts for the rank of A_s
     growing in the direction A_i.
     """
-    m, n = a.shape
-    if m < n:
-        return ky_fan_norm(a.T, k, group_tol=group_tol, rank_tol=rank_tol)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if not a.s.any():
-        s_i = np.linalg.svd(a.i, compute_uv=False)
-        return DualScalar(0.0, float(np.sum(s_i[:k])))
-
-    u, s, v = _full_svd(a.s)
-    value = float(np.sum(s[:k]))
-    blk_a, blk_b, zero = _split_at_k(s, k, group_tol, rank_tol)
-    t = k - blk_a
-    head = _inner(u[:, :blk_a] @ v[:, :blk_a].T, a.i)
-
-    if zero:
-        nn = u[:, blk_a:].T @ a.i @ v[:, blk_a:]
-        sing = np.linalg.svd(nn, compute_uv=False)
-        return DualScalar(value, head + float(np.sum(sing[:t])))
-
-    mm = sym(u[:, blk_a:blk_b].T @ a.i @ v[:, blk_a:blk_b])
-    lam = np.sort(np.linalg.eigvalsh(mm))[::-1]
-    return DualScalar(value, head + float(np.sum(lam[:t])))
+    _check_k(a, k)
+    d = _decomposed(a, group_tol, rank_tol)
+    blk_a, blk_b = d.grouping.block_of(k - 1)
+    head = float(np.sum(np.diagonal(d.b)[:blk_a]))
+    if k > d.rank:
+        tail = np.linalg.svd(d.b[blk_a:, blk_a:], compute_uv=False)
+    else:
+        tail = _block_eigenvalues(d, blk_a, blk_b)
+    return DualScalar(float(np.sum(d.s[:k])), head + float(np.sum(tail[: k - blk_a])))
 
 
 def spectral_norm(
-    a: DualMatrix, group_tol: float = GROUP_TOL, rank_tol: float = RANK_TOL
+    a: DualMatrix | Decomposition,
+    group_tol: float = GROUP_TOL,
+    rank_tol: float = RANK_TOL,
 ) -> DualScalar:
-    """Dual-valued spectral norm: sigma_1 + lambda_max(sym(U_r1^T A_i V_r1)) eps."""
-    m, n = a.shape
-    if m < n:
-        return spectral_norm(a.T, group_tol=group_tol, rank_tol=rank_tol)
-    if not a.s.any():
-        return DualScalar(0.0, float(np.linalg.norm(a.i, ord=2)))
-    u, s, v = _full_svd(a.s)
-    grouping = group_singular_values(s, group_tol)
-    r1 = grouping.multiplicities[0]
-    rr = sym(u[:, :r1].T @ a.i @ v[:, :r1])
-    return DualScalar(float(s[0]), float(np.max(np.linalg.eigvalsh(rr))))
+    """Dual-valued spectral norm: sigma_1 + lambda_max(sym(U_r1^T A_i V_r1)) eps.
+
+    This is the Ky Fan 1-norm.
+    """
+    return ky_fan_norm(a, 1, group_tol=group_tol, rank_tol=rank_tol)
 
 
-def schatten_norm(a: DualMatrix, p: float, rank_tol: float = RANK_TOL) -> DualScalar:
+def schatten_norm(
+    a: DualMatrix | Decomposition, p: float, rank_tol: float = RANK_TOL
+) -> DualScalar:
     """Dual-valued Schatten p-norm for 1 <= p < inf.
 
     For p > 1 the infinitesimal part is <U_r Sigma_r^(p-1) V_r^T, A_i>
@@ -191,21 +159,16 @@ def schatten_norm(a: DualMatrix, p: float, rank_tol: float = RANK_TOL) -> DualSc
         raise ValueError(f"schatten_norm requires 1 <= p < inf, got {p}")
     if p == 1.0:
         return nuclear_norm(a, rank_tol=rank_tol)
-    m, n = a.shape
-    if m < n:
-        return schatten_norm(a.T, p, rank_tol=rank_tol)
-    if not a.s.any():
-        s_i = np.linalg.svd(a.i, compute_uv=False)
-        return DualScalar(0.0, float(np.sum(s_i**p) ** (1.0 / p)))
-    u, s, v = _full_svd(a.s)
-    value = float(np.sum(s**p) ** (1.0 / p))
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
-    ratios = (s[:r] / value) ** (p - 1.0)
-    deriv = _inner(u[:, :r] * ratios[None, :] @ v[:, :r].T, a.i)
-    return DualScalar(value, deriv)
+    d = _decomposed(a, GROUP_TOL, rank_tol)
+    if d.rank == 0:
+        return DualScalar(0.0, _p_norm(np.linalg.svd(d.b, compute_uv=False), p))
+    value = _p_norm(d.s, p)
+    return DualScalar(value, _head(d, d.rank, p, value))
 
 
-def nuclear_norm(a: DualMatrix, rank_tol: float = RANK_TOL) -> DualScalar:
+def nuclear_norm(
+    a: DualMatrix | Decomposition, rank_tol: float = RANK_TOL
+) -> DualScalar:
     """Dual-valued nuclear norm.
 
     The infinitesimal part <U_r V_r^T, A_i> + ||U_c^T A_i V_c||_* uses the
@@ -213,21 +176,12 @@ def nuclear_norm(a: DualMatrix, rank_tol: float = RANK_TOL) -> DualScalar:
     SVD; the complement term is how growth of rank in the direction A_i
     shows up.
     """
-    m, n = a.shape
-    if m < n:
-        return nuclear_norm(a.T, rank_tol=rank_tol)
-    if not a.s.any():
-        s_i = np.linalg.svd(a.i, compute_uv=False)
-        return DualScalar(0.0, float(np.sum(s_i)))
-    u, s, v = _full_svd(a.s)
-    value = float(np.sum(s))
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
-    deriv = _inner(u[:, :r] @ v[:, :r].T, a.i)
-    if r < min(m, n) or m > r:
-        comp = u[:, r:].T @ a.i @ v[:, r:]
-        if comp.size:
-            deriv += float(np.sum(np.linalg.svd(comp, compute_uv=False)))
-    return DualScalar(value, deriv)
+    d = _decomposed(a, GROUP_TOL, rank_tol)
+    deriv = float(np.sum(np.diagonal(d.b)[: d.rank]))
+    comp = d.b[d.rank :, d.rank :]
+    if comp.size:
+        deriv += float(np.sum(np.linalg.svd(comp, compute_uv=False)))
+    return DualScalar(float(np.sum(d.s)), deriv)
 
 
 def frobenius_norm(a: DualMatrix) -> DualScalar:

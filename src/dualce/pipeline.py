@@ -18,7 +18,7 @@ import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .markov import (
     write_matrix_csv,
 )
 from .matrix_norms import ky_fan_norm, ky_fan_pk_norm
-from .svd import GROUP_TOL, RANK_TOL, cdsvd
+from .svd import GROUP_TOL, RANK_TOL, cdsvd, decompose
 
 WITH_INFINITESIMAL = "with_infinitesimal"
 WITHOUT_INFINITESIMAL = "without_infinitesimal"
@@ -60,7 +60,6 @@ class SweepTable:
     records: tuple
     p_list: tuple
     rank: int
-    provenance: dict = field(default_factory=dict)
 
     def column(self, p: float):
         """Records for one p, ordered by k."""
@@ -72,7 +71,8 @@ def norm_sweep(p: DualMatrix, p_list, group_tol: float = GROUP_TOL) -> SweepTabl
 
     p = 1 uses the Ky Fan k-norm closed form (it also covers sigma_k = 0);
     1 < p < 2 uses the Ky Fan p-k form.  delta_gamma of the standard part
-    rides along for the vague-emergence report.
+    rides along for the vague-emergence report.  Every entry is read from
+    one decomposition of p.
     """
     p_list = tuple(float(q) for q in p_list)
     if not p_list:
@@ -80,21 +80,15 @@ def norm_sweep(p: DualMatrix, p_list, group_tol: float = GROUP_TOL) -> SweepTabl
     for q in p_list:
         if not 1.0 <= q < 2.0:
             raise ValueError(f"sweep p values must lie in [1, 2), got {q}")
-    sigma = np.linalg.svd(p.s, compute_uv=False)
-    rank = int(np.count_nonzero(sigma > RANK_TOL * sigma[0])) if sigma[0] > 0 else 0
-    if rank == 0:
+    d = decompose(p, group_tol=group_tol)
+    if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
     records = []
     for q in p_list:
-        for k in range(1, rank + 1):
-            if q == 1.0:
-                val = ky_fan_norm(p, k, group_tol=group_tol)
-            else:
-                val = ky_fan_pk_norm(p, k, q, group_tol=group_tol)
-            records.append(
-                SweepRecord(k, q, val.s, val.i, delta_gamma(p.s, k, q))
-            )
-    return SweepTable(tuple(records), p_list, rank)
+        for k in range(1, d.rank + 1):
+            val = ky_fan_norm(d, k) if q == 1.0 else ky_fan_pk_norm(d, k, q)
+            records.append(SweepRecord(k, q, val.s, val.i, delta_gamma(d, k, q)))
+    return SweepTable(tuple(records), p_list, d.rank)
 
 
 @dataclass(frozen=True)
@@ -355,6 +349,23 @@ def _stage(name: str):
         raise StageError(f"stage '{name}' failed: {err}") from err
 
 
+def coarse_grain_methods(p: DualMatrix, k: int, cfg: PipelineConfig) -> dict:
+    """coarse_grain by both methods with the config's k-means settings."""
+    seed = cfg.child_seeds()["kmeans"]
+    return {
+        method: coarse_grain(
+            p,
+            k,
+            method=method,
+            seed=seed,
+            max_iter=cfg.kmeans_max_iter,
+            retries=cfg.kmeans_retries,
+            group_tol=cfg.group_tol,
+        )
+        for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL)
+    }
+
+
 def analyze(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage in memory and return the assembled result."""
     seeds = cfg.child_seeds()
@@ -370,21 +381,11 @@ def analyze(cfg: PipelineConfig) -> PipelineResult:
         sweep = norm_sweep(report.p, cfg.p_list, group_tol=cfg.group_tol)
     with _stage("detect"):
         detection = detect_k(sweep)
-    coarse = {}
-    ei_macro = {}
     with _stage("coarse-grain"):
-        for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
-            cg = coarse_grain(
-                report.p,
-                detection.k_star,
-                method=method,
-                seed=seeds["kmeans"],
-                max_iter=cfg.kmeans_max_iter,
-                retries=cfg.kmeans_retries,
-                group_tol=cfg.group_tol,
-            )
-            coarse[method] = cg
-            ei_macro[method] = effective_information(cg.upsilon)
+        coarse = coarse_grain_methods(report.p, detection.k_star, cfg)
+        ei_macro = {
+            method: effective_information(cg.upsilon) for method, cg in coarse.items()
+        }
         ei_micro = effective_information(report.p.s)
     return PipelineResult(
         cfg, m, report.p, report, sweep, detection, coarse, ei_micro, ei_macro
@@ -446,6 +447,14 @@ def manifest_payload(result: PipelineResult) -> dict:
 def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
     """Run all stages and write the artifact set into out_dir.
 
+    Returns the manifest payload.
+    """
+    return write_artifacts(analyze(cfg), out_dir, fmt)
+
+
+def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> dict:
+    """Write the artifact set of an analyzed run into out_dir.
+
     Files: the generated matrix, fitted standard and infinitesimal parts,
     sweep CSV, detection JSON, coarse-graining JSON, fit report JSON, and
     the manifest.  Returns the manifest payload.
@@ -454,8 +463,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = analyze(cfg)
-
     _write_matrix(out, "generator", result.m, fmt)
     _write_matrix(out, "p_standard", result.p.s, fmt)
     _write_matrix(out, "p_infinitesimal", result.p.i, fmt)

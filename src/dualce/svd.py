@@ -7,6 +7,10 @@ infinitesimal singular values are the descending eigenvalues of
 sym(U_g^T A_i V_g), and the block's singular vector basis is rotated into
 that eigenbasis.  Off-block first-order coupling fixes the rest of U_i, V_i.
 
+The one SVD of the standard part, with the infinitesimal part expressed in
+its basis (B = U^T A_i V), is a Decomposition; the dual SVD and every
+unitarily invariant dual norm are read from it.
+
 Whether an exact CDSVD exists is reported through the residual (the norm of
 the part of A_i that no first-order factor choice can reproduce), never as
 an exception.
@@ -61,6 +65,29 @@ class CdsvdResult:
     residual: float
 
 
+@dataclass(frozen=True)
+class Decomposition:
+    """SVD of a dual matrix's standard part with B = U^T A_i V.
+
+    A matrix of the given shape with fewer rows than columns is decomposed
+    through its transpose, so with m >= n: u (m x m) and v (n x n) are full
+    singular vector bases of A_s, s its n singular values, descending, and
+    b is m x n.  rank counts s > rank_tol * s[0] and grouping blocks all n
+    values at group_tol.  No sign convention is applied: flipping a pair
+    u_j, v_j together leaves B_jj, the eigenvalues of sym(B) on a block and
+    the singular values of a trailing corner of B unchanged, and those are
+    all the norms read.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    b: np.ndarray
+    rank: int
+    grouping: BlockGrouping
+    shape: tuple
+
+
 def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
     """Chain consecutive singular values with gap <= group_tol * s[0]."""
     r = len(s)
@@ -92,6 +119,42 @@ def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, v
 
 
+def decompose(
+    a: DualMatrix,
+    group_tol: float = GROUP_TOL,
+    rank_tol: float = RANK_TOL,
+) -> Decomposition:
+    """The one full SVD of A_s (of A^T when m < n) and B = U^T A_i V."""
+    shape = a.shape
+    if shape[0] < shape[1]:
+        a = a.T
+    u, s, vt = np.linalg.svd(a.s, full_matrices=True)
+    v = vt.T
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
+    grouping = group_singular_values(s, group_tol)
+    return Decomposition(u, s, v, u.T @ a.i @ v, rank, grouping, shape)
+
+
+def _coupling_generators(
+    b: np.ndarray, s: np.ndarray, grouping: BlockGrouping
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve B = Omega_U Sigma + Sigma_i - Sigma Omega_V for the generators.
+
+    Entries (j, k) in different blocks solve the 2 x 2 first-order system;
+    inside a block only the skew part of B is determined, split evenly
+    between the two generators.
+    """
+    gid = np.repeat(np.arange(len(grouping.multiplicities)), grouping.multiplicities)
+    same = gid[:, None] == gid[None, :]
+    sj, sk = s[:, None], s[None, :]
+    denom = np.where(same, 1.0, sk**2 - sj**2)
+    scale = 2.0 * np.asarray(grouping.distinct_values)[gid][:, None]
+    half_skew = 0.5 * (b - b.T) / scale
+    omega_u = np.where(same, half_skew, (sk * b + sj * b.T) / denom)
+    omega_v = np.where(same, -half_skew, (sj * b + sk * b.T) / denom)
+    return omega_u, omega_v
+
+
 def cdsvd(
     a: DualMatrix,
     group_tol: float = GROUP_TOL,
@@ -99,9 +162,9 @@ def cdsvd(
 ) -> CdsvdResult:
     """Compact dual SVD of a dual matrix.
 
-    Steps: thin SVD of A_s truncated at rank_tol * sigma_1; block grouping
-    at group_tol * sigma_1; per-block rotation into the eigenbasis of
-    sym(U_g^T A_i V_g) with descending eigenvalues as the block's
+    Steps: the SVD of decompose(a) truncated at rank_tol * sigma_1; block
+    grouping at group_tol * sigma_1; per-block rotation into the eigenbasis
+    of sym(U_g^T A_i V_g) with descending eigenvalues as the block's
     infinitesimal singular values; off-block entries of the rotation
     generators from the first-order coupling equations; complement
     components of A_i folded into U_i, V_i where the compact spans allow.
@@ -112,14 +175,12 @@ def cdsvd(
         res = cdsvd(a.T, group_tol=group_tol, rank_tol=rank_tol)
         return CdsvdResult(res.V, res.S, res.U, res.grouping, res.residual)
 
-    u_full, s_full, vt_full = np.linalg.svd(a.s, full_matrices=False)
-    if s_full.size == 0 or s_full[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s_full > rank_tol * s_full[0]))
-    u = u_full[:, :r]
-    v = vt_full[:r].T
-    s = s_full[:r].copy()
+    d = decompose(a, group_tol=group_tol, rank_tol=rank_tol)
+    r = d.rank
+    # d is private to this call, so the rotation below may write into it.
+    u = d.u[:, :r]
+    v = d.v[:, :r]
+    s = d.s[:r].copy()
     grouping = group_singular_values(s, group_tol)
 
     if r == 0:
@@ -134,37 +195,17 @@ def cdsvd(
     # A_i; the eigenvalues, descending, are the block's S.i entries.
     s_i = np.zeros(r)
     for (blk_a, blk_b) in grouping.boundaries:
-        ug = u[:, blk_a:blk_b]
-        vg = v[:, blk_a:blk_b]
-        mg = sym(ug.T @ a.i @ vg)
-        w, q = np.linalg.eigh(mg)
+        w, q = np.linalg.eigh(sym(d.b[blk_a:blk_b, blk_a:blk_b]))
         w, q = w[::-1], q[:, ::-1]
-        u[:, blk_a:blk_b] = ug @ q
-        v[:, blk_a:blk_b] = vg @ q
+        u[:, blk_a:blk_b] = u[:, blk_a:blk_b] @ q
+        v[:, blk_a:blk_b] = v[:, blk_a:blk_b] @ q
         s_i[blk_a:blk_b] = w
 
     u, v = _signfix_columns(u, v)
 
-    # First-order coupling.  With B = U^T A_i V the generators satisfy
-    # B = Omega_U Sigma + Sigma_i - Sigma Omega_V on the compact block.
+    # First-order coupling, with B taken in the rotated, sign-fixed basis.
     b = u.T @ a.i @ v
-    omega_u = np.zeros((r, r))
-    omega_v = np.zeros((r, r))
-    for gi, (ga, gb) in enumerate(grouping.boundaries):
-        for gj, (ha, hb) in enumerate(grouping.boundaries):
-            if gi == gj:
-                blk = b[ga:gb, ha:hb]
-                half_skew = 0.5 * (blk - blk.T) / (2.0 * grouping.distinct_values[gi])
-                omega_u[ga:gb, ha:hb] = half_skew
-                omega_v[ga:gb, ha:hb] = -half_skew
-            else:
-                sj = s[ga:gb][:, None]
-                sk = s[ha:hb][None, :]
-                bjk = b[ga:gb, ha:hb]
-                bkj = b[ha:hb, ga:gb].T
-                denom = sk**2 - sj**2
-                omega_u[ga:gb, ha:hb] = (sk * bjk + sj * bkj) / denom
-                omega_v[ga:gb, ha:hb] = (sj * bjk + sk * bkj) / denom
+    omega_u, omega_v = _coupling_generators(b, s, grouping)
 
     # Components of A_i orthogonal to the compact column spans are folded in
     # where a first-order factor can carry them; what remains is the

@@ -536,6 +536,17 @@ def test_benchmark_detection_majority(benchmark_runs):
     )
 
 
+def test_benchmark_k_star_contract(benchmark_runs):
+    runs, _ = benchmark_runs
+    k_stars = [result.detection.k_star for _, result, _ in runs]
+    expected = [1, 1, 5, 7, 7, 10, 6, 1, 1, 6]
+    check(
+        k_stars == expected,
+        "benchmark k_star contract",
+        f"k_star for seeds 0-9 {k_stars} (pinned {expected})",
+    )
+
+
 def test_benchmark_emergence_majority(benchmark_runs):
     runs, _ = benchmark_runs
     wins = sum(ei_five > result.ei_micro for _, result, ei_five in runs)

@@ -11,6 +11,8 @@ from dualce import (
     DualScalar,
     RankDeficiencyWarning,
     compare,
+    decompose,
+    delta_gamma,
     dm_random_orthogonal,
     dual_abs,
     dual_det,
@@ -162,6 +164,39 @@ def test_kyfan_equivalence_on_repeated_sigmas():
         lhs = ky_fan_pk_norm(a, k, 1.6)
         rhs = dual_vector_norm(dual_singular_values(a, k), 1.6)
         assert_dual_close(lhs, rhs.s, rhs.i, 1e-8, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_dual_matrix(rng, 6, 4),
+        lambda rng: random_dual_matrix(rng, 4, 6),
+        lambda rng: matrix_with_sigmas(rng, 6, 5, [2.0, 2.0, 2.0, 0.5]),
+        lambda rng: matrix_with_sigmas(rng, 5, 5, [1.5, 0.4]),
+        lambda rng: DualMatrix(np.zeros((4, 3)), rng.standard_normal((4, 3))),
+    ],
+    ids=["tall", "wide", "repeated", "rank_deficient", "zero_standard"],
+)
+def test_decomposition_input_matches_matrix_input(make):
+    rng = np.random.default_rng(83)
+    a = make(rng)
+    d = decompose(a)
+    assert d.shape == a.shape
+    pairs = [(spectral_norm(a), spectral_norm(d)), (nuclear_norm(a), nuclear_norm(d))]
+    pairs += [(schatten_norm(a, 1.4), schatten_norm(d, 1.4))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        for k in range(1, min(a.shape) + 1):
+            pairs.append((ky_fan_norm(a, k), ky_fan_norm(d, k)))
+            pairs.append((ky_fan_pk_norm(a, k, 1.6), ky_fan_pk_norm(d, k, 1.6)))
+    for direct, shared in pairs:
+        assert (shared.s, shared.i) == (direct.s, direct.i)
+    for k in range(1, min(a.shape) + 1):
+        assert delta_gamma(d, k, 1.3) == pytest.approx(
+            delta_gamma(a.s, k, 1.3), rel=1e-12, abs=1e-14
+        )
+    with pytest.raises(ValueError):
+        ky_fan_norm(d, min(a.shape) + 1)
 
 
 class TestUnitaryInvariance:

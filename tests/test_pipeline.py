@@ -14,10 +14,13 @@ from dualce import (
     WITHOUT_INFINITESIMAL,
     analyze,
     coarse_grain,
+    delta_gamma,
     detect_k,
     dual_singular_values,
     dual_vector_norm,
     kmeans,
+    ky_fan_norm,
+    ky_fan_pk_norm,
     norm_sweep,
     run_pipeline,
     schatten_norm,
@@ -25,7 +28,7 @@ from dualce import (
 )
 from dualce.cli import main
 from dualce.pipeline import StageError, random_initial_state
-from tests.conftest import random_dtpm, random_permutation_matrix
+from tests.conftest import matrix_with_sigmas, random_dtpm, random_permutation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +67,41 @@ class TestNormSweep:
         rng = np.random.default_rng(2)
         p = random_dtpm(rng, 5)
         table = norm_sweep(p, (1.0,))
-        from dualce import ky_fan_norm
-
         for r in table.column(1.0):
             direct = ky_fan_norm(p, r.k)
             assert r.standard == pytest.approx(direct.s, abs=1e-12)
             assert r.infinitesimal == pytest.approx(direct.i, abs=1e-12)
+
+    def test_decomposes_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        p = random_dtpm(rng, 7)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        norm_sweep(p, (1.0, 1.3, 1.9))
+        assert calls == [(7, 7)]
+
+    def test_repeated_sigma_block_matches_direct_calls(self):
+        # sigma_2 = sigma_3 = sigma_4 form one block; k runs through it
+        rng = np.random.default_rng(8)
+        p = matrix_with_sigmas(rng, 6, 6, [3.0, 2.0, 2.0, 2.0, 0.7, 0.3])
+        table = norm_sweep(p, (1.0, 1.3, 1.9))
+        assert table.rank == 6
+        for r in table.records:
+            if r.p == 1.0:
+                direct = ky_fan_norm(p, r.k)
+            else:
+                direct = ky_fan_pk_norm(p, r.k, r.p)
+            assert r.standard == pytest.approx(direct.s, rel=1e-12)
+            assert r.infinitesimal == pytest.approx(direct.i, rel=1e-12, abs=1e-13)
+            assert r.delta_gamma == pytest.approx(
+                delta_gamma(p.s, r.k, r.p), rel=1e-12, abs=1e-13
+            )
 
     def test_input_validation(self):
         rng = np.random.default_rng(3)

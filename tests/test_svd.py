@@ -11,6 +11,7 @@ from dualce import (
     group_singular_values,
     sym,
 )
+from dualce.svd import _coupling_generators
 from tests.conftest import matrix_with_sigmas, random_dual_matrix
 
 
@@ -167,3 +168,41 @@ def test_transpose_swaps_factors():
     assert np.allclose(res_t.S.s, res.S.s)
     assert np.allclose(res_t.U.s, res.V.s)
     assert np.allclose(res_t.V.s, res.U.s)
+
+
+def coupling_generators_by_blocks(b, s, grouping):
+    """Reference: the coupling generators filled one block pair at a time."""
+    r = len(s)
+    omega_u = np.zeros((r, r))
+    omega_v = np.zeros((r, r))
+    for gi, (ga, gb) in enumerate(grouping.boundaries):
+        for gj, (ha, hb) in enumerate(grouping.boundaries):
+            if gi == gj:
+                blk = b[ga:gb, ha:hb]
+                half_skew = 0.5 * (blk - blk.T) / (2.0 * grouping.distinct_values[gi])
+                omega_u[ga:gb, ha:hb] = half_skew
+                omega_v[ga:gb, ha:hb] = -half_skew
+            else:
+                sj = s[ga:gb][:, None]
+                sk = s[ha:hb][None, :]
+                bjk = b[ga:gb, ha:hb]
+                bkj = b[ha:hb, ga:gb].T
+                denom = sk**2 - sj**2
+                omega_u[ga:gb, ha:hb] = (sk * bjk + sj * bkj) / denom
+                omega_v[ga:gb, ha:hb] = (sj * bjk + sk * bkj) / denom
+    return omega_u, omega_v
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [[4.0, 3.0, 2.0, 1.0], [3.0, 3.0, 2.0, 2.0, 2.0, 0.5], [2.0, 2.0, 2.0, 2.0]],
+)
+def test_coupling_generators_match_block_loop(sigmas):
+    rng = np.random.default_rng(11)
+    s = np.array(sigmas)
+    grouping = group_singular_values(s, 1e-8)
+    b = rng.standard_normal((len(s), len(s)))
+    got = _coupling_generators(b, s, grouping)
+    expect = coupling_generators_by_blocks(b, s, grouping)
+    assert np.array_equal(got[0], expect[0])
+    assert np.array_equal(got[1], expect[1])

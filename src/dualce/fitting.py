@@ -83,11 +83,11 @@ def stack_snapshots(pairs) -> SnapshotPair:
 def _project_simplex_columns(v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of every column onto the unit simplex."""
     n = v.shape[0]
-    u = -np.sort(-v, axis=0)
+    u = np.sort(v, axis=0)[::-1]
     css = np.cumsum(u, axis=0) - 1.0
     j = np.arange(1, n + 1, dtype=float)[:, None]
     # The condition below holds on a prefix of each column; rho is its end.
-    rho = np.sum(u - css / j > 0.0, axis=0) - 1
+    rho = np.sum(u > css / j, axis=0) - 1
     theta = css[rho, np.arange(v.shape[1])] / (rho + 1.0)
     return np.maximum(v - theta[None, :], 0.0)
 
@@ -100,33 +100,48 @@ def project_simplex(v) -> np.ndarray:
     return _project_simplex_columns(v[:, None])[:, 0]
 
 
-def _project_zero_sum_columns(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _zero_sum_projector(mask: np.ndarray):
     """Per-column projection onto {u: sum(u) = 0, u_j >= 0 for mask_j}.
 
     The multiplier solves sum_free (v_j - lam) + sum_masked max(v_j - lam, 0)
     = 0.  Masked coordinates get breakpoint v_j and free ones +inf (they are
-    active at every lam), so sorting by breakpoint and scanning prefix cuts
-    finds the root exactly.
+    active at every lam), so scanning prefix cuts of the breakpoints in
+    descending order finds the root exactly.  Everything that depends only on
+    the mask is built once here; the returned function maps v to its
+    projection.  Work runs on the transposed layout, one row per column of v.
+    Prefix sums add the free values in index order, then the masked ones in
+    descending order.  Tied breakpoints are equal values, so how the sort
+    orders them can change only the sign of a zero lam, and only in an
+    all-masked column, whose clip returns +0.0 either way.
     """
-    n, c = v.shape
-    cols = np.arange(c)
-    keys = np.where(mask, v, np.inf)
-    order = np.argsort(-keys, axis=0, kind="stable")
-    vals = np.take_along_axis(v, order, axis=0)
-    keys_sorted = np.take_along_axis(keys, order, axis=0)
-    csum = np.cumsum(vals, axis=0)
-    counts = np.arange(1, n + 1, dtype=float)[:, None]
-    lam = csum / counts
-    hi = keys_sorted
-    lo = np.vstack([keys_sorted[1:], np.full((1, c), -np.inf)])
-    # Roundoff can push a root just outside its closed interval; rank cuts
-    # by constraint violation with valid ones pinned first.
-    viol = np.maximum(lo - lam, lam - hi)
-    viol = np.where((lam <= hi) & (lam >= lo), -1.0, viol)
-    cut = np.argmin(viol, axis=0)
-    lam_star = lam[cut, cols]
-    out = v - lam_star[None, :]
-    return np.where(mask, np.maximum(out, 0.0), out)
+    n, c = mask.shape
+    mask_t = np.ascontiguousarray(mask.T)
+    cols_free, rows_free = np.nonzero(~mask_t)
+    # Flat indices into v of each column's free entries, column by column.
+    gather = rows_free * c + cols_free
+    # Row r of the transposed layout starts with as many slots as column r
+    # of v has free entries.
+    free_prefix = np.arange(n)[None, :] < np.count_nonzero(~mask_t, axis=1)[:, None]
+    counts = np.arange(1, n + 1, dtype=float)
+    rows = np.arange(c)
+    floor = np.full((c, 1), -np.inf)
+
+    def project(v: np.ndarray) -> np.ndarray:
+        keys = np.where(mask_t, v.T, np.inf)
+        hi = np.sort(keys, axis=1)[:, ::-1]
+        vals = hi.copy()
+        vals[free_prefix] = np.take(v, gather)
+        lam = np.cumsum(vals, axis=1) / counts
+        lo = np.concatenate([hi[:, 1:], floor], axis=1)
+        # Roundoff can push a root just outside its closed interval; rank cuts
+        # by constraint violation with valid ones pinned first.
+        viol = np.maximum(lo - lam, lam - hi)
+        viol = np.where((lam <= hi) & (lam >= lo), -1.0, viol)
+        lam_star = lam[rows, np.argmin(viol, axis=1)]
+        out = v - lam_star[None, :]
+        return np.where(mask, np.maximum(out, 0.0), out)
+
+    return project
 
 
 def project_zero_sum_masked(v, s) -> np.ndarray:
@@ -147,7 +162,7 @@ def project_zero_sum_masked(v, s) -> np.ndarray:
         mask = s
     elif s.size:
         mask[s.astype(int)] = True
-    return _project_zero_sum_columns(v[:, None], mask[:, None])[:, 0]
+    return _zero_sum_projector(mask[:, None])(v[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -241,25 +256,28 @@ def _fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
     pieces; stops when the relative objective decrease falls under tol AND
     the gradient mapping satisfies the first-order condition, or at
     max_iter.  Every accepted iterate is feasible and the objective never
-    increases.
+    increases.  Each accepted iterate keeps its product P X X^T, which the
+    objective formed, for the restart and stopping-test gradients.
     """
 
     def objective(p):
-        return 0.5 * (y_sq - 2.0 * float(np.sum(p * yxt)) + float(np.sum((p @ xxt) * p)))
+        pxx = p @ xxt
+        return 0.5 * (y_sq - 2.0 * float(np.sum(p * yxt)) + float(np.sum(pxx * p))), pxx
 
-    def gradient(p):
-        return p @ xxt - yxt
+    def mapping(p, g):
+        """Norms of the gradient mapping and of the gradient g at p."""
+        mapped = (p - project(p - step * g)) / step
+        return float(np.linalg.norm(mapped)), float(np.linalg.norm(g))
 
+    obj, pxx = objective(p0)
     if lipschitz <= 0.0:
         # Gradient is constant zero; the start point is already optimal.
-        g = gradient(p0)
-        return FitStage(p0, objective(p0), 0, True, 0.0, float(np.linalg.norm(g)))
+        return FitStage(p0, obj, 0, True, 0.0, float(np.linalg.norm(pxx - yxt)))
 
     step = 1.0 / (lipschitz * (1.0 + 1e-9))
     p = p0
     z = p0
     t = 1.0
-    obj = objective(p)
     iterations = 0
     converged = False
     kkt = math.inf
@@ -267,97 +285,95 @@ def _fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
 
     for it in range(1, max_iter + 1):
         iterations = it
-        cand = project(z - step * gradient(z))
-        obj_cand = objective(cand)
+        cand = project(z - step * (z @ xxt - yxt))
+        obj_cand, cxx = objective(cand)
         if obj_cand > obj:
             # Momentum overshoot: restart from the best point.  A plain
             # step with step <= 1/L cannot increase the objective beyond
             # float noise; if noise still wins, hold the iterate.
-            z = p
             t = 1.0
-            cand = project(z - step * gradient(z))
-            obj_cand = objective(cand)
+            cand = project(p - step * (pxx - yxt))
+            obj_cand, cxx = objective(cand)
             if obj_cand > obj:
-                cand = p
-                obj_cand = obj
+                cand, obj_cand, cxx = p, obj, pxx
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = cand + ((t - 1.0) / t_next) * (cand - p)
         decrease = obj - obj_cand
         prev_obj = obj
-        p, obj, t = cand, obj_cand, t_next
+        p, obj, pxx, t = cand, obj_cand, cxx, t_next
         if decrease <= tol * max(1.0, prev_obj):
-            g = gradient(p)
-            mapped = (p - project(p - step * g)) / step
-            kkt = float(np.linalg.norm(mapped))
-            grad_norm = float(np.linalg.norm(g))
+            kkt, grad_norm = mapping(p, pxx - yxt)
             if kkt <= KKT_FACTOR * (1.0 + grad_norm):
                 converged = True
                 break
 
     if not math.isfinite(kkt):
-        g = gradient(p)
-        mapped = (p - project(p - step * g)) / step
-        kkt = float(np.linalg.norm(mapped))
-        grad_norm = float(np.linalg.norm(g))
+        kkt, grad_norm = mapping(p, pxx - yxt)
 
     return FitStage(p, obj, iterations, converged, kkt, grad_norm)
 
 
-def _gram(x_s: np.ndarray, y: np.ndarray):
+def _gram(x_s: np.ndarray):
+    """X_s X_s^T and its largest eigenvalue, the gradient's Lipschitz constant."""
     xxt = x_s @ x_s.T
-    yxt = y @ x_s.T
-    y_sq = float(np.sum(y * y))
-    lipschitz = _spectral_norm_psd(xxt)
-    return xxt, yxt, y_sq, lipschitz
+    return xxt, _spectral_norm_psd(xxt)
 
 
-def fit_standard(x_s, y_s, opts: FitOptions = FitOptions()) -> FitStage:
+def fit_standard(
+    x_s, y_s, opts: FitOptions = FitOptions(), gram: tuple | None = None
+) -> FitStage:
     """Column-stochastic least squares: min (1/2)||Y_s - P X_s||_F^2.
 
     Accelerated projected gradient from the uniform matrix; every iterate
     has exactly stochastic columns, so the returned matrix is feasible even
-    when not converged.
+    when not converged.  gram is ``_gram(x_s)`` when the caller already has
+    it.
     """
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     if x_s.shape != y_s.shape or x_s.ndim != 2:
         raise ValueError("X_s and Y_s must be equal-shape 2-D arrays")
     n = x_s.shape[0]
-    xxt, yxt, y_sq, lipschitz = _gram(x_s, y_s)
+    xxt, lipschitz = _gram(x_s) if gram is None else gram
     p0 = np.full((n, n), 1.0 / n)
     return _fista(
-        xxt, yxt, y_sq, _project_simplex_columns, p0, lipschitz, opts.tol, opts.max_iter
+        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), _project_simplex_columns, p0,
+        lipschitz, opts.tol, opts.max_iter,
     )
 
 
 def fit_infinitesimal(
-    pair: SnapshotPair, p_s: np.ndarray, opts: FitOptions = FitOptions()
+    pair: SnapshotPair,
+    p_s: np.ndarray,
+    opts: FitOptions = FitOptions(),
+    gram: tuple | None = None,
+    mask: ZeroPatternMask | None = None,
 ) -> FitStage:
     """Zero-column-sum least squares for the infinitesimal part.
 
     Minimizes (1/2)||R - P_i X_s||_F^2 with R = Y_i - P_s X_i, subject to
     columns of P_i summing to zero and nonnegativity on the zero pattern of
     P_s (entries below the threshold).  Starts from the zero matrix, which
-    is feasible.
+    is feasible.  gram is ``_gram(pair.x.s)`` and mask the zero pattern of
+    p_s, when the caller already has them.
     """
     p_s = np.asarray(p_s, dtype=float)
     n = p_s.shape[0]
     x_s, x_i = pair.x.s, pair.x.i
-    y_i = pair.y.i
-    r = y_i - p_s @ x_i
-    xxt, yxt, y_sq, lipschitz = _gram(x_s, r)
-    mask = ZeroPatternMask.from_standard(p_s, opts.zero_threshold).mask
-
-    def project(v):
-        return _project_zero_sum_columns(v, mask)
-
+    r = pair.y.i - p_s @ x_i
+    xxt, lipschitz = _gram(x_s) if gram is None else gram
+    if mask is None:
+        mask = ZeroPatternMask.from_standard(p_s, opts.zero_threshold)
     p0 = np.zeros((n, n))
-    return _fista(xxt, yxt, y_sq, project, p0, lipschitz, opts.tol, opts.max_iter)
+    return _fista(
+        xxt, r @ x_s.T, float(np.sum(r * r)), _zero_sum_projector(mask.mask), p0,
+        lipschitz, opts.tol, opts.max_iter,
+    )
 
 
-def condition_estimate(x_s: np.ndarray) -> float:
-    """Condition number of X_s X_s^T (collapsed trajectories blow this up)."""
-    lam = np.linalg.eigvalsh(np.asarray(x_s, dtype=float) @ np.asarray(x_s).T)
+def condition_estimate(xxt: np.ndarray) -> float:
+    """Condition number of the Gram X_s X_s^T (collapsed trajectories blow this up)."""
+    lam = np.linalg.eigvalsh(xxt)
     low = float(lam[0])
     high = float(lam[-1])
     if low <= 0.0:
@@ -367,11 +383,13 @@ def condition_estimate(x_s: np.ndarray) -> float:
 
 def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
     """Run both fitting stages and assemble the validated dual matrix."""
-    stage_s = fit_standard(pair.x.s, pair.y.s, opts)
-    stage_i = fit_infinitesimal(pair, stage_s.matrix, opts)
+    gram = _gram(pair.x.s)
+    stage_s = fit_standard(pair.x.s, pair.y.s, opts, gram)
+    mask = ZeroPatternMask.from_standard(stage_s.matrix, opts.zero_threshold)
+    stage_i = fit_infinitesimal(pair, stage_s.matrix, opts, gram, mask)
     p = DualMatrix(stage_s.matrix, stage_i.matrix)
     validate_dtpm(p)
-    cond = condition_estimate(pair.x.s)
+    cond = condition_estimate(gram[0])
     return FitReport(
         p=p,
         objective_s=stage_s.objective,
@@ -380,5 +398,5 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
         converged=(stage_s.converged, stage_i.converged),
         condition_estimate=cond,
         ill_conditioned=bool(cond > ILL_CONDITION_LIMIT),
-        mask=ZeroPatternMask.from_standard(stage_s.matrix, opts.zero_threshold),
+        mask=mask,
     )

@@ -67,7 +67,11 @@ def _head(d: Decomposition, stop: int, p: float, value: float) -> float:
 
 def _block_eigenvalues(d: Decomposition, start: int, stop: int) -> np.ndarray:
     """Descending eigenvalues of sym(U_g^T A_i V_g) on one block."""
-    return np.sort(np.linalg.eigvalsh(sym(d.b[start:stop, start:stop])))[::-1]
+    block = sym(d.b[start:stop, start:stop])
+    if stop - start == 1:
+        # LAPACK returns a 1x1 symmetric matrix's entry as its eigenvalue.
+        return block[0]
+    return np.sort(np.linalg.eigvalsh(block))[::-1]
 
 
 def ky_fan_pk_norm(

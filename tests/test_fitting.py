@@ -1,14 +1,18 @@
 """Snapshot construction, exact projections, and the two-stage fit."""
 
+import math
+
 import numpy as np
 import pytest
 
+from dualce import fitting
 from dualce import (
     DualMatrix,
     DumbbellConfig,
     FitOptions,
     ZeroPatternMask,
     build_snapshots,
+    dumbbell_dtpm,
     dumbbell_tpm,
     fit_dtpm,
     fit_infinitesimal,
@@ -20,6 +24,107 @@ from dualce import (
     validate_dtpm,
 )
 from tests.conftest import random_tpm
+
+
+def reference_zero_sum_columns(v, mask):
+    """Sort-based zero-sum projection as first written: one stable argsort
+    of the negated breakpoints per call."""
+    n, c = v.shape
+    cols = np.arange(c)
+    keys = np.where(mask, v, np.inf)
+    order = np.argsort(-keys, axis=0, kind="stable")
+    vals = np.take_along_axis(v, order, axis=0)
+    keys_sorted = np.take_along_axis(keys, order, axis=0)
+    csum = np.cumsum(vals, axis=0)
+    counts = np.arange(1, n + 1, dtype=float)[:, None]
+    lam = csum / counts
+    hi = keys_sorted
+    lo = np.vstack([keys_sorted[1:], np.full((1, c), -np.inf)])
+    viol = np.maximum(lo - lam, lam - hi)
+    viol = np.where((lam <= hi) & (lam >= lo), -1.0, viol)
+    cut = np.argmin(viol, axis=0)
+    lam_star = lam[cut, cols]
+    out = v - lam_star[None, :]
+    return np.where(mask, np.maximum(out, 0.0), out)
+
+
+def reference_simplex_columns(v):
+    """Simplex projection as first written (negated sort, difference test)."""
+    n = v.shape[0]
+    u = -np.sort(-v, axis=0)
+    css = np.cumsum(u, axis=0) - 1.0
+    j = np.arange(1, n + 1, dtype=float)[:, None]
+    rho = np.sum(u - css / j > 0.0, axis=0) - 1
+    theta = css[rho, np.arange(v.shape[1])] / (rho + 1.0)
+    return np.maximum(v - theta[None, :], 0.0)
+
+
+def reference_fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
+    """The solver loop as first written: it forms P X X^T afresh for every
+    objective and gradient.  Returns the FitStage and the restart count."""
+
+    def objective(p):
+        return 0.5 * (y_sq - 2.0 * float(np.sum(p * yxt)) + float(np.sum((p @ xxt) * p)))
+
+    def gradient(p):
+        return p @ xxt - yxt
+
+    restarts = 0
+    if lipschitz <= 0.0:
+        g = gradient(p0)
+        return fitting.FitStage(p0, objective(p0), 0, True, 0.0, float(np.linalg.norm(g))), 0
+    step = 1.0 / (lipschitz * (1.0 + 1e-9))
+    p = z = p0
+    t = 1.0
+    obj = objective(p)
+    iterations = 0
+    converged = False
+    kkt = grad_norm = math.inf
+    for it in range(1, max_iter + 1):
+        iterations = it
+        cand = project(z - step * gradient(z))
+        obj_cand = objective(cand)
+        if obj_cand > obj:
+            restarts += 1
+            z = p
+            t = 1.0
+            cand = project(z - step * gradient(z))
+            obj_cand = objective(cand)
+            if obj_cand > obj:
+                cand = p
+                obj_cand = obj
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = cand + ((t - 1.0) / t_next) * (cand - p)
+        decrease = obj - obj_cand
+        prev_obj = obj
+        p, obj, t = cand, obj_cand, t_next
+        if decrease <= tol * max(1.0, prev_obj):
+            g = gradient(p)
+            mapped = (p - project(p - step * g)) / step
+            kkt = float(np.linalg.norm(mapped))
+            grad_norm = float(np.linalg.norm(g))
+            if kkt <= fitting.KKT_FACTOR * (1.0 + grad_norm):
+                converged = True
+                break
+    if not math.isfinite(kkt):
+        g = gradient(p)
+        mapped = (p - project(p - step * g)) / step
+        kkt = float(np.linalg.norm(mapped))
+        grad_norm = float(np.linalg.norm(g))
+    return fitting.FitStage(p, obj, iterations, converged, kkt, grad_norm), restarts
+
+
+def assert_bits_equal(a, b):
+    """Equal as stored doubles, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def assert_stages_bit_equal(a, b):
+    assert_bits_equal(a.matrix, b.matrix)
+    for field in ("objective", "iterations", "converged", "kkt_residual", "gradient_norm"):
+        assert_bits_equal(getattr(a, field), getattr(b, field))
 
 
 def grid_simplex_oracle(v, step=1e-3):
@@ -217,6 +322,109 @@ class TestProjectZeroSumMasked:
             project_zero_sum_masked(np.array([]), [])
         with pytest.raises(ValueError):
             project_zero_sum_masked(np.array([1.0, 2.0]), np.array([True]))
+
+
+def projection_cases():
+    """(v, mask) pairs: random, tie-heavy, all-free, all-masked, signed zeros."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(40):
+        n, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        v = rng.standard_normal((n, c))
+        mask = rng.random((n, c)) < rng.uniform(0.0, 1.0)
+        cases.append((v, mask))
+        cases.append((np.round(v, 1), mask))
+        cases.append((np.round(2.0 * v) / 2.0, rng.random((n, c)) < 0.8))
+    v = rng.standard_normal((9, 7))
+    cases.append((v, np.zeros_like(v, dtype=bool)))
+    cases.append((v, np.ones_like(v, dtype=bool)))
+    for _ in range(30):
+        zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=(6, 5), p=[0.4, 0.4, 0.1, 0.1])
+        cases.append((zeros, rng.random((6, 5)) < 0.7))
+        cases.append((zeros, np.ones_like(zeros, dtype=bool)))
+    cases.append((np.array([[-0.0], [0.0], [-0.0]]), np.array([[False], [True], [True]])))
+    return cases
+
+
+class TestProjectorsMatchReference:
+    def test_zero_sum_projector_is_bit_equal(self):
+        for v, mask in projection_cases():
+            got = fitting._zero_sum_projector(mask)(v)
+            assert_bits_equal(got, reference_zero_sum_columns(v, mask))
+
+    def test_zero_sum_projector_reuses_its_mask(self):
+        rng = np.random.default_rng(15)
+        mask = rng.random((30, 20)) < 0.6
+        project = fitting._zero_sum_projector(mask)
+        for _ in range(5):
+            v = rng.standard_normal((30, 20))
+            assert_bits_equal(project(v), reference_zero_sum_columns(v, mask))
+
+    def test_simplex_projection_is_bit_equal(self):
+        for v, _ in projection_cases():
+            got = fitting._project_simplex_columns(v)
+            assert_bits_equal(got, reference_simplex_columns(v))
+
+
+def solver_instances():
+    """Small snapshot pairs by name; "restart" is one whose momentum
+    overshoots in both stages."""
+    rng = np.random.default_rng(16)
+
+    def pair_of(x_s, y_s, x_i):
+        x_i = x_i - x_i.mean(axis=0, keepdims=True)
+        return fitting.SnapshotPair(DualMatrix(x_s, x_i), DualMatrix(y_s, 2.0 * x_i))
+
+    m = random_tpm(rng, 5)
+    x = rng.dirichlet(np.ones(5), size=40).T
+    rich = pair_of(x, m @ x, 0.01 * rng.standard_normal((5, 40)))
+    cfg = DumbbellConfig(far_weight=3, near_weight=2, bar=1, seed=2)
+    n = dumbbell_tpm(cfg).shape[0]
+    restart = build_snapshots(simulate(dumbbell_dtpm(cfg), np.full(n, 1.0 / n), 60))
+    x, y = rng.dirichlet(np.ones(6), size=4).T, rng.dirichlet(np.ones(6), size=4).T
+    wide = pair_of(x, y, 0.1 * rng.standard_normal((6, 4)))
+    return {"rich": rich, "restart": restart, "wide-null": wide}
+
+
+class TestSolverMatchesReference:
+    @pytest.mark.parametrize("name", ["rich", "restart", "wide-null"])
+    def test_both_stages_bit_equal(self, name):
+        pair = solver_instances()[name]
+        opts = FitOptions(tol=1e-12, max_iter=3000)
+        x_s, y_s, x_i, y_i = pair.x.s, pair.y.s, pair.x.i, pair.y.i
+        n = x_s.shape[0]
+        xxt = x_s @ x_s.T
+        lip = fitting._spectral_norm_psd(xxt)
+        ref_s, restarts_s = reference_fista(
+            xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), reference_simplex_columns,
+            np.full((n, n), 1.0 / n), lip, opts.tol, opts.max_iter,
+        )
+        r = y_i - ref_s.matrix @ x_i
+        mask = ZeroPatternMask.from_standard(ref_s.matrix).mask
+        ref_i, restarts_i = reference_fista(
+            xxt, r @ x_s.T, float(np.sum(r * r)),
+            lambda v: reference_zero_sum_columns(v, mask),
+            np.zeros((n, n)), lip, opts.tol, opts.max_iter,
+        )
+        if name == "restart":
+            assert restarts_s > 0 and restarts_i > 0
+
+        stage_s = fit_standard(x_s, y_s, opts)
+        assert_stages_bit_equal(stage_s, ref_s)
+        assert_stages_bit_equal(fit_infinitesimal(pair, stage_s.matrix, opts), ref_i)
+        report = fit_dtpm(pair, opts)
+        assert_bits_equal(report.p.s, ref_s.matrix)
+        assert_bits_equal(report.p.i, ref_i.matrix)
+        assert report.iterations == (ref_s.iterations, ref_i.iterations)
+        assert report.converged == (ref_s.converged, ref_i.converged)
+        assert_bits_equal([report.objective_s, report.objective_i], [ref_s.objective, ref_i.objective])
+
+    def test_fit_dtpm_forms_one_gram(self, monkeypatch):
+        calls = []
+        real = fitting._spectral_norm_psd
+        monkeypatch.setattr(fitting, "_spectral_norm_psd", lambda m: calls.append(1) or real(m))
+        fit_dtpm(solver_instances()["restart"])
+        assert len(calls) == 1
 
 
 class TestZeroPatternMask:

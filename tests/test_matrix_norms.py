@@ -319,3 +319,16 @@ def test_zero_standard_part_norms():
     assert_dual_close(nuclear_norm(a), 0.0, 6.0, 1e-12, 1e-12)
     assert_dual_close(ky_fan_pk_norm(a, 2, 1.5), 0.0, real_kyfan_pk(a.i, 2, 1.5),
                       1e-12, 1e-12)
+
+
+def test_singleton_block_eigenvalue_is_its_entry():
+    from dualce.core import sym
+    from dualce.matrix_norms import _block_eigenvalues
+
+    rng = np.random.default_rng(83)
+    for _ in range(50):
+        d = decompose(random_dual_matrix(rng, 6, 6))
+        for j in range(6):
+            blk = sym(d.b[j : j + 1, j : j + 1])
+            want = np.sort(np.linalg.eigvalsh(blk))[::-1]
+            assert _block_eigenvalues(d, j, j + 1).tobytes() == want.tobytes()

@@ -1,9 +1,9 @@
 """Command-line interface for the causal-emergence pipeline.
 
-Every subcommand re-derives its inputs deterministically from the resolved
-configuration (config file defaults, overridden by flags), so running
-`sweep` does not require having run `fit` first; the stages always agree
-for a given seed.
+Every subcommand runs `pipeline.stages` on the resolved configuration
+(config file defaults, overridden by flags) up to its own stage, so running
+`sweep` does not require having run `fit` first, and writes each file with
+the writer `pipeline` uses for it.
 """
 
 from __future__ import annotations
@@ -16,32 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from .core import DualMatrix
-from .fitting import fit_dtpm
 from .pipeline import (
     PipelineConfig,
     StageError,
     _write_json,
     _write_matrix,
     analyze,
-    coarse_grain_methods,
-    detect_k,
-    generate,
-    norm_sweep,
-    simulate_trajectories,
-    snapshots,
+    stages,
     write_artifacts,
+    write_coarse,
+    write_fit,
     write_sweep_csv,
 )
 
 
 def _parse_p_list(text: str):
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad p-list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("p-list must contain at least one value")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,17 +87,11 @@ def resolve_config(args) -> PipelineConfig:
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
-    cfg = PipelineConfig.from_dict(data)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.p_list is not None:
-        overrides["p_list"] = args.p_list
-    if args.group_tol is not None:
-        overrides["group_tol"] = args.group_tol
-    if overrides:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), **overrides})
-    return cfg
+        if not isinstance(data, dict):
+            raise ValueError("the config file must hold a JSON object")
+    overrides = {"seed": args.seed, "p_list": args.p_list, "group_tol": args.group_tol}
+    data.update((k, v) for k, v in overrides.items() if v is not None)
+    return PipelineConfig.from_dict(data)
 
 
 def main(argv=None) -> int:
@@ -114,33 +101,43 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: bad configuration: {err}", file=sys.stderr)
         return 2
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
+    # Run the stages up to this subcommand's own; --out is made only once
+    # they have all succeeded.
     try:
         if args.command == "pipeline":
             result = analyze(cfg)
+        else:
+            done = {}
+            for name, output in stages(cfg):
+                done[name] = output
+                if name == args.command:
+                    break
+    except StageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+    out = args.out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "pipeline":
             write_artifacts(result, out, fmt=args.format)
             print(
                 f"pipeline complete: k_star={result.detection.k_star}, "
                 f"artifacts in {out}"
             )
-            return 0
-
-        if args.command == "generate":
-            chain = generate(cfg)
+        elif args.command == "generate":
+            chain = done["generate"]
             if isinstance(chain, DualMatrix):
                 _write_matrix(out, "generator_drift", chain.i, args.format)
                 chain = chain.s
             path = _write_matrix(out, "generator", chain, args.format)
             _write_json(out / "config.json", cfg.to_dict())
             print(f"wrote {path}")
-            return 0
-
-        if args.command == "simulate":
+        elif args.command == "simulate":
             # Trajectories side by side; a drifting chain's also carry an
             # infinitesimal part.
-            trajs = simulate_trajectories(generate(cfg), cfg)
+            trajs = done["simulate"]
             if isinstance(trajs[0], DualMatrix):
                 traj = np.hstack([t.s for t in trajs])
                 _write_matrix(
@@ -154,49 +151,30 @@ def main(argv=None) -> int:
                 f"wrote {path} ({traj.shape[0]} states, "
                 f"{len(trajs)} x {cfg.t + 2} steps)"
             )
-            return 0
-
-        trajs = simulate_trajectories(generate(cfg), cfg)
-        report = fit_dtpm(snapshots(trajs), cfg.fit_options())
-
-        if args.command == "fit":
-            _write_matrix(out, "p_standard", report.p.s, args.format)
-            _write_matrix(out, "p_infinitesimal", report.p.i, args.format)
-            _write_json(out / "fit.json", report.to_dict())
+        elif args.command == "fit":
+            report = done["fit"]
+            write_fit(out, report, args.format)
             print(
                 f"fit done: objectives ({report.objective_s:.6g}, "
                 f"{report.objective_i:.6g}), wrote 3 files to {out}"
             )
-            return 0
-
-        table = norm_sweep(report.p, cfg.p_list, group_tol=cfg.group_tol)
-
-        if args.command == "sweep":
+        elif args.command == "sweep":
+            table = done["sweep"]
             write_sweep_csv(out / "sweep.csv", table)
             print(f"wrote {out / 'sweep.csv'} ({len(table.records)} rows)")
-            return 0
-
-        detection = detect_k(table)
-
-        if args.command == "detect":
-            write_sweep_csv(out / "sweep.csv", table)
+        elif args.command == "detect":
+            detection = done["detect"]
+            write_sweep_csv(out / "sweep.csv", done["sweep"])
             _write_json(out / "detection.json", detection.to_dict())
             print(f"k_star={detection.k_star} (unanimous={detection.unanimous})")
-            return 0
-
-        # coarse-grain
-        coarse = coarse_grain_methods(report.p, detection.k_star, cfg)
-        payload = {method: cg.to_dict() for method, cg in coarse.items()}
-        _write_json(out / "coarse.json", payload)
-        print(f"coarse-grained to k={detection.k_star}, wrote {out / 'coarse.json'}")
-        return 0
-
-    except StageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as err:
+        else:  # coarse-grain
+            write_coarse(out, *done["coarse-grain"])
+            k_star = done["detect"].k_star
+            print(f"coarse-grained to k={k_star}, wrote {out / 'coarse.json'}")
+    except OSError as err:
         print(f"error in {args.command}: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

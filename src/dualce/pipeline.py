@@ -3,9 +3,10 @@
 Stages: generate the dumbbell benchmark, simulate trajectories, fit the dual
 transition matrix, sweep the dual Ky Fan norms over (k, p), detect the
 optimal class count from the infinitesimal parts, and coarse-grain by
-clustering singular-vector projections of the columns.  Every stage is a
-pure function of the configuration, so later stages re-derive earlier ones
-deterministically from the seed instead of reading intermediate files.
+clustering singular-vector projections of the columns.  `stages` runs them
+in order as pure functions of the configuration; `analyze` and every CLI
+subcommand iterate it, so later stages re-derive earlier ones from the seed
+instead of reading intermediate files.
 
 All artifacts are written with stable ordering and 17-significant-digit
 floats; two runs with the same configuration produce byte-identical files.
@@ -28,7 +29,6 @@ from .core import DualMatrix
 from .fitting import (
     FitOptions,
     FitReport,
-    SnapshotPair,
     build_snapshots,
     fit_dtpm,
     stack_snapshots,
@@ -74,6 +74,17 @@ class SweepTable:
         return [r for r in self.records if r.p == p]
 
 
+def _check_p_list(p_list) -> tuple:
+    """p_list as a tuple of floats; raises unless it is nonempty and in [1, 2)."""
+    p_list = tuple(float(q) for q in p_list)
+    if not p_list:
+        raise ValueError("p_list must be nonempty")
+    for q in p_list:
+        if not 1.0 <= q < 2.0:
+            raise ValueError(f"sweep p values must lie in [1, 2), got {q}")
+    return p_list
+
+
 def norm_sweep(p: DualMatrix, p_list, group_tol: float = GROUP_TOL) -> SweepTable:
     """Dual Ky Fan (k, p) norms for k = 1..rank(P_s) and every p in p_list.
 
@@ -82,12 +93,7 @@ def norm_sweep(p: DualMatrix, p_list, group_tol: float = GROUP_TOL) -> SweepTabl
     rides along for the vague-emergence report.  Every entry is read from
     one decomposition of p.
     """
-    p_list = tuple(float(q) for q in p_list)
-    if not p_list:
-        raise ValueError("p_list must be nonempty")
-    for q in p_list:
-        if not 1.0 <= q < 2.0:
-            raise ValueError(f"sweep p values must lie in [1, 2), got {q}")
+    p_list = _check_p_list(p_list)
     d = decompose(p, group_tol=group_tol)
     if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
@@ -261,6 +267,18 @@ def coarse_grain(
     return CoarseGraining(phi, upsilon, labels, method, k, seed_used)
 
 
+def _same_kind(value, default) -> bool:
+    """Whether a config value has the type of the field's default; an int
+    may stand for a float, and a list of numbers for the p_list tuple."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _same_kind(q, 1.0) for q in value
+        )
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else int)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Resolved settings for a full analysis run.
@@ -292,6 +310,9 @@ class PipelineConfig:
     drift: bool = False
     trajectories: int = 1
 
+    def __post_init__(self):
+        _check_p_list(self.p_list)
+
     def child_seeds(self) -> dict:
         ss = np.random.SeedSequence(self.seed)
         topo, x1, km = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
@@ -321,10 +342,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            if not _same_kind(value, defaults[name]):
+                kind = type(defaults[name]).__name__
+                raise ValueError(f"config key {name!r} must be {kind}, got {value!r}")
         if "p_list" in d:
             d = dict(d)
             d["p_list"] = tuple(float(q) for q in d["p_list"])
@@ -356,30 +381,6 @@ def random_initial_states(n: int, seed: int, count: int) -> list:
     return states
 
 
-def generate(cfg: PipelineConfig):
-    """The chain to simulate: the dumbbell TPM, or its drifting DTPM."""
-    if cfg.drift:
-        return dumbbell_dtpm(cfg.dumbbell())
-    return dumbbell_tpm(cfg.dumbbell())
-
-
-def simulate_trajectories(chain, cfg: PipelineConfig) -> list:
-    """cfg.trajectories runs of cfg.t steps of chain from random starts.
-
-    The starts are successive draws of the x1 stream, so the first one is
-    the default run's.
-    """
-    starts = random_initial_states(
-        chain.shape[0], cfg.child_seeds()["x1"], cfg.trajectories
-    )
-    return [simulate(chain, x1, cfg.t) for x1 in starts]
-
-
-def snapshots(trajectories) -> SnapshotPair:
-    """The stacked snapshot pairs of simulated trajectories."""
-    return stack_snapshots(build_snapshots(traj) for traj in trajectories)
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
@@ -394,21 +395,54 @@ def _stage(name: str):
         raise StageError(f"stage '{name}' failed: {err}") from err
 
 
-def coarse_grain_methods(p: DualMatrix, k: int, cfg: PipelineConfig) -> dict:
-    """coarse_grain by both methods with the config's k-means settings."""
-    seed = cfg.child_seeds()["kmeans"]
-    return {
-        method: coarse_grain(
-            p,
-            k,
-            method=method,
-            seed=seed,
-            max_iter=cfg.kmeans_max_iter,
-            retries=cfg.kmeans_retries,
-            group_tol=cfg.group_tol,
+def stages(cfg: PipelineConfig):
+    """Run the stages in order, each under _stage; yield (name, output).
+
+    The outputs: the chain (the dumbbell TPM, or its DTPM under drift), the
+    trajectories, the FitReport, SweepTable and DetectionResult, and for
+    coarse-grain (method -> CoarseGraining, micro EI, method -> macro EI).
+    Stop iterating to skip the later stages.
+    """
+    with _stage("generate"):
+        chain = (dumbbell_dtpm if cfg.drift else dumbbell_tpm)(cfg.dumbbell())
+    yield "generate", chain
+    with _stage("simulate"):
+        # The starts are successive draws of the x1 stream, so the first one
+        # is the default run's.
+        starts = random_initial_states(
+            chain.shape[0], cfg.child_seeds()["x1"], cfg.trajectories
         )
-        for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL)
-    }
+        trajectories = [simulate(chain, x1, cfg.t) for x1 in starts]
+    yield "simulate", trajectories
+    with _stage("fit"):
+        pairs = (build_snapshots(traj) for traj in trajectories)
+        report = fit_dtpm(stack_snapshots(pairs), cfg.fit_options())
+    yield "fit", report
+    with _stage("sweep"):
+        sweep = norm_sweep(report.p, cfg.p_list, group_tol=cfg.group_tol)
+    yield "sweep", sweep
+    with _stage("detect"):
+        detection = detect_k(sweep)
+    yield "detect", detection
+    with _stage("coarse-grain"):
+        seed = cfg.child_seeds()["kmeans"]
+        coarse = {
+            method: coarse_grain(
+                report.p,
+                detection.k_star,
+                method=method,
+                seed=seed,
+                max_iter=cfg.kmeans_max_iter,
+                retries=cfg.kmeans_retries,
+                group_tol=cfg.group_tol,
+            )
+            for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL)
+        }
+        ei_macro = {
+            method: effective_information(cg.upsilon) for method, cg in coarse.items()
+        }
+        ei_micro = effective_information(report.p.s)
+    yield "coarse-grain", (coarse, ei_micro, ei_macro)
 
 
 def analyze(cfg: PipelineConfig) -> PipelineResult:
@@ -416,25 +450,13 @@ def analyze(cfg: PipelineConfig) -> PipelineResult:
 
     result.m is the generated chain, or its standard part under drift.
     """
-    with _stage("generate"):
-        chain = generate(cfg)
-        m = chain.s if isinstance(chain, DualMatrix) else chain
-    with _stage("simulate"):
-        trajectories = simulate_trajectories(chain, cfg)
-    with _stage("fit"):
-        report = fit_dtpm(snapshots(trajectories), cfg.fit_options())
-    with _stage("sweep"):
-        sweep = norm_sweep(report.p, cfg.p_list, group_tol=cfg.group_tol)
-    with _stage("detect"):
-        detection = detect_k(sweep)
-    with _stage("coarse-grain"):
-        coarse = coarse_grain_methods(report.p, detection.k_star, cfg)
-        ei_macro = {
-            method: effective_information(cg.upsilon) for method, cg in coarse.items()
-        }
-        ei_micro = effective_information(report.p.s)
+    out = dict(stages(cfg))
+    chain, report = out["generate"], out["fit"]
+    m = chain.s if isinstance(chain, DualMatrix) else chain
+    coarse, ei_micro, ei_macro = out["coarse-grain"]
     return PipelineResult(
-        cfg, m, report.p, report, sweep, detection, coarse, ei_micro, ei_macro
+        cfg, m, report.p, report, out["sweep"], out["detect"], coarse, ei_micro,
+        ei_macro,
     )
 
 
@@ -462,6 +484,27 @@ def _write_matrix(out: Path, name: str, matrix: np.ndarray, fmt: str) -> Path:
         path = out / f"{name}.json"
         _write_json(path, matrix_to_dict(matrix))
     return path
+
+
+def write_fit(out: Path, report: FitReport, fmt: str) -> None:
+    """Both fitted parts and the fit report."""
+    _write_matrix(out, "p_standard", report.p.s, fmt)
+    _write_matrix(out, "p_infinitesimal", report.p.i, fmt)
+    _write_json(out / "fit.json", report.to_dict())
+
+
+def write_coarse(out: Path, coarse: dict, ei_micro: float, ei_macro: dict) -> None:
+    """coarse.json: each method's coarse-graining and its EI comparison."""
+    payload = {
+        method: {
+            **cg.to_dict(),
+            "ei_macro": ei_macro[method],
+            "ei_micro": ei_micro,
+            "emergent": bool(ei_macro[method] > ei_micro),
+        }
+        for method, cg in sorted(coarse.items())
+    }
+    _write_json(out / "coarse.json", payload)
 
 
 def manifest_payload(result: PipelineResult) -> dict:
@@ -510,21 +553,10 @@ def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_matrix(out, "generator", result.m, fmt)
-    _write_matrix(out, "p_standard", result.p.s, fmt)
-    _write_matrix(out, "p_infinitesimal", result.p.i, fmt)
+    write_fit(out, result.report, fmt)
     write_sweep_csv(out / "sweep.csv", result.sweep)
     _write_json(out / "detection.json", result.detection.to_dict())
-    coarse_payload = {
-        method: {
-            **cg.to_dict(),
-            "ei_macro": result.ei_macro[method],
-            "ei_micro": result.ei_micro,
-            "emergent": bool(result.ei_macro[method] > result.ei_micro),
-        }
-        for method, cg in sorted(result.coarse.items())
-    }
-    _write_json(out / "coarse.json", coarse_payload)
-    _write_json(out / "fit.json", result.report.to_dict())
+    write_coarse(out, result.coarse, result.ei_micro, result.ei_macro)
     manifest = manifest_payload(result)
     _write_json(out / "manifest.json", manifest)
     return manifest

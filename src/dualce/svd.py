@@ -90,6 +90,8 @@ class Decomposition:
 
 def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
     """Chain consecutive singular values with gap <= group_tol * s[0]."""
+    if not 0.0 <= group_tol < np.inf:
+        raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
     r = len(s)
     if r == 0:
         return BlockGrouping((), (), (), group_tol)

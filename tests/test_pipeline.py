@@ -27,6 +27,7 @@ from dualce import (
     schatten_norm,
     validate_tpm,
 )
+from dualce import pipeline
 from dualce.cli import main
 from dualce.pipeline import StageError, random_initial_states
 from tests.conftest import matrix_with_sigmas, random_dtpm, random_permutation_matrix
@@ -273,6 +274,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({"speed": 11})
 
+    @pytest.mark.parametrize("p_list", [(), (2.5,), (1.3, 0.5), (float("nan"),)])
+    def test_bad_p_list_rejected(self, p_list):
+        with pytest.raises(ValueError):
+            PipelineConfig(p_list=p_list)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"t": "5"}, {"drift": "yes"}, {"seed": 1.5}, {"trajectories": True},
+         {"fit_tol": "1e-10"}, {"p_list": [1.3, "1.6"]}, {"p_list": 1.3}],
+    )
+    def test_mistyped_values_rejected(self, entry):
+        with pytest.raises(ValueError, match=next(iter(entry))):
+            PipelineConfig.from_dict(entry)
+
+    def test_int_stands_for_float(self):
+        assert PipelineConfig.from_dict({"fit_tol": 0}).fit_tol == 0
+
     def test_random_initial_state(self):
         x, y = random_initial_states(20, seed=4, count=2)
         assert x.shape == (20,)
@@ -427,3 +445,62 @@ class TestCli:
                          "--out", str(tmp_path / sub)]) == 0
         for path in sorted((tmp_path / "x").iterdir()):
             assert path.read_bytes() == (tmp_path / "y" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sub", ["fit", "sweep", "detect", "coarse-grain"])
+    def test_subcommand_files_match_pipeline(self, tmp_path, sub, fmt):
+        cfg = self.config_file(tmp_path)
+        for command, out in (("pipeline", "all"), (sub, "one")):
+            assert main([command, "--config", str(cfg), "--format", fmt,
+                         "--out", str(tmp_path / out)]) == 0
+        written = sorted((tmp_path / "one").iterdir())
+        assert written
+        for path in written:
+            twin = tmp_path / "all" / path.name
+            assert path.read_bytes() == twin.read_bytes(), path.name
+
+    def test_failed_stage_is_named_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no fit today")
+
+        monkeypatch.setattr(pipeline, "fit_dtpm", broken)
+        out = tmp_path / "f"
+        code = main(["fit", "--config", str(self.config_file(tmp_path)),
+                     "--out", str(out)])
+        assert code == 1
+        assert "stage 'fit' failed: no fit today" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subcommand_runs_no_later_stage(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sweep ran")
+
+        monkeypatch.setattr(pipeline, "norm_sweep", broken)
+        assert main(["fit", "--config", str(self.config_file(tmp_path)),
+                     "--out", str(tmp_path / "f")]) == 0
+
+    def test_nan_group_tol_fails(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["detect", "--config", str(self.config_file(tmp_path)),
+                     "--group-tol", "nan", "--out", str(out)])
+        assert code == 1
+        assert "stage 'sweep' failed: group_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sub",
+        ["generate", "simulate", "fit", "sweep", "detect", "coarse-grain", "pipeline"],
+    )
+    @pytest.mark.parametrize(
+        "entry, flags",
+        [({}, ["--p-list", "2.5"]), ({"t": "5"}, []), ({"drift": "yes"}, [])],
+    )
+    def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"far_weight": 2, "bar": 1, **entry}))
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+        assert not out.exists()

@@ -150,6 +150,14 @@ class TestGrouping:
     def test_empty(self):
         assert group_singular_values(np.array([]), 1e-8).boundaries == ()
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN threshold would merge every singular value into one block
+        with pytest.raises(ValueError, match="group_tol"):
+            group_singular_values(np.array([3.0, 2.0, 1.0]), tol)
+        with pytest.raises(ValueError, match="group_tol"):
+            group_singular_values(np.array([]), tol)
+
 
 def test_determinism():
     rng = np.random.default_rng(9)

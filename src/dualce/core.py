@@ -242,7 +242,10 @@ class DualVector:
     def __len__(self) -> int:
         return self._s.shape[0]
 
-    def __getitem__(self, k: int) -> DualScalar:
+    def __getitem__(self, k):
+        """Entry k as a DualScalar; a slice gives a DualVector."""
+        if isinstance(k, slice):
+            return DualVector(self._s[k], self._i[k])
         return DualScalar(self._s[k], self._i[k])
 
     def __add__(self, other):

@@ -1,12 +1,13 @@
 """Dual-valued matrix norms, trace, and determinant.
 
 Unitarily invariant kinds (Ky Fan p-k, Ky Fan k, spectral, Schatten p,
-nuclear) are thin functions of a Decomposition: the SVD of the standard part,
-its block grouping (shared with the dual SVD so the two modules agree on
-multiplicity splits), and B = U^T A_i V.  Each accepts a DualMatrix or a
-prebuilt Decomposition, which keeps the tolerances it was built with, so
-many norms of one matrix need one SVD.  Operator 1- and infinity-norms are
-lexicographic maxima of dual column / row 1-norms.
+nuclear) are dual vector norms of the dual singular values that a
+Decomposition carries: the Ky Fan p-k norm is the dual vector p-norm of the
+first k, the Schatten p-norm that of all of them, and the Ky Fan k,
+spectral and nuclear norms are their p = 1 cases.  Each accepts a
+DualMatrix or a prebuilt Decomposition, which keeps the tolerances it was
+built with, so many norms of one matrix need one SVD.  Operator 1- and
+infinity-norms are lexicographic maxima of dual column / row 1-norms.
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
 when A_s is exactly zero.  Inputs with m < n are decomposed through their
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, DualVector, sym
+from .core import DualMatrix, DualScalar, DualVector
 from .svd import GROUP_TOL, RANK_TOL, Decomposition, decompose
 from .vector_norms import dual_vector_norm
 
@@ -32,9 +33,10 @@ ADJUGATE_COND_LIMIT = 1e8
 class RankDeficiencyWarning(UserWarning):
     """A Ky Fan p-k norm was evaluated with sigma_k = 0 and 1 < p < inf.
 
-    The closed form is applied with a vanishing block term; the general
-    subdifferential construction only covers this regime for p = 1, so the
-    value is the natural limit rather than a proved formula.
+    The dual singular values past the rank enter the dual vector p-norm
+    with weight 0; the general subdifferential construction only covers
+    this regime for p = 1, so the value is the natural limit rather than a
+    proved formula.
     """
 
 
@@ -54,26 +56,6 @@ def _check_k(a: DualMatrix | Decomposition, k: int) -> None:
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
 
-def _p_norm(x: np.ndarray, p: float) -> float:
-    return float(np.sum(x**p) ** (1.0 / p))
-
-
-def _head(d: Decomposition, stop: int, p: float, value: float) -> float:
-    """<U Sigma^(p-1) V^T, A_i> / value^(p-1) over the leading stop pairs."""
-    # sum_j (sigma_j / value)^(p-1) B_jj; the ratios keep every power in [0, 1].
-    ratios = (d.s[:stop] / value) ** (p - 1.0)
-    return float(np.sum(ratios * np.diagonal(d.b)[:stop]))
-
-
-def _block_eigenvalues(d: Decomposition, start: int, stop: int) -> np.ndarray:
-    """Descending eigenvalues of sym(U_g^T A_i V_g) on one block."""
-    block = sym(d.b[start:stop, start:stop])
-    if stop - start == 1:
-        # LAPACK returns a 1x1 symmetric matrix's entry as its eigenvalue.
-        return block[0]
-    return np.sort(np.linalg.eigvalsh(block))[::-1]
-
-
 def ky_fan_pk_norm(
     a: DualMatrix | Decomposition,
     k: int,
@@ -83,7 +65,8 @@ def ky_fan_pk_norm(
 ) -> DualScalar:
     """Dual-valued Ky Fan p-k norm, 1 < p < inf, 1 <= k <= min(m, n).
 
-    The infinitesimal part is
+    The dual vector p-norm of the first k dual singular values.  Its
+    infinitesimal part is
     [<U1 Sigma1^(p-1) V1^T, A_i> + sigma_k^(p-1) sum_{l<=t} lambda_l(M)]
     divided by ||A_s||_{(k,p)}^(p-1), where U2/V2 span the singular subspace
     of the block containing sigma_k, M = sym(U2^T A_i V2), and t counts the
@@ -94,22 +77,13 @@ def ky_fan_pk_norm(
         raise ValueError(f"ky_fan_pk_norm requires 1 < p < inf, got {p}")
     _check_k(a, k)
     d = _decomposed(a, group_tol, rank_tol)
-    if d.rank == 0:
-        return DualScalar(0.0, _p_norm(np.linalg.svd(d.b, compute_uv=False)[:k], p))
-
-    value = _p_norm(d.s[:k], p)
-    if k > d.rank:
+    if 0 < d.rank < k:
         warnings.warn(
             f"Ky Fan ({k},{p}) norm at sigma_{k} = 0: block term vanishes",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-        return DualScalar(value, _head(d, d.rank, p, value))
-
-    blk_a, blk_b = d.grouping.block_of(k - 1)
-    lam = _block_eigenvalues(d, blk_a, blk_b)
-    block = (d.s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[: k - blk_a]))
-    return DualScalar(value, _head(d, blk_a, p, value) + block)
+    return dual_vector_norm(d.sigma[:k], p)
 
 
 def ky_fan_norm(
@@ -120,21 +94,15 @@ def ky_fan_norm(
 ) -> DualScalar:
     """Dual-valued Ky Fan k-norm (sum of the k largest singular values).
 
-    With sigma_k > 0 the infinitesimal part is
-    <U1 V1^T, A_i> + sum_{l<=t} lambda_l(sym(U2^T A_i V2)); at sigma_k = 0
-    the block eigenvalues are replaced by the leading singular values of
-    N = U(:, a+1:m)^T A_i V(:, a+1:n), which accounts for the rank of A_s
+    The dual vector 1-norm of the first k dual singular values.  With
+    sigma_k > 0 the infinitesimal part is
+    <U1 V1^T, A_i> + sum_{l<=t} lambda_l(sym(U2^T A_i V2)); past the rank
+    the dual singular values are the leading singular values of
+    N = U(:, r+1:m)^T A_i V(:, r+1:n), which accounts for the rank of A_s
     growing in the direction A_i.
     """
     _check_k(a, k)
-    d = _decomposed(a, group_tol, rank_tol)
-    blk_a, blk_b = d.grouping.block_of(k - 1)
-    head = float(np.sum(np.diagonal(d.b)[:blk_a]))
-    if k > d.rank:
-        tail = np.linalg.svd(d.b[blk_a:, blk_a:], compute_uv=False)
-    else:
-        tail = _block_eigenvalues(d, blk_a, blk_b)
-    return DualScalar(float(np.sum(d.s[:k])), head + float(np.sum(tail[: k - blk_a])))
+    return dual_vector_norm(_decomposed(a, group_tol, rank_tol).sigma[:k], 1.0)
 
 
 def spectral_norm(
@@ -154,38 +122,28 @@ def schatten_norm(
 ) -> DualScalar:
     """Dual-valued Schatten p-norm for 1 <= p < inf.
 
-    For p > 1 the infinitesimal part is <U_r Sigma_r^(p-1) V_r^T, A_i>
-    normalized by ||A_s||_{S_p}^(p-1), with the compact factors of A_s.
-    p = 1 is the nuclear norm (which carries an extra complement term).
+    The dual vector p-norm of all dual singular values.  For p > 1 the
+    infinitesimal part is <U_r Sigma_r^(p-1) V_r^T, A_i> normalized by
+    ||A_s||_{S_p}^(p-1), with the compact factors of A_s; p = 1 is the
+    nuclear norm, which adds the complement term ||U_c^T A_i V_c||_*.
     """
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"schatten_norm requires 1 <= p < inf, got {p}")
-    if p == 1.0:
-        return nuclear_norm(a, rank_tol=rank_tol)
-    d = _decomposed(a, GROUP_TOL, rank_tol)
-    if d.rank == 0:
-        return DualScalar(0.0, _p_norm(np.linalg.svd(d.b, compute_uv=False), p))
-    value = _p_norm(d.s, p)
-    return DualScalar(value, _head(d, d.rank, p, value))
+    return dual_vector_norm(_decomposed(a, GROUP_TOL, rank_tol).sigma, p)
 
 
 def nuclear_norm(
     a: DualMatrix | Decomposition, rank_tol: float = RANK_TOL
 ) -> DualScalar:
-    """Dual-valued nuclear norm.
+    """Dual-valued nuclear norm, the Schatten 1-norm.
 
     The infinitesimal part <U_r V_r^T, A_i> + ||U_c^T A_i V_c||_* uses the
     orthogonal complements U_c, V_c of the compact factors from the full
     SVD; the complement term is how growth of rank in the direction A_i
     shows up.
     """
-    d = _decomposed(a, GROUP_TOL, rank_tol)
-    deriv = float(np.sum(np.diagonal(d.b)[: d.rank]))
-    comp = d.b[d.rank :, d.rank :]
-    if comp.size:
-        deriv += float(np.sum(np.linalg.svd(comp, compute_uv=False)))
-    return DualScalar(float(np.sum(d.s)), deriv)
+    return schatten_norm(a, 1.0, rank_tol=rank_tol)
 
 
 def frobenius_norm(a: DualMatrix) -> DualScalar:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -279,6 +280,19 @@ def _same_kind(value, default) -> bool:
     return isinstance(value, (int, float) if isinstance(default, float) else int)
 
 
+# Lower bounds of the numeric settings that are not the dumbbell's own.
+_MINIMUM = {
+    "t": 1,
+    "trajectories": 1,
+    "fit_max_iter": 1,
+    "kmeans_max_iter": 1,
+    "kmeans_retries": 0,
+    "fit_tol": 0.0,
+    "zero_threshold": 0.0,
+    "group_tol": 0.0,
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Resolved settings for a full analysis run.
@@ -291,6 +305,9 @@ class PipelineConfig:
     drifting toward its five-class chain, propagated in dual arithmetic.
     trajectories > 1 fits the stacked snapshots of that many runs of t
     steps, each from its own random start.
+
+    Construction raises ValueError for a value out of range: the dumbbell
+    fields through DumbbellConfig, the others against _MINIMUM.
     """
 
     far_weight: int = 25
@@ -312,6 +329,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_p_list(self.p_list)
+        for name, low in _MINIMUM.items():
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ValueError(
+                    f"config key {name!r} must be finite and >= {low}, got {value!r}"
+                )
+        self.dumbbell()
 
     def child_seeds(self) -> dict:
         ss = np.random.SeedSequence(self.seed)
@@ -533,11 +557,18 @@ def manifest_payload(result: PipelineResult) -> dict:
     }
 
 
+def _check_fmt(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
     """Run all stages and write the artifact set into out_dir.
 
-    Returns the manifest payload.
+    Returns the manifest payload.  A bad fmt is rejected before any stage
+    runs.
     """
+    _check_fmt(fmt)
     return write_artifacts(analyze(cfg), out_dir, fmt)
 
 
@@ -548,8 +579,7 @@ def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> dict:
     sweep CSV, detection JSON, coarse-graining JSON, fit report JSON, and
     the manifest.  Returns the manifest payload.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    _check_fmt(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_matrix(out, "generator", result.m, fmt)

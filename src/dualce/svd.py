@@ -7,9 +7,12 @@ infinitesimal singular values are the descending eigenvalues of
 sym(U_g^T A_i V_g), and the block's singular vector basis is rotated into
 that eigenbasis.  Off-block first-order coupling fixes the rest of U_i, V_i.
 
-The one SVD of the standard part, with the infinitesimal part expressed in
-its basis (B = U^T A_i V), is a Decomposition; the dual SVD and every
-unitarily invariant dual norm are read from it.
+The one SVD of the standard part, rotated block by block, is a
+Decomposition.  It carries the dual singular values: with B = U^T A_i V,
+B_jj on a 1 x 1 block, the descending eigenvalues above on a repeated
+block, and past the rank the singular values of B's trailing corner, the
+growth of rank in the direction A_i.  The dual SVD and every unitarily
+invariant dual norm are read from it.
 
 Whether an exact CDSVD exists is reported through the residual (the norm of
 the part of A_i that no first-order factor choice can reproduce), never as
@@ -67,24 +70,27 @@ class CdsvdResult:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """SVD of a dual matrix's standard part with B = U^T A_i V.
+    """SVD of a dual matrix's standard part and its dual singular values.
 
     A matrix of the given shape with fewer rows than columns is decomposed
     through its transpose, so with m >= n: u (m x m) and v (n x n) are full
-    singular vector bases of A_s, s its n singular values, descending, and
-    b is m x n.  rank counts s > rank_tol * s[0] and grouping blocks all n
-    values at group_tol.  No sign convention is applied: flipping a pair
-    u_j, v_j together leaves B_jj, the eigenvalues of sym(B) on a block and
-    the singular values of a trailing corner of B unchanged, and those are
-    all the norms read.
+    singular vector bases of A_s and s its n singular values, descending.
+    rank counts s > rank_tol * s[0]; grouping blocks the first rank values
+    at group_tol, and each block of u and v is rotated into the eigenbasis
+    of sym(B) on the block, descending, where B = U^T A_i V.  sigma holds
+    the n dual singular values: standard part s with exact zeros past the
+    rank; infinitesimal part diag(B) up to the rank (the eigenvalues on a
+    block), then the descending singular values of B[rank:, rank:].  No
+    sign convention is applied: flipping a pair u_j, v_j together leaves
+    sigma unchanged.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    b: np.ndarray
     rank: int
     grouping: BlockGrouping
+    sigma: DualVector
     shape: tuple
 
 
@@ -126,15 +132,30 @@ def decompose(
     group_tol: float = GROUP_TOL,
     rank_tol: float = RANK_TOL,
 ) -> Decomposition:
-    """The one full SVD of A_s (of A^T when m < n) and B = U^T A_i V."""
+    """The one full SVD of A_s (of A^T when m < n) and the dual singular values."""
     shape = a.shape
     if shape[0] < shape[1]:
         a = a.T
     u, s, vt = np.linalg.svd(a.s, full_matrices=True)
     v = vt.T
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0.0 else 0
-    grouping = group_singular_values(s, group_tol)
-    return Decomposition(u, s, v, u.T @ a.i @ v, rank, grouping, shape)
+    n = s.size
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if n and s[0] > 0.0 else 0
+    grouping = group_singular_values(s[:rank], group_tol)
+    b = u.T @ a.i @ v
+    s_i = np.diagonal(b)[:rank].copy()
+    # Rotate each repeated block into the eigenbasis of its symmetrized part
+    # of B; its eigenvalues, descending, are the block's entries of sigma.
+    for start, stop in grouping.boundaries:
+        if stop - start > 1:
+            w, q = np.linalg.eigh(sym(b[start:stop, start:stop]))
+            s_i[start:stop] = w[::-1]
+            u[:, start:stop] = u[:, start:stop] @ q[:, ::-1]
+            v[:, start:stop] = v[:, start:stop] @ q[:, ::-1]
+    corner = np.linalg.svd(b[rank:, rank:], compute_uv=False) if rank < n else []
+    sigma = DualVector(
+        np.concatenate([s[:rank], np.zeros(n - rank)]), np.concatenate([s_i, corner])
+    )
+    return Decomposition(u, s, v, rank, grouping, sigma, shape)
 
 
 def _coupling_generators(
@@ -164,13 +185,12 @@ def cdsvd(
 ) -> CdsvdResult:
     """Compact dual SVD of a dual matrix.
 
-    Steps: the SVD of decompose(a) truncated at rank_tol * sigma_1; block
-    grouping at group_tol * sigma_1; per-block rotation into the eigenbasis
-    of sym(U_g^T A_i V_g) with descending eigenvalues as the block's
-    infinitesimal singular values; off-block entries of the rotation
-    generators from the first-order coupling equations; complement
-    components of A_i folded into U_i, V_i where the compact spans allow.
-    A zero standard part yields empty factors and residual ||A_i||_F.
+    The rotated singular vectors and dual singular values up to the rank
+    come from decompose(a); the columns are sign-fixed, the off-block
+    entries of the rotation generators solve the first-order coupling
+    equations, and complement components of A_i are folded into U_i, V_i
+    where the compact spans allow.  A zero standard part yields empty
+    factors and residual ||A_i||_F.
     """
     m, n = a.shape
     if m < n:
@@ -179,35 +199,20 @@ def cdsvd(
 
     d = decompose(a, group_tol=group_tol, rank_tol=rank_tol)
     r = d.rank
-    # d is private to this call, so the rotation below may write into it.
-    u = d.u[:, :r]
-    v = d.v[:, :r]
-    s = d.s[:r].copy()
-    grouping = group_singular_values(s, group_tol)
-
+    sigma = d.sigma[:r]
     if r == 0:
         empty_u = DualMatrix(np.zeros((m, 0)), np.zeros((m, 0)))
         empty_v = DualMatrix(np.zeros((n, 0)), np.zeros((n, 0)))
-        empty_s = DualVector(np.zeros(0), np.zeros(0))
         return CdsvdResult(
-            empty_u, empty_s, empty_v, grouping, float(np.linalg.norm(a.i))
+            empty_u, sigma, empty_v, d.grouping, float(np.linalg.norm(a.i))
         )
 
-    # Rotate each block into the eigenbasis of its symmetrized projection of
-    # A_i; the eigenvalues, descending, are the block's S.i entries.
-    s_i = np.zeros(r)
-    for (blk_a, blk_b) in grouping.boundaries:
-        w, q = np.linalg.eigh(sym(d.b[blk_a:blk_b, blk_a:blk_b]))
-        w, q = w[::-1], q[:, ::-1]
-        u[:, blk_a:blk_b] = u[:, blk_a:blk_b] @ q
-        v[:, blk_a:blk_b] = v[:, blk_a:blk_b] @ q
-        s_i[blk_a:blk_b] = w
+    s, s_i = sigma.s, sigma.i
+    u, v = _signfix_columns(d.u[:, :r], d.v[:, :r])
 
-    u, v = _signfix_columns(u, v)
-
-    # First-order coupling, with B taken in the rotated, sign-fixed basis.
+    # First-order coupling, with B taken in the sign-fixed basis.
     b = u.T @ a.i @ v
-    omega_u, omega_v = _coupling_generators(b, s, grouping)
+    omega_u, omega_v = _coupling_generators(b, s, d.grouping)
 
     # Components of A_i orthogonal to the compact column spans are folded in
     # where a first-order factor can carry them; what remains is the
@@ -219,11 +224,7 @@ def cdsvd(
     residual = float(np.linalg.norm(a.i - recon))
 
     return CdsvdResult(
-        DualMatrix(u, u_i),
-        DualVector(s, s_i),
-        DualMatrix(v, v_i),
-        grouping,
-        residual,
+        DualMatrix(u, u_i), sigma, DualMatrix(v, v_i), d.grouping, residual
     )
 
 
@@ -231,8 +232,7 @@ def dual_singular_values(
     a: DualMatrix, k: int, group_tol: float = GROUP_TOL
 ) -> DualVector:
     """First k dual singular values of a, 1 <= k <= rank(A_s)."""
-    res = cdsvd(a, group_tol=group_tol)
-    r = len(res.S)
-    if not 1 <= k <= r:
-        raise ValueError(f"k must be in 1..{r}, got {k}")
-    return DualVector(res.S.s[:k], res.S.i[:k])
+    d = decompose(a, group_tol=group_tol)
+    if not 1 <= k <= d.rank:
+        raise ValueError(f"k must be in 1..{d.rank}, got {k}")
+    return d.sigma[:k]

@@ -123,6 +123,14 @@ class TestDualVector:
         assert len(x) == 2
         assert x[1] == DualScalar(2.0, 4.0)
 
+    def test_slicing(self):
+        x = DualVector([1.0, 2.0, 5.0], [3.0, 4.0, 6.0])
+        head = x[:2]
+        assert isinstance(head, DualVector)
+        assert np.array_equal(head.s, [1.0, 2.0])
+        assert np.array_equal(head.i, [3.0, 4.0])
+        assert len(x[3:]) == 0
+
     def test_linear_ops(self):
         x = DualVector([1.0, 0.0], [0.0, 1.0])
         y = DualVector([2.0, 2.0], [1.0, -1.0])

@@ -2,11 +2,14 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dualce import (
+    GROUP_TOL,
+    RANK_TOL,
     DualMatrix,
     DualScalar,
     RankDeficiencyWarning,
@@ -21,14 +24,17 @@ from dualce import (
     dual_vector_norm,
     fd_directional,
     frobenius_norm,
+    group_singular_values,
     ky_fan_norm,
     ky_fan_pk_norm,
+    norm_sweep,
     nuclear_norm,
     operator_inf_norm,
     operator_norm_ratio_check,
     operator_one_norm,
     schatten_norm,
     spectral_norm,
+    sym,
 )
 from tests.conftest import (
     assert_dual_close,
@@ -41,6 +47,34 @@ from tests.conftest import (
 def real_kyfan_pk(m, k, p):
     s = np.linalg.svd(m, compute_uv=False)
     return float(np.sum(s[:k] ** p) ** (1.0 / p))
+
+
+def reference_ky_fan(a, k, p):
+    """Ky Fan p-k norm (p = 1: the Ky Fan k-norm) from its closed forms.
+
+    Computed apart from the dual singular values, with the singular values
+    grouped over all n at GROUP_TOL: the head sum_j (sigma_j / value)^(p-1)
+    B_jj before sigma_k's block, plus sigma_k^(p-1) / value^(p-1) times the
+    leading descending eigenvalues of sym(B) on that block.  At sigma_k = 0
+    the block term is the leading singular values of B's trailing corner
+    from the block start for p = 1, and vanishes (head up to the rank) for
+    p > 1.
+    """
+    s_part, i_part = (a.s, a.i) if a.shape[0] >= a.shape[1] else (a.s.T, a.i.T)
+    u, s, vt = np.linalg.svd(s_part)
+    b = u.T @ i_part @ vt.T
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    start, stop = group_singular_values(s, GROUP_TOL).block_of(k - 1)
+    value = float(np.sum(s[:k] ** p) ** (1.0 / p))
+    if k <= rank:
+        lam = np.sort(np.linalg.eigvalsh(sym(b[start:stop, start:stop])))[::-1]
+        tail = (s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[: k - start]))
+    elif p == 1.0:
+        tail = float(np.sum(np.linalg.svd(b[start:, start:], compute_uv=False)[: k - start]))
+    else:
+        start, tail = rank, 0.0
+    head = float(np.sum((s[:start] / value) ** (p - 1.0) * np.diagonal(b)[:start]))
+    return DualScalar(value, head + tail)
 
 
 NORM_FUNCS = {
@@ -146,24 +180,59 @@ class TestSpecializations:
         )
 
 
+# ky_fan_pk_norm is computed as the dual vector norm of the dual singular
+# values, so the equivalence tests compare both sides with reference_ky_fan.
+
+
 def test_kyfan_equals_vector_norm_of_dual_sigmas():
     rng = np.random.default_rng(43)
     for trial in range(20):
         a = random_dual_matrix(rng, 6, 5, min_gap=0.02)
         for k in (1, 2, 4):
             for p in (1.3, 1.8):
-                lhs = ky_fan_pk_norm(a, k, p)
+                ref = reference_ky_fan(a, k, p)
                 rhs = dual_vector_norm(dual_singular_values(a, k), p)
-                assert_dual_close(lhs, rhs.s, rhs.i, 1e-8, 1e-8)
+                assert_dual_close(rhs, ref.s, ref.i, 1e-8, 1e-8)
+                assert_dual_close(ky_fan_pk_norm(a, k, p), ref.s, ref.i, 1e-8, 1e-8)
 
 
 def test_kyfan_equivalence_on_repeated_sigmas():
     rng = np.random.default_rng(47)
     a = matrix_with_sigmas(rng, 6, 4, [3.0, 3.0, 1.0, 0.4])
     for k in (1, 2, 3):
-        lhs = ky_fan_pk_norm(a, k, 1.6)
+        ref = reference_ky_fan(a, k, 1.6)
         rhs = dual_vector_norm(dual_singular_values(a, k), 1.6)
-        assert_dual_close(lhs, rhs.s, rhs.i, 1e-8, 1e-8)
+        assert_dual_close(rhs, ref.s, ref.i, 1e-8, 1e-8)
+        assert_dual_close(ky_fan_pk_norm(a, k, 1.6), ref.s, ref.i, 1e-8, 1e-8)
+
+
+@pytest.mark.parametrize("sigmas", [[2.0, 1.0], [1.5, 1.5, 0.4]])
+def test_kyfan_past_the_rank_matches_reference(sigmas):
+    # sigma_k = 0 for k past the rank: the p = 1 corner term and the p > 1
+    # vanishing block term
+    rng = np.random.default_rng(53)
+    a = matrix_with_sigmas(rng, 6, 5, sigmas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        for k in range(1, 6):
+            for p, norm in ((1.0, ky_fan_norm(a, k)), (1.6, ky_fan_pk_norm(a, k, 1.6))):
+                ref = reference_ky_fan(a, k, p)
+                assert_dual_close(norm, ref.s, ref.i, 1e-8, 1e-8)
+
+
+def test_tiny_singular_value_is_counted_once():
+    # sigma = [1, 0.5, 1e-10, 0, 0]: sigma_3 lies above RANK_TOL but within
+    # GROUP_TOL * sigma_1 of the zeros, so it is in the rank and no block
+    # may also count it as a zero
+    rng = np.random.default_rng(97)
+    a = matrix_with_sigmas(rng, 5, 5, [1.0, 0.5, 1e-10])
+    assert decompose(a).rank == 3
+    kf, nuc, s1 = ky_fan_norm(a, 5), nuclear_norm(a), schatten_norm(a, 1)
+    for other in (nuc, s1):
+        assert_dual_close(other, kf.s, kf.i, 1e-12, 1e-12)
+    lhs = ky_fan_norm(a, 3)
+    rhs = dual_vector_norm(dual_singular_values(a, 3), 1)
+    assert_dual_close(lhs, rhs.s, rhs.i, 1e-12, 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -321,14 +390,27 @@ def test_zero_standard_part_norms():
                       1e-12, 1e-12)
 
 
-def test_singleton_block_eigenvalue_is_its_entry():
-    from dualce.core import sym
-    from dualce.matrix_norms import _block_eigenvalues
+def test_eigen_solves_only_on_repeated_blocks(monkeypatch):
+    rng = np.random.default_rng(89)
+    distinct = random_dual_matrix(rng, 6, 6, min_gap=0.05)
+    # sigma_2 = sigma_3 = sigma_4 form the one repeated block
+    repeated = matrix_with_sigmas(rng, 6, 6, [3.0, 2.0, 2.0, 2.0, 0.7, 0.3])
+    calls = Counter()
+    for name in ("svd", "eigh", "eigvalsh"):
 
-    rng = np.random.default_rng(83)
-    for _ in range(50):
-        d = decompose(random_dual_matrix(rng, 6, 6))
-        for j in range(6):
-            blk = sym(d.b[j : j + 1, j : j + 1])
-            want = np.sort(np.linalg.eigvalsh(blk))[::-1]
-            assert _block_eigenvalues(d, j, j + 1).tobytes() == want.tobytes()
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    norm_sweep(distinct, (1.0, 1.3, 1.9))
+    assert calls == {"svd": 1}
+    calls.clear()
+    norm_sweep(repeated, (1.0, 1.3, 1.9))
+    assert calls == {"svd": 1, "eigh": 1}
+    # with every block 1x1 the basis is the SVD's own, and the infinitesimal
+    # dual singular values are the diagonal of U^T A_i V
+    d = decompose(distinct)
+    assert d.rank == 6
+    b = d.u.T @ distinct.i @ d.v
+    assert d.sigma.i.tobytes() == np.diagonal(b).tobytes()

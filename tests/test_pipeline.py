@@ -288,6 +288,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(entry))):
             PipelineConfig.from_dict(entry)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"t": 0}, {"trajectories": -1}, {"fit_max_iter": 0},
+         {"kmeans_max_iter": 0}, {"kmeans_retries": -1}, {"fit_tol": -1e-10},
+         {"fit_tol": float("inf")}, {"zero_threshold": float("nan")},
+         {"group_tol": float("nan")}, {"far_weight": 0},
+         {"coupling_density": 1.5}, {"coupling_scale": -1.0}],
+    )
+    def test_out_of_range_values_rejected(self, entry):
+        with pytest.raises(ValueError, match=next(iter(entry))):
+            PipelineConfig(**entry)
+
+    def test_range_edges_accepted(self):
+        cfg = PipelineConfig(
+            t=1, trajectories=1, fit_max_iter=1, kmeans_max_iter=1,
+            kmeans_retries=0, fit_tol=0.0, zero_threshold=0.0, group_tol=0.0,
+        )
+        assert cfg.kmeans_retries == 0
+
     def test_int_stands_for_float(self):
         assert PipelineConfig.from_dict({"fit_tol": 0}).fit_tol == 0
 
@@ -324,10 +343,13 @@ class TestAnalyze:
         assert np.linalg.norm(res.p.s - exact.s) <= 1e-3
         assert np.linalg.norm(res.p.i - exact.i) <= 1e-3 * np.linalg.norm(exact.i)
 
-    def test_stage_attribution(self):
-        bad = PipelineConfig(far_weight=2, near_weight=2, bar=1, coupling_scale=-1.0)
+    def test_stage_attribution(self, monkeypatch):
+        def broken(cfg):
+            raise ValueError("no chain today")
+
+        monkeypatch.setattr(pipeline, "dumbbell_tpm", broken)
         with pytest.raises(StageError, match="generate"):
-            analyze(bad)
+            analyze(PipelineConfig(far_weight=2, near_weight=2, bar=1))
 
 
 class TestArtifacts:
@@ -359,6 +381,17 @@ class TestArtifacts:
         assert not (tmp_path / "generator.csv").exists()
         with pytest.raises(ValueError):
             run_pipeline(tiny_config, tmp_path, fmt="xml")
+
+    def test_bad_format_rejected_before_analysis(self, tiny_config, tmp_path,
+                                                 monkeypatch):
+        def never(cfg):
+            raise AssertionError("analyze ran")
+
+        monkeypatch.setattr(pipeline, "analyze", never)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="format"):
+            run_pipeline(tiny_config, out, fmt="xml")
+        assert not out.exists()
 
     def test_byte_identical_across_runs(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -485,8 +518,8 @@ class TestCli:
         out = tmp_path / "d"
         code = main(["detect", "--config", str(self.config_file(tmp_path)),
                      "--group-tol", "nan", "--out", str(out)])
-        assert code == 1
-        assert "stage 'sweep' failed: group_tol" in capsys.readouterr().err
+        assert code == 2
+        assert "bad configuration: config key 'group_tol'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -495,7 +528,10 @@ class TestCli:
     )
     @pytest.mark.parametrize(
         "entry, flags",
-        [({}, ["--p-list", "2.5"]), ({"t": "5"}, []), ({"drift": "yes"}, [])],
+        [({}, ["--p-list", "2.5"]), ({"t": "5"}, []), ({"drift": "yes"}, []),
+         ({"t": -3}, []), ({"trajectories": 0}, []), ({"fit_tol": -1}, []),
+         ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
+         ({"coupling_density": 2.0}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ nuclear) are dual vector norms of the dual singular values that a
 Decomposition carries: the Ky Fan p-k norm is the dual vector p-norm of the
 first k, the Schatten p-norm that of all of them, and the Ky Fan k,
 spectral and nuclear norms are their p = 1 cases.  Each accepts a
-DualMatrix or a prebuilt Decomposition, which keeps the tolerances it was
-built with, so many norms of one matrix need one SVD.  Operator 1- and
+DualMatrix, decomposed at the default tolerances, or a Decomposition, read
+as it was built, so many norms of one matrix need one SVD.  Operator 1- and
 infinity-norms are lexicographic maxima of dual column / row 1-norms.
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DualMatrix, DualScalar, DualVector
-from .svd import GROUP_TOL, RANK_TOL, Decomposition, decompose
+from .svd import Decomposition, decomposed
 from .vector_norms import dual_vector_norm
 
 ADJUGATE_COND_LIMIT = 1e8
@@ -44,40 +44,28 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def _decomposed(
-    a: DualMatrix | Decomposition, group_tol: float, rank_tol: float
-) -> Decomposition:
-    return a if isinstance(a, Decomposition) else decompose(a, group_tol, rank_tol)
-
-
 def _check_k(a: DualMatrix | Decomposition, k: int) -> None:
     n = min(a.shape)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
 
-def ky_fan_pk_norm(
-    a: DualMatrix | Decomposition,
-    k: int,
-    p: float,
-    group_tol: float = GROUP_TOL,
-    rank_tol: float = RANK_TOL,
-) -> DualScalar:
-    """Dual-valued Ky Fan p-k norm, 1 < p < inf, 1 <= k <= min(m, n).
+def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScalar:
+    """Dual-valued Ky Fan p-k norm, 1 <= p < inf, 1 <= k <= min(m, n).
 
-    The dual vector p-norm of the first k dual singular values.  Its
-    infinitesimal part is
+    The dual vector p-norm of the first k dual singular values.  For p > 1
+    its infinitesimal part is
     [<U1 Sigma1^(p-1) V1^T, A_i> + sigma_k^(p-1) sum_{l<=t} lambda_l(M)]
     divided by ||A_s||_{(k,p)}^(p-1), where U2/V2 span the singular subspace
     of the block containing sigma_k, M = sym(U2^T A_i V2), and t counts the
-    block positions at or before k.
+    block positions at or before k.  p = 1 is the Ky Fan k-norm.
     """
     p = float(p)
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"ky_fan_pk_norm requires 1 < p < inf, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"ky_fan_pk_norm requires 1 <= p < inf, got {p}")
     _check_k(a, k)
-    d = _decomposed(a, group_tol, rank_tol)
-    if 0 < d.rank < k:
+    d = decomposed(a)
+    if p > 1.0 and 0 < d.rank < k:
         warnings.warn(
             f"Ky Fan ({k},{p}) norm at sigma_{k} = 0: block term vanishes",
             RankDeficiencyWarning,
@@ -86,40 +74,25 @@ def ky_fan_pk_norm(
     return dual_vector_norm(d.sigma[:k], p)
 
 
-def ky_fan_norm(
-    a: DualMatrix | Decomposition,
-    k: int,
-    group_tol: float = GROUP_TOL,
-    rank_tol: float = RANK_TOL,
-) -> DualScalar:
+def ky_fan_norm(a: DualMatrix | Decomposition, k: int) -> DualScalar:
     """Dual-valued Ky Fan k-norm (sum of the k largest singular values).
 
-    The dual vector 1-norm of the first k dual singular values.  With
-    sigma_k > 0 the infinitesimal part is
-    <U1 V1^T, A_i> + sum_{l<=t} lambda_l(sym(U2^T A_i V2)); past the rank
+    The Ky Fan p-k norm at p = 1.  With sigma_k > 0 the infinitesimal part
+    is <U1 V1^T, A_i> + sum_{l<=t} lambda_l(sym(U2^T A_i V2)); past the rank
     the dual singular values are the leading singular values of
     N = U(:, r+1:m)^T A_i V(:, r+1:n), which accounts for the rank of A_s
     growing in the direction A_i.
     """
-    _check_k(a, k)
-    return dual_vector_norm(_decomposed(a, group_tol, rank_tol).sigma[:k], 1.0)
+    return ky_fan_pk_norm(a, k, 1.0)
 
 
-def spectral_norm(
-    a: DualMatrix | Decomposition,
-    group_tol: float = GROUP_TOL,
-    rank_tol: float = RANK_TOL,
-) -> DualScalar:
-    """Dual-valued spectral norm: sigma_1 + lambda_max(sym(U_r1^T A_i V_r1)) eps.
-
-    This is the Ky Fan 1-norm.
-    """
-    return ky_fan_norm(a, 1, group_tol=group_tol, rank_tol=rank_tol)
+def spectral_norm(a: DualMatrix | Decomposition) -> DualScalar:
+    """Dual-valued spectral norm, the Ky Fan 1-norm:
+    sigma_1 + lambda_max(sym(U_r1^T A_i V_r1)) eps."""
+    return ky_fan_pk_norm(a, 1, 1.0)
 
 
-def schatten_norm(
-    a: DualMatrix | Decomposition, p: float, rank_tol: float = RANK_TOL
-) -> DualScalar:
+def schatten_norm(a: DualMatrix | Decomposition, p: float) -> DualScalar:
     """Dual-valued Schatten p-norm for 1 <= p < inf.
 
     The dual vector p-norm of all dual singular values.  For p > 1 the
@@ -130,12 +103,10 @@ def schatten_norm(
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"schatten_norm requires 1 <= p < inf, got {p}")
-    return dual_vector_norm(_decomposed(a, GROUP_TOL, rank_tol).sigma, p)
+    return dual_vector_norm(decomposed(a).sigma, p)
 
 
-def nuclear_norm(
-    a: DualMatrix | Decomposition, rank_tol: float = RANK_TOL
-) -> DualScalar:
+def nuclear_norm(a: DualMatrix | Decomposition) -> DualScalar:
     """Dual-valued nuclear norm, the Schatten 1-norm.
 
     The infinitesimal part <U_r V_r^T, A_i> + ||U_c^T A_i V_c||_* uses the
@@ -143,7 +114,7 @@ def nuclear_norm(
     SVD; the complement term is how growth of rank in the direction A_i
     shows up.
     """
-    return schatten_norm(a, 1.0, rank_tol=rank_tol)
+    return schatten_norm(a, 1.0)
 
 
 def frobenius_norm(a: DualMatrix) -> DualScalar:

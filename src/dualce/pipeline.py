@@ -9,7 +9,10 @@ subcommand iterate it, so later stages re-derive earlier ones from the seed
 instead of reading intermediate files.
 
 All artifacts are written with stable ordering and 17-significant-digit
-floats; two runs with the same configuration produce byte-identical files.
+floats; two runs with the same configuration produce byte-identical files
+at the same BLAS thread count.  Another thread count changes the fit's
+roundoff, and with it every artifact downstream of the fit, though not
+k_star on the default seeds.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .markov import (
     validate_tpm,
     write_matrix_csv,
 )
-from .matrix_norms import ky_fan_norm, ky_fan_pk_norm
-from .svd import GROUP_TOL, RANK_TOL, cdsvd, decompose
+from .matrix_norms import ky_fan_pk_norm
+from .svd import GROUP_TOL, RANK_TOL, Decomposition, cdsvd, decompose, decomposed
 
 WITH_INFINITESIMAL = "with_infinitesimal"
 WITHOUT_INFINITESIMAL = "without_infinitesimal"
@@ -86,22 +89,24 @@ def _check_p_list(p_list) -> tuple:
     return p_list
 
 
-def norm_sweep(p: DualMatrix, p_list, group_tol: float = GROUP_TOL) -> SweepTable:
+def norm_sweep(
+    p: DualMatrix | Decomposition, p_list, group_tol: float = GROUP_TOL
+) -> SweepTable:
     """Dual Ky Fan (k, p) norms for k = 1..rank(P_s) and every p in p_list.
 
-    p = 1 uses the Ky Fan k-norm closed form (it also covers sigma_k = 0);
-    1 < p < 2 uses the Ky Fan p-k form.  delta_gamma of the standard part
+    Each entry is the Ky Fan p-k norm; delta_gamma of the standard part
     rides along for the vague-emergence report.  Every entry is read from
-    one decomposition of p.
+    one decomposition of p: a Decomposition is used as it was built, and a
+    DualMatrix is decomposed at group_tol.
     """
     p_list = _check_p_list(p_list)
-    d = decompose(p, group_tol=group_tol)
+    d = decomposed(p, group_tol)
     if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
     records = []
     for q in p_list:
         for k in range(1, d.rank + 1):
-            val = ky_fan_norm(d, k) if q == 1.0 else ky_fan_pk_norm(d, k, q)
+            val = ky_fan_pk_norm(d, k, q)
             records.append(SweepRecord(k, q, val.s, val.i, delta_gamma(d, k, q)))
     return SweepTable(tuple(records), p_list, d.rank)
 
@@ -212,7 +217,7 @@ class CoarseGraining:
 
 
 def coarse_grain(
-    p: DualMatrix,
+    p: DualMatrix | Decomposition,
     k: int,
     method: str = WITH_INFINITESIMAL,
     seed: int = 0,
@@ -227,12 +232,16 @@ def coarse_grain(
     the same top block over zeros.  The zero padding keeps the two methods
     seed-for-seed identical whenever P_i = O.  The reduced matrix is
     Phi^T P_s Phi with columns renormalized, which is exactly stochastic
-    because column sums equal the (positive) cluster sizes.
+    because column sums equal the (positive) cluster sizes.  The singular
+    vectors come from cdsvd of p's decomposition: a Decomposition is used as
+    it was built, and a DualMatrix is decomposed at group_tol.
     """
     if method not in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
         raise ValueError(f"unknown method {method!r}")
+    d = decomposed(p, group_tol)
+    p = d.matrix
     n = p.shape[0]
-    result = cdsvd(p, group_tol=group_tol)
+    result = cdsvd(d)
     r = len(result.S)
     if not 1 <= k <= r:
         raise ValueError(f"k must be in 1..rank={r}, got {k}")
@@ -443,7 +452,10 @@ def stages(cfg: PipelineConfig):
         report = fit_dtpm(stack_snapshots(pairs), cfg.fit_options())
     yield "fit", report
     with _stage("sweep"):
-        sweep = norm_sweep(report.p, cfg.p_list, group_tol=cfg.group_tol)
+        # One decomposition of the fitted matrix serves the sweep and both
+        # coarse-grainings.
+        decomposition = decompose(report.p, cfg.group_tol)
+        sweep = norm_sweep(decomposition, cfg.p_list)
     yield "sweep", sweep
     with _stage("detect"):
         detection = detect_k(sweep)
@@ -452,13 +464,12 @@ def stages(cfg: PipelineConfig):
         seed = cfg.child_seeds()["kmeans"]
         coarse = {
             method: coarse_grain(
-                report.p,
+                decomposition,
                 detection.k_star,
                 method=method,
                 seed=seed,
                 max_iter=cfg.kmeans_max_iter,
                 retries=cfg.kmeans_retries,
-                group_tol=cfg.group_tol,
             )
             for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL)
         }

@@ -12,7 +12,9 @@ Decomposition.  It carries the dual singular values: with B = U^T A_i V,
 B_jj on a 1 x 1 block, the descending eigenvalues above on a repeated
 block, and past the rank the singular values of B's trailing corner, the
 growth of rank in the direction A_i.  The dual SVD and every unitarily
-invariant dual norm are read from it.
+invariant dual norm are read from it, so the tolerances are set only on
+decompose: a DualMatrix passed to cdsvd or to a norm is decomposed at the
+defaults.
 
 Whether an exact CDSVD exists is reported through the residual (the norm of
 the part of A_i that no first-order factor choice can reproduce), never as
@@ -21,8 +23,8 @@ an exception.
 Sensitivity note: two singular values whose gap is slightly above
 group_tol * sigma_1 are treated as distinct, and the coupling denominators
 sigma_k**2 - sigma_j**2 then produce large rotations.  There is no canonical
-normalization for that regime; widen group_tol to treat such pairs as one
-block instead.
+normalization for that regime; pass decompose(a, group_tol=...) with a
+wider group_tol to treat such pairs as one block instead.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class BlockGrouping:
     boundaries: tuple[tuple[int, int], ...]
     distinct_values: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    group_tol: float
 
     def block_of(self, index: int) -> tuple[int, int]:
         """The (start, stop) block containing a 0-based singular value index."""
@@ -72,26 +73,31 @@ class CdsvdResult:
 class Decomposition:
     """SVD of a dual matrix's standard part and its dual singular values.
 
-    A matrix of the given shape with fewer rows than columns is decomposed
-    through its transpose, so with m >= n: u (m x m) and v (n x n) are full
-    singular vector bases of A_s and s its n singular values, descending.
-    rank counts s > rank_tol * s[0]; grouping blocks the first rank values
-    at group_tol, and each block of u and v is rotated into the eigenbasis
-    of sym(B) on the block, descending, where B = U^T A_i V.  sigma holds
-    the n dual singular values: standard part s with exact zeros past the
-    rank; infinitesimal part diag(B) up to the rank (the eigenvalues on a
-    block), then the descending singular values of B[rank:, rank:].  No
-    sign convention is applied: flipping a pair u_j, v_j together leaves
-    sigma unchanged.
+    matrix is the dual matrix decomposed; one with fewer rows than columns
+    is decomposed through its transpose, so with m >= n: u (m x m) and
+    v (n x n) are full singular vector bases of A_s and s its n singular
+    values, descending.  rank counts s > RANK_TOL * s[0]; grouping blocks
+    the first rank values at the group_tol given to decompose, and each
+    block of u and v is rotated into the eigenbasis of sym(B) on the
+    block, descending, where B = U^T A_i V.  sigma holds the n dual
+    singular values: standard part s with exact zeros past the rank;
+    infinitesimal part diag(B) up to the rank (the eigenvalues on a block),
+    then the descending singular values of B[rank:, rank:].  No sign
+    convention is applied: flipping a pair u_j, v_j together leaves sigma
+    unchanged.
     """
 
+    matrix: DualMatrix
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     rank: int
     grouping: BlockGrouping
     sigma: DualVector
-    shape: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
 
 
 def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
@@ -100,7 +106,7 @@ def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
         raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
     r = len(s)
     if r == 0:
-        return BlockGrouping((), (), (), group_tol)
+        return BlockGrouping((), (), ())
     thresh = group_tol * s[0]
     boundaries = []
     start = 0
@@ -111,7 +117,7 @@ def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
     boundaries.append((start, r))
     values = tuple(float(np.mean(s[a:b])) for a, b in boundaries)
     mults = tuple(b - a for a, b in boundaries)
-    return BlockGrouping(tuple(boundaries), values, mults, group_tol)
+    return BlockGrouping(tuple(boundaries), values, mults)
 
 
 def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,21 +133,15 @@ def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, v
 
 
-def decompose(
-    a: DualMatrix,
-    group_tol: float = GROUP_TOL,
-    rank_tol: float = RANK_TOL,
-) -> Decomposition:
+def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
     """The one full SVD of A_s (of A^T when m < n) and the dual singular values."""
-    shape = a.shape
-    if shape[0] < shape[1]:
-        a = a.T
-    u, s, vt = np.linalg.svd(a.s, full_matrices=True)
+    t = a.T if a.shape[0] < a.shape[1] else a
+    u, s, vt = np.linalg.svd(t.s, full_matrices=True)
     v = vt.T
     n = s.size
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if n and s[0] > 0.0 else 0
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if n and s[0] > 0.0 else 0
     grouping = group_singular_values(s[:rank], group_tol)
-    b = u.T @ a.i @ v
+    b = u.T @ t.i @ v
     s_i = np.diagonal(b)[:rank].copy()
     # Rotate each repeated block into the eigenbasis of its symmetrized part
     # of B; its eigenvalues, descending, are the block's entries of sigma.
@@ -155,7 +155,14 @@ def decompose(
     sigma = DualVector(
         np.concatenate([s[:rank], np.zeros(n - rank)]), np.concatenate([s_i, corner])
     )
-    return Decomposition(u, s, v, rank, grouping, sigma, shape)
+    return Decomposition(a, u, s, v, rank, grouping, sigma)
+
+
+def decomposed(
+    a: DualMatrix | Decomposition, group_tol: float = GROUP_TOL
+) -> Decomposition:
+    """a itself if it is a Decomposition, else decompose(a, group_tol)."""
+    return a if isinstance(a, Decomposition) else decompose(a, group_tol)
 
 
 def _coupling_generators(
@@ -178,61 +185,55 @@ def _coupling_generators(
     return omega_u, omega_v
 
 
-def cdsvd(
-    a: DualMatrix,
-    group_tol: float = GROUP_TOL,
-    rank_tol: float = RANK_TOL,
-) -> CdsvdResult:
+def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
     """Compact dual SVD of a dual matrix.
 
     The rotated singular vectors and dual singular values up to the rank
-    come from decompose(a); the columns are sign-fixed, the off-block
+    come from the decomposition; the columns are sign-fixed, the off-block
     entries of the rotation generators solve the first-order coupling
     equations, and complement components of A_i are folded into U_i, V_i
-    where the compact spans allow.  A zero standard part yields empty
-    factors and residual ||A_i||_F.
+    where the compact spans allow.  A matrix with m < n is factored in the
+    decomposition's orientation, as its transpose, and U and V swapped
+    back.  A zero standard part yields empty factors and residual
+    ||A_i||_F.
     """
-    m, n = a.shape
-    if m < n:
-        res = cdsvd(a.T, group_tol=group_tol, rank_tol=rank_tol)
-        return CdsvdResult(res.V, res.S, res.U, res.grouping, res.residual)
-
-    d = decompose(a, group_tol=group_tol, rank_tol=rank_tol)
+    d = decomposed(a)
+    wide = d.shape[0] < d.shape[1]
+    a_i = d.matrix.i.T if wide else d.matrix.i
+    m, n = a_i.shape
     r = d.rank
     sigma = d.sigma[:r]
     if r == 0:
-        empty_u = DualMatrix(np.zeros((m, 0)), np.zeros((m, 0)))
-        empty_v = DualMatrix(np.zeros((n, 0)), np.zeros((n, 0)))
-        return CdsvdResult(
-            empty_u, sigma, empty_v, d.grouping, float(np.linalg.norm(a.i))
+        res_u = DualMatrix(np.zeros((m, 0)), np.zeros((m, 0)))
+        res_v = DualMatrix(np.zeros((n, 0)), np.zeros((n, 0)))
+        residual = float(np.linalg.norm(a_i))
+    else:
+        s, s_i = sigma.s, sigma.i
+        u, v = _signfix_columns(d.u[:, :r], d.v[:, :r])
+
+        # First-order coupling, with B taken in the sign-fixed basis.
+        b = u.T @ a_i @ v
+        omega_u, omega_v = _coupling_generators(b, s, d.grouping)
+
+        # Components of A_i orthogonal to the compact column spans are folded
+        # in where a first-order factor can carry them; what remains is the
+        # genuinely unreconstructable corner.
+        u_i = u @ omega_u + (a_i @ v - u @ b) / s[None, :]
+        v_i = v @ omega_v + (a_i.T @ u - v @ b.T) / s[None, :]
+
+        recon = (
+            u_i @ (s[:, None] * v.T) + u @ np.diag(s_i) @ v.T + u @ (s[:, None] * v_i.T)
         )
-
-    s, s_i = sigma.s, sigma.i
-    u, v = _signfix_columns(d.u[:, :r], d.v[:, :r])
-
-    # First-order coupling, with B taken in the sign-fixed basis.
-    b = u.T @ a.i @ v
-    omega_u, omega_v = _coupling_generators(b, s, d.grouping)
-
-    # Components of A_i orthogonal to the compact column spans are folded in
-    # where a first-order factor can carry them; what remains is the
-    # genuinely unreconstructable corner.
-    u_i = u @ omega_u + (a.i @ v - u @ b) / s[None, :]
-    v_i = v @ omega_v + (a.i.T @ u - v @ b.T) / s[None, :]
-
-    recon = u_i @ (s[:, None] * v.T) + u @ np.diag(s_i) @ v.T + u @ (s[:, None] * v_i.T)
-    residual = float(np.linalg.norm(a.i - recon))
-
-    return CdsvdResult(
-        DualMatrix(u, u_i), sigma, DualMatrix(v, v_i), d.grouping, residual
-    )
+        residual = float(np.linalg.norm(a_i - recon))
+        res_u, res_v = DualMatrix(u, u_i), DualMatrix(v, v_i)
+    if wide:
+        res_u, res_v = res_v, res_u
+    return CdsvdResult(res_u, sigma, res_v, d.grouping, residual)
 
 
-def dual_singular_values(
-    a: DualMatrix, k: int, group_tol: float = GROUP_TOL
-) -> DualVector:
+def dual_singular_values(a: DualMatrix | Decomposition, k: int) -> DualVector:
     """First k dual singular values of a, 1 <= k <= rank(A_s)."""
-    d = decompose(a, group_tol=group_tol)
+    d = decomposed(a)
     if not 1 <= k <= d.rank:
         raise ValueError(f"k must be in 1..{d.rank}, got {k}")
     return d.sigma[:k]

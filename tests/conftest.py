@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dualce import DualMatrix, DualScalar, DualVector
+from dualce import (
+    GROUP_TOL,
+    RANK_TOL,
+    DualMatrix,
+    DualScalar,
+    DualVector,
+    group_singular_values,
+    sym,
+)
 
 settings.register_profile(
     "suite",
@@ -50,6 +58,39 @@ def matrix_with_sigmas(rng, m, n, sigmas):
     v, _ = np.linalg.qr(rng.standard_normal((n, r)))
     s_part = u @ np.diag(sigmas) @ v.T
     return DualMatrix(s_part, rng.standard_normal((m, n)))
+
+
+def real_kyfan_pk(m, k, p):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(np.sum(s[:k] ** p) ** (1.0 / p))
+
+
+def reference_ky_fan(a, k, p):
+    """Ky Fan p-k norm (p = 1: the Ky Fan k-norm) from its closed forms.
+
+    Computed apart from the dual singular values, with the singular values
+    grouped over all n at GROUP_TOL: the head sum_j (sigma_j / value)^(p-1)
+    B_jj before sigma_k's block, plus sigma_k^(p-1) / value^(p-1) times the
+    leading descending eigenvalues of sym(B) on that block.  At sigma_k = 0
+    the block term is the leading singular values of B's trailing corner
+    from the block start for p = 1, and vanishes (head up to the rank) for
+    p > 1.
+    """
+    s_part, i_part = (a.s, a.i) if a.shape[0] >= a.shape[1] else (a.s.T, a.i.T)
+    u, s, vt = np.linalg.svd(s_part)
+    b = u.T @ i_part @ vt.T
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    start, stop = group_singular_values(s, GROUP_TOL).block_of(k - 1)
+    value = float(np.sum(s[:k] ** p) ** (1.0 / p))
+    if k <= rank:
+        lam = np.sort(np.linalg.eigvalsh(sym(b[start:stop, start:stop])))[::-1]
+        tail = (s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[: k - start]))
+    elif p == 1.0:
+        tail = float(np.sum(np.linalg.svd(b[start:, start:], compute_uv=False)[: k - start]))
+    else:
+        start, tail = rank, 0.0
+    head = float(np.sum((s[:start] / value) ** (p - 1.0) * np.diagonal(b)[:start]))
+    return DualScalar(value, head + tail)
 
 
 def random_tpm(rng, n):

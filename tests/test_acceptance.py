@@ -60,8 +60,8 @@ from tests.conftest import (
     random_dual_matrix,
     random_permutation_matrix,
     random_tpm,
+    reference_ky_fan,
 )
-from tests.test_matrix_norms import reference_ky_fan
 
 
 def check(ok, name, detail):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from dualce import (
-    GROUP_TOL,
-    RANK_TOL,
     DualMatrix,
     DualScalar,
     RankDeficiencyWarning,
+    cdsvd,
+    coarse_grain,
     compare,
     decompose,
     delta_gamma,
@@ -24,7 +24,6 @@ from dualce import (
     dual_vector_norm,
     fd_directional,
     frobenius_norm,
-    group_singular_values,
     ky_fan_norm,
     ky_fan_pk_norm,
     norm_sweep,
@@ -34,47 +33,16 @@ from dualce import (
     operator_one_norm,
     schatten_norm,
     spectral_norm,
-    sym,
 )
 from tests.conftest import (
     assert_dual_close,
     fd_check,
     matrix_with_sigmas,
+    random_dtpm,
     random_dual_matrix,
+    real_kyfan_pk,
+    reference_ky_fan,
 )
-
-
-def real_kyfan_pk(m, k, p):
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(np.sum(s[:k] ** p) ** (1.0 / p))
-
-
-def reference_ky_fan(a, k, p):
-    """Ky Fan p-k norm (p = 1: the Ky Fan k-norm) from its closed forms.
-
-    Computed apart from the dual singular values, with the singular values
-    grouped over all n at GROUP_TOL: the head sum_j (sigma_j / value)^(p-1)
-    B_jj before sigma_k's block, plus sigma_k^(p-1) / value^(p-1) times the
-    leading descending eigenvalues of sym(B) on that block.  At sigma_k = 0
-    the block term is the leading singular values of B's trailing corner
-    from the block start for p = 1, and vanishes (head up to the rank) for
-    p > 1.
-    """
-    s_part, i_part = (a.s, a.i) if a.shape[0] >= a.shape[1] else (a.s.T, a.i.T)
-    u, s, vt = np.linalg.svd(s_part)
-    b = u.T @ i_part @ vt.T
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    start, stop = group_singular_values(s, GROUP_TOL).block_of(k - 1)
-    value = float(np.sum(s[:k] ** p) ** (1.0 / p))
-    if k <= rank:
-        lam = np.sort(np.linalg.eigvalsh(sym(b[start:stop, start:stop])))[::-1]
-        tail = (s[k - 1] / value) ** (p - 1.0) * float(np.sum(lam[: k - start]))
-    elif p == 1.0:
-        tail = float(np.sum(np.linalg.svd(b[start:, start:], compute_uv=False)[: k - start]))
-    else:
-        start, tail = rank, 0.0
-    head = float(np.sum((s[:start] / value) ** (p - 1.0) * np.diagonal(b)[:start]))
-    return DualScalar(value, head + tail)
 
 
 NORM_FUNCS = {
@@ -213,9 +181,12 @@ def test_kyfan_past_the_rank_matches_reference(sigmas):
     rng = np.random.default_rng(53)
     a = matrix_with_sigmas(rng, 6, 5, sigmas)
     with warnings.catch_warnings():
+        warnings.simplefilter("error")  # p = 1 never warns, even past the rank
+        ones = [ky_fan_norm(a, k) for k in range(1, 6)]
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        for k in range(1, 6):
-            for p, norm in ((1.0, ky_fan_norm(a, k)), (1.6, ky_fan_pk_norm(a, k, 1.6))):
+        for k, one in enumerate(ones, start=1):
+            for p, norm in ((1.0, one), (1.6, ky_fan_pk_norm(a, k, 1.6))):
                 ref = reference_ky_fan(a, k, p)
                 assert_dual_close(norm, ref.s, ref.i, 1e-8, 1e-8)
 
@@ -243,8 +214,9 @@ def test_tiny_singular_value_is_counted_once():
         lambda rng: matrix_with_sigmas(rng, 6, 5, [2.0, 2.0, 2.0, 0.5]),
         lambda rng: matrix_with_sigmas(rng, 5, 5, [1.5, 0.4]),
         lambda rng: DualMatrix(np.zeros((4, 3)), rng.standard_normal((4, 3))),
+        lambda rng: random_dtpm(rng, 6),
     ],
-    ids=["tall", "wide", "repeated", "rank_deficient", "zero_standard"],
+    ids=["tall", "wide", "repeated", "rank_deficient", "zero_standard", "dtpm"],
 )
 def test_decomposition_input_matches_matrix_input(make):
     rng = np.random.default_rng(83)
@@ -266,6 +238,27 @@ def test_decomposition_input_matches_matrix_input(make):
         )
     with pytest.raises(ValueError):
         ky_fan_norm(d, min(a.shape) + 1)
+
+    direct, shared = cdsvd(a), cdsvd(d)
+    for x, y in ((direct.U, shared.U), (direct.S, shared.S), (direct.V, shared.V)):
+        assert x.s.tobytes() == y.s.tobytes() and x.i.tobytes() == y.i.tobytes()
+    assert shared.residual == direct.residual
+    for k in range(1, d.rank + 1):
+        direct, shared = dual_singular_values(a, k), dual_singular_values(d, k)
+        assert (shared.s.tobytes(), shared.i.tobytes()) == (
+            direct.s.tobytes(), direct.i.tobytes()
+        )
+    if d.rank:
+        assert norm_sweep(d, (1.0, 1.5)) == norm_sweep(a, (1.0, 1.5))
+    else:
+        for p in (a, d):
+            with pytest.raises(ValueError):
+                norm_sweep(p, (1.0, 1.5))
+    if np.all(a.s > 0):  # a transition matrix: coarse-grain it
+        for k in range(1, 4):
+            direct, shared = coarse_grain(a, k), coarse_grain(d, k)
+            assert shared.labels.tolist() == direct.labels.tolist()
+            assert shared.upsilon.tobytes() == direct.upsilon.tobytes()
 
 
 class TestUnitaryInvariance:

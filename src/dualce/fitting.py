@@ -7,12 +7,20 @@ whose columns sum to zero and are nonnegative on the zero pattern of P_s.
 Both feasible sets are products of per-column convex sets with cheap exact
 projections, so an accelerated projected-gradient method (FISTA with
 adaptive restart) solves them without external solver dependencies.
+
+FISTA stops when the objective stalls and the gradient mapping
+G(P) = (P - proj(P - step g)) / step passes the first-order test
+||G|| <= KKT_FACTOR (1 + ||g||).  Most such tests fail, so each is first
+tried against a closed-form lower bound on ||G|| (``_kkt_lower_bound``) that
+costs no projection; the projection runs only when the bound cannot rule
+out a pass.  Iterates and stopping are those of projecting at every test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +30,17 @@ from .markov import validate_dtpm
 ZERO_PATTERN_THRESHOLD = 1e-13
 ILL_CONDITION_LIMIT = 1e10
 KKT_FACTOR = 1e-6
+# A stopping test is skipped only when the lower bound clears its threshold
+# KKT_FACTOR (1 + ||g||) by this relative margin.  The bound and the exact
+# mapping norm are formed from the same g, and each is off its real value by
+# roundoff of about n eps (L ||P|| + ||g||), L the Lipschitz constant: below
+# 1e-12 on the default 85-state fits (L ~ 7, ||P|| < 3), where the computed
+# bound exceeded the computed norm by at most 8e-18.  The margin adds at
+# least 1e-3 * KKT_FACTOR = 1e-9 to the threshold, a thousand times that
+# roundoff, so every skipped test is one the exact norm fails.  The bound is
+# within 0.1% of the norm on most failing tests, so a larger margin would
+# only project more often.
+KKT_BOUND_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,16 +99,38 @@ def stack_snapshots(pairs) -> SnapshotPair:
     return SnapshotPair(stack(lambda q: q.x), stack(lambda q: q.y))
 
 
-def _project_simplex_columns(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of every column onto the unit simplex."""
-    n = v.shape[0]
-    u = np.sort(v, axis=0)[::-1]
-    css = np.cumsum(u, axis=0) - 1.0
-    j = np.arange(1, n + 1, dtype=float)[:, None]
-    # The condition below holds on a prefix of each column; rho is its end.
-    rho = np.sum(u > css / j, axis=0) - 1
-    theta = css[rho, np.arange(v.shape[1])] / (rho + 1.0)
-    return np.maximum(v - theta[None, :], 0.0)
+class _ColumnSet(NamedTuple):
+    """A product of per-column sets {u: sum(u) = b, u_j >= 0 where not free}.
+
+    project maps an n x c matrix to its exact Euclidean projection, a new
+    array; free marks the entries without a sign constraint.
+    """
+
+    project: Callable[[np.ndarray], np.ndarray]
+    free: np.ndarray
+
+
+def _simplex_projector(shape) -> _ColumnSet:
+    """Projection of every column of an n x c matrix onto the unit simplex.
+
+    Works on the transposed layout, one row per column, so the sort and the
+    prefix sums run along contiguous memory.
+    """
+    n, c = shape
+    counts = np.arange(1, n + 1, dtype=float)
+    rows = np.arange(c)
+
+    def project(v: np.ndarray) -> np.ndarray:
+        u = np.ascontiguousarray(v.T)
+        u.sort(axis=1)
+        u = u[:, ::-1]
+        css = np.cumsum(u, axis=1) - 1.0
+        # The condition below holds on a prefix of each row; rho is its end.
+        rho = np.count_nonzero(u > css / counts, axis=1) - 1
+        theta = css[rows, rho] / (rho + 1.0)
+        return np.maximum(v - theta, 0.0)
+
+    return _ColumnSet(project, np.zeros(shape, dtype=bool))
 
 
 def project_simplex(v) -> np.ndarray:
@@ -97,22 +138,21 @@ def project_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a nonempty 1-D vector")
-    return _project_simplex_columns(v[:, None])[:, 0]
+    return _simplex_projector((v.size, 1)).project(v[:, None])[:, 0]
 
 
-def _zero_sum_projector(mask: np.ndarray):
+def _zero_sum_projector(mask: np.ndarray) -> _ColumnSet:
     """Per-column projection onto {u: sum(u) = 0, u_j >= 0 for mask_j}.
 
     The multiplier solves sum_free (v_j - lam) + sum_masked max(v_j - lam, 0)
     = 0.  Masked coordinates get breakpoint v_j and free ones +inf (they are
     active at every lam), so scanning prefix cuts of the breakpoints in
     descending order finds the root exactly.  Everything that depends only on
-    the mask is built once here; the returned function maps v to its
-    projection.  Work runs on the transposed layout, one row per column of v.
-    Prefix sums add the free values in index order, then the masked ones in
-    descending order.  Tied breakpoints are equal values, so how the sort
-    orders them can change only the sign of a zero lam, and only in an
-    all-masked column, whose clip returns +0.0 either way.
+    the mask is built once here.  Work runs on the transposed layout, one row
+    per column of v.  Prefix sums add the free values in index order, then
+    the masked ones in descending order.  Tied breakpoints are equal values,
+    so how the sort orders them can change only the sign of a zero lam, and
+    only in an all-masked column, whose clip returns +0.0 either way.
     """
     n, c = mask.shape
     mask_t = np.ascontiguousarray(mask.T)
@@ -133,21 +173,25 @@ def _zero_sum_projector(mask: np.ndarray):
         vals[free_prefix] = np.take(v, gather)
         lam = np.cumsum(vals, axis=1) / counts
         lo = np.concatenate([hi[:, 1:], floor], axis=1)
-        # Roundoff can push a root just outside its closed interval; rank cuts
-        # by constraint violation with valid ones pinned first.
-        viol = np.maximum(lo - lam, lam - hi)
-        viol = np.where((lam <= hi) & (lam >= lo), -1.0, viol)
-        lam_star = lam[rows, np.argmin(viol, axis=1)]
-        out = v - lam_star[None, :]
+        valid = (lam <= hi) & (lam >= lo)
+        cut = np.argmax(valid, axis=1)
+        # Roundoff can push a root just outside its closed interval; a row
+        # with no valid cut takes the one its root violates least.
+        lost = ~valid[rows, cut]
+        if lost.any():
+            viol = np.maximum(lo[lost] - lam[lost], lam[lost] - hi[lost])
+            cut[lost] = np.argmin(viol, axis=1)
+        out = v - lam[rows, cut]
         return np.where(mask, np.maximum(out, 0.0), out)
 
-    return project
+    return _ColumnSet(project, ~mask)
 
 
 def project_zero_sum_masked(v, s) -> np.ndarray:
     """Projection of a vector onto {u: sum(u) = 0, u_j >= 0 for j in s}.
 
-    s is a boolean mask or an iterable of 0-based indices.  With s empty the
+    s is a boolean mask or an iterable of 0-based integer indices; a
+    non-integer or out-of-range index raises ValueError.  With s empty the
     result is v minus its mean; with s covering every index and the mean
     positive, everything clips to 0 (the only feasible point dominates).
     """
@@ -161,8 +205,12 @@ def project_zero_sum_masked(v, s) -> np.ndarray:
             raise ValueError("boolean mask must match the vector shape")
         mask = s
     elif s.size:
-        mask[s.astype(int)] = True
-    return _zero_sum_projector(mask[:, None])(v[:, None])[:, 0]
+        if not np.issubdtype(s.dtype, np.integer):
+            raise ValueError(f"indices must be integers, got dtype {s.dtype}")
+        if s.min() < 0 or s.max() >= v.size:
+            raise ValueError(f"indices must lie in [0, {v.size})")
+        mask[s] = True
+    return _zero_sum_projector(mask[:, None]).project(v[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -182,11 +230,27 @@ class ZeroPatternMask:
         return cls(mask, float(threshold))
 
 
+# Smallest allowed value of each FitOptions field: the bounds PipelineConfig
+# puts on fit_tol, fit_max_iter and zero_threshold.
+_FIT_MINIMUM = {"tol": 0.0, "max_iter": 1, "zero_threshold": 0.0}
+
+
 @dataclass(frozen=True)
 class FitOptions:
+    """Solver settings; construction raises ValueError for a value out of range
+    (a NaN or negative tol would switch the stopping test off)."""
+
     tol: float = 1e-10
     max_iter: int = 20000
     zero_threshold: float = ZERO_PATTERN_THRESHOLD
+
+    def __post_init__(self):
+        for name, low in _FIT_MINIMUM.items():
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ValueError(
+                    f"FitOptions.{name} must be finite and >= {low}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -249,25 +313,60 @@ def _spectral_norm_psd(m: np.ndarray, iters: int = 200, rtol: float = 1e-12) -> 
     return lam
 
 
-def _fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
+def _kkt_lower_bound(p, g, step, free) -> float:
+    """Lower bound on ||G(p)||, G(p) = (p - proj(p - step g)) / step, at a feasible p.
+
+    Column by column the set is {u: sum(u) = b, u_j >= 0 where not free},
+    and p is in it.  With a = step g, the projection q of p - a has
+    (p - q)_j = a_j + tau, one multiplier tau per column, on every free row
+    and on every constrained row with p_j - a_j >= tau.  The root equation
+    at tau = -min(a) is at most sum(p) - b = 0, because p >= 0 where
+    constrained, so tau <= -min(a).  Every row of
+    cert = free | (p > a - min(a)) thus has (p - q)_j = a_j + tau, and
+    minimizing over tau gives ||G||^2 >= sum over columns of
+    sum_cert (g_j - mean_cert g)^2.  No sort and no prefix sum.
+    """
+    h = g - g.min(axis=0)
+    h *= step
+    cert = p > h
+    cert |= free
+    w = cert.astype(float)
+    # Column sums as products with a ones row: one BLAS call each.
+    ones = np.ones(len(p))
+    mean = (ones @ (g * w)) / np.maximum(ones @ w, 1.0)
+    dev = g - mean
+    dev *= w
+    dev = dev.ravel()
+    return math.sqrt(float(dev @ dev))
+
+
+def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
     """Monotone FISTA with adaptive restart on the column-projected problem.
 
     Objective (1/2)||Y - P X||_F^2 expanded through the precomputed Gram
-    pieces; stops when the relative objective decrease falls under tol AND
-    the gradient mapping satisfies the first-order condition, or at
-    max_iter.  Every accepted iterate is feasible and the objective never
+    pieces.  Every accepted iterate is feasible and the objective never
     increases.  Each accepted iterate keeps its product P X X^T, which the
     objective formed, for the restart and stopping-test gradients.
+
+    Stopping rule: once the objective decrease falls under tol * max(1, obj),
+    the iterate is tested for the first-order condition
+    ||G|| <= KKT_FACTOR (1 + ||g||), G the gradient mapping; the first pass
+    stops the solve, or max_iter does.  A test whose ``_kkt_lower_bound``
+    exceeds its threshold by the factor 1 + KKT_BOUND_MARGIN fails without
+    projecting.  kkt_residual and gradient_norm report the last test, or the
+    final iterate if no test ran; if the last test was decided by the bound,
+    its mapping is projected once at the end.
     """
+    project, free = columns
+    buf = np.empty_like(p0)
 
     def objective(p):
         pxx = p @ xxt
-        return 0.5 * (y_sq - 2.0 * float(np.sum(p * yxt)) + float(np.sum(pxx * p))), pxx
+        cross = float(np.multiply(p, yxt, out=buf).sum())
+        return 0.5 * (y_sq - 2.0 * cross + float(np.multiply(pxx, p, out=buf).sum())), pxx
 
-    def mapping(p, g):
-        """Norms of the gradient mapping and of the gradient g at p."""
-        mapped = (p - project(p - step * g)) / step
-        return float(np.linalg.norm(mapped)), float(np.linalg.norm(g))
+    def mapping_norm(p, g):
+        return float(np.linalg.norm((p - project(p - step * g)) / step))
 
     obj, pxx = objective(p0)
     if lipschitz <= 0.0:
@@ -275,17 +374,21 @@ def _fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
         return FitStage(p0, obj, 0, True, 0.0, float(np.linalg.norm(pxx - yxt)))
 
     step = 1.0 / (lipschitz * (1.0 + 1e-9))
-    p = p0
-    z = p0
+    p = z = p0
+    momentum = np.empty_like(p0)
     t = 1.0
     iterations = 0
     converged = False
     kkt = math.inf
     grad_norm = math.inf
+    unprojected = None  # (p, g) of the last test, when the bound decided it
 
     for it in range(1, max_iter + 1):
         iterations = it
-        cand = project(z - step * (z @ xxt - yxt))
+        v = z @ xxt
+        v -= yxt
+        v *= step
+        cand = project(np.subtract(z, v, out=v))
         obj_cand, cxx = objective(cand)
         if obj_cand > obj:
             # Momentum overshoot: restart from the best point.  A plain
@@ -297,18 +400,31 @@ def _fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
             if obj_cand > obj:
                 cand, obj_cand, cxx = p, obj, pxx
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = cand + ((t - 1.0) / t_next) * (cand - p)
+        np.subtract(cand, p, out=momentum)
+        momentum *= (t - 1.0) / t_next
+        momentum += cand
+        z = momentum
         decrease = obj - obj_cand
         prev_obj = obj
         p, obj, pxx, t = cand, obj_cand, cxx, t_next
         if decrease <= tol * max(1.0, prev_obj):
-            kkt, grad_norm = mapping(p, pxx - yxt)
-            if kkt <= KKT_FACTOR * (1.0 + grad_norm):
-                converged = True
-                break
+            g = pxx - yxt
+            grad_norm = float(np.linalg.norm(g))
+            limit = KKT_FACTOR * (1.0 + grad_norm)
+            if _kkt_lower_bound(p, g, step, free) > (1.0 + KKT_BOUND_MARGIN) * limit:
+                unprojected = (p, g)
+            else:
+                unprojected = None
+                kkt = mapping_norm(p, g)
+                if kkt <= limit:
+                    converged = True
+                    break
 
-    if not math.isfinite(kkt):
-        kkt, grad_norm = mapping(p, pxx - yxt)
+    if unprojected is not None:
+        kkt = mapping_norm(*unprojected)
+    elif not math.isfinite(kkt):
+        g = pxx - yxt
+        kkt, grad_norm = mapping_norm(p, g), float(np.linalg.norm(g))
 
     return FitStage(p, obj, iterations, converged, kkt, grad_norm)
 
@@ -337,7 +453,7 @@ def fit_standard(
     xxt, lipschitz = _gram(x_s) if gram is None else gram
     p0 = np.full((n, n), 1.0 / n)
     return _fista(
-        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), _project_simplex_columns, p0,
+        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), _simplex_projector(p0.shape), p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 

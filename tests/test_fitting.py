@@ -323,6 +323,12 @@ class TestProjectZeroSumMasked:
         with pytest.raises(ValueError):
             project_zero_sum_masked(np.array([1.0, 2.0]), np.array([True]))
 
+    @pytest.mark.parametrize("s", [[1.5], [1.0], [-1], [0, 3]])
+    def test_bad_indices_rejected(self, s):
+        # Not index 1 for 1.5, nor the last index for -1.
+        with pytest.raises(ValueError, match="indices"):
+            project_zero_sum_masked(np.array([1.0, -2.0, 0.5]), s)
+
 
 def projection_cases():
     """(v, mask) pairs: random, tie-heavy, all-free, all-masked, signed zeros."""
@@ -349,26 +355,26 @@ def projection_cases():
 class TestProjectorsMatchReference:
     def test_zero_sum_projector_is_bit_equal(self):
         for v, mask in projection_cases():
-            got = fitting._zero_sum_projector(mask)(v)
+            got = fitting._zero_sum_projector(mask).project(v)
             assert_bits_equal(got, reference_zero_sum_columns(v, mask))
 
     def test_zero_sum_projector_reuses_its_mask(self):
         rng = np.random.default_rng(15)
         mask = rng.random((30, 20)) < 0.6
-        project = fitting._zero_sum_projector(mask)
+        project = fitting._zero_sum_projector(mask).project
         for _ in range(5):
             v = rng.standard_normal((30, 20))
             assert_bits_equal(project(v), reference_zero_sum_columns(v, mask))
 
     def test_simplex_projection_is_bit_equal(self):
         for v, _ in projection_cases():
-            got = fitting._project_simplex_columns(v)
+            got = fitting._simplex_projector(v.shape).project(v)
             assert_bits_equal(got, reference_simplex_columns(v))
 
 
 def solver_instances():
     """Small snapshot pairs by name; "restart" is one whose momentum
-    overshoots in both stages."""
+    overshoots in both stages, "zero-gram" one with lipschitz == 0."""
     rng = np.random.default_rng(16)
 
     def pair_of(x_s, y_s, x_i):
@@ -383,33 +389,72 @@ def solver_instances():
     restart = build_snapshots(simulate(dumbbell_dtpm(cfg), np.full(n, 1.0 / n), 60))
     x, y = rng.dirichlet(np.ones(6), size=4).T, rng.dirichlet(np.ones(6), size=4).T
     wide = pair_of(x, y, 0.1 * rng.standard_normal((6, 4)))
-    return {"rich": rich, "restart": restart, "wide-null": wide}
+    # X_s = 0: the Gram and the Lipschitz constant are zero.
+    zero = pair_of(np.zeros((4, 5)), rng.dirichlet(np.ones(4), size=5).T, rng.standard_normal((4, 5)))
+    return {"rich": rich, "restart": restart, "wide-null": wide, "zero-gram": zero}
+
+
+def reference_standard(pair, opts):
+    """fit_standard by reference_fista; returns the stage and its restarts."""
+    x_s, y_s = pair.x.s, pair.y.s
+    n = x_s.shape[0]
+    xxt = x_s @ x_s.T
+    return reference_fista(
+        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), reference_simplex_columns,
+        np.full((n, n), 1.0 / n), fitting._spectral_norm_psd(xxt), opts.tol, opts.max_iter,
+    )
+
+
+def reference_infinitesimal(pair, p_s, opts):
+    """fit_infinitesimal by reference_fista; returns the stage and its restarts."""
+    x_s, x_i, y_i = pair.x.s, pair.x.i, pair.y.i
+    n = x_s.shape[0]
+    xxt = x_s @ x_s.T
+    r = y_i - p_s @ x_i
+    mask = ZeroPatternMask.from_standard(p_s).mask
+    return reference_fista(
+        xxt, r @ x_s.T, float(np.sum(r * r)),
+        lambda v: reference_zero_sum_columns(v, mask),
+        np.zeros((n, n)), fitting._spectral_norm_psd(xxt), opts.tol, opts.max_iter,
+    )
+
+
+@pytest.fixture
+def bound_decisions(monkeypatch):
+    """One entry per stopping test: True when the bound failed it unprojected."""
+    decided = []
+    real = fitting._kkt_lower_bound
+
+    def recording(p, g, step, free):
+        bound = real(p, g, step, free)
+        limit = fitting.KKT_FACTOR * (1.0 + np.linalg.norm(g))
+        decided.append(bool(bound > (1.0 + fitting.KKT_BOUND_MARGIN) * limit))
+        return bound
+
+    monkeypatch.setattr(fitting, "_kkt_lower_bound", recording)
+    return decided
+
+
+SOLVER_CASES = [
+    pytest.param(name, tol, id=name if tol == 1e-12 else f"{name}-tol{tol:g}")
+    for tol in (1e-12, 1e-10)
+    for name in ("rich", "restart", "wide-null", "zero-gram")
+]
 
 
 class TestSolverMatchesReference:
-    @pytest.mark.parametrize("name", ["rich", "restart", "wide-null"])
-    def test_both_stages_bit_equal(self, name):
+    @pytest.mark.parametrize("name, tol", SOLVER_CASES)
+    def test_both_stages_bit_equal(self, name, tol, bound_decisions):
         pair = solver_instances()[name]
-        opts = FitOptions(tol=1e-12, max_iter=3000)
-        x_s, y_s, x_i, y_i = pair.x.s, pair.y.s, pair.x.i, pair.y.i
-        n = x_s.shape[0]
-        xxt = x_s @ x_s.T
-        lip = fitting._spectral_norm_psd(xxt)
-        ref_s, restarts_s = reference_fista(
-            xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), reference_simplex_columns,
-            np.full((n, n), 1.0 / n), lip, opts.tol, opts.max_iter,
-        )
-        r = y_i - ref_s.matrix @ x_i
-        mask = ZeroPatternMask.from_standard(ref_s.matrix).mask
-        ref_i, restarts_i = reference_fista(
-            xxt, r @ x_s.T, float(np.sum(r * r)),
-            lambda v: reference_zero_sum_columns(v, mask),
-            np.zeros((n, n)), lip, opts.tol, opts.max_iter,
-        )
+        opts = FitOptions(tol=tol, max_iter=3000)
+        ref_s, restarts_s = reference_standard(pair, opts)
+        ref_i, restarts_i = reference_infinitesimal(pair, ref_s.matrix, opts)
         if name == "restart":
             assert restarts_s > 0 and restarts_i > 0
+        if name == "zero-gram":
+            assert ref_s.iterations == ref_i.iterations == 0
 
-        stage_s = fit_standard(x_s, y_s, opts)
+        stage_s = fit_standard(pair.x.s, pair.y.s, opts)
         assert_stages_bit_equal(stage_s, ref_s)
         assert_stages_bit_equal(fit_infinitesimal(pair, stage_s.matrix, opts), ref_i)
         report = fit_dtpm(pair, opts)
@@ -418,6 +463,33 @@ class TestSolverMatchesReference:
         assert report.iterations == (ref_s.iterations, ref_i.iterations)
         assert report.converged == (ref_s.converged, ref_i.converged)
         assert_bits_equal([report.objective_s, report.objective_i], [ref_s.objective, ref_i.objective])
+        if tol == 1e-10 and name != "zero-gram":
+            assert any(bound_decisions)
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("rich", "standard"), ("rich", "infinitesimal"), ("restart", "standard"),
+         ("restart", "infinitesimal"), ("wide-null", "infinitesimal")],
+    )
+    def test_budget_ends_on_a_bound_decided_test(self, name, stage, bound_decisions):
+        """Capped two iterations short of convergence, the stage ends
+        unconverged and its last stopping test was failed by the bound, so
+        kkt_residual and gradient_norm come from the one projection made
+        after the loop."""
+        pair = solver_instances()[name]
+        p_s = reference_standard(pair, FitOptions())[0].matrix
+
+        def both(opts):
+            if stage == "standard":
+                return fit_standard(pair.x.s, pair.y.s, opts), reference_standard(pair, opts)[0]
+            return fit_infinitesimal(pair, p_s, opts), reference_infinitesimal(pair, p_s, opts)[0]
+
+        budget = both(FitOptions())[1].iterations - 2
+        bound_decisions.clear()
+        got, ref = both(FitOptions(max_iter=budget))
+        assert not ref.converged and ref.iterations == budget
+        assert bound_decisions and bound_decisions[-1]
+        assert_stages_bit_equal(got, ref)
 
     def test_fit_dtpm_forms_one_gram(self, monkeypatch):
         calls = []
@@ -425,6 +497,96 @@ class TestSolverMatchesReference:
         monkeypatch.setattr(fitting, "_spectral_norm_psd", lambda m: calls.append(1) or real(m))
         fit_dtpm(solver_instances()["restart"])
         assert len(calls) == 1
+
+
+class TestStoppingCost:
+    def test_failing_stop_tests_do_not_project(self, monkeypatch):
+        """fit_dtpm projects once per iteration, plus once per restart and
+        per projected stopping test.  On this instance the two stages
+        restart 4 times and test about 1,550 times; 2 tests pass, and the
+        bound decides all but a few of the rest."""
+        calls = []
+
+        def counting(factory):
+            def build(*args):
+                columns = factory(*args)
+
+                def project(v):
+                    calls.append(1)
+                    return columns.project(v)
+
+                return columns._replace(project=project)
+
+            return build
+
+        for name in ("_simplex_projector", "_zero_sum_projector"):
+            monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
+        report = fit_dtpm(solver_instances()["restart"])
+        assert report.converged == (True, True)
+        assert len(calls) - sum(report.iterations) <= 10
+
+
+def bound_cases():
+    """(p, g, step, columns) with p feasible for columns: random points of
+    both sets with all-masked and all-free columns, tied gradients, a zero
+    gradient, the start points, and exact optima (G = 0)."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for _ in range(40):
+        n, c = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        mask = rng.random((n, c)) < rng.uniform(0.0, 1.0)
+        mask[:, 0] = True
+        mask[:, -1] = False
+        step = float(rng.uniform(0.05, 2.0))
+        for columns, start in (
+            (fitting._simplex_projector((n, c)), np.full((n, c), 1.0 / n)),
+            (fitting._zero_sum_projector(mask), np.zeros((n, c))),
+        ):
+            p = columns.project(rng.standard_normal((n, c)))
+            g = rng.standard_normal((n, c))
+            cases.append((p, g, step, columns))
+            cases.append((p, np.round(g), step, columns))
+            cases.append((p, np.zeros((n, c)), step, columns))
+            cases.append((start, g, step, columns))
+            v = rng.standard_normal((n, c))
+            opt = columns.project(v)
+            cases.append((opt, (opt - v) / step, step, columns))
+    return cases
+
+
+class TestKktLowerBound:
+    def test_bound_never_exceeds_the_mapping_norm(self):
+        eps = np.finfo(float).eps
+        for p, g, step, columns in bound_cases():
+            exact = np.linalg.norm((p - columns.project(p - step * g)) / step)
+            bound = fitting._kkt_lower_bound(p, g, step, columns.free)
+            # Both sides carry roundoff of about n eps (||p|| / step + ||g||).
+            slack = 16 * p.shape[0] * eps * (np.linalg.norm(p) / step + np.linalg.norm(g))
+            assert bound <= exact + slack
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tol", math.nan), ("tol", -1.0), ("tol", math.inf), ("max_iter", 0),
+         ("max_iter", -5), ("zero_threshold", math.nan), ("zero_threshold", -1e-13),
+         ("zero_threshold", math.inf)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        # A NaN or negative tol would switch the stopping test off.
+        with pytest.raises(ValueError, match=field):
+            FitOptions(**{field: value})
+
+    def test_edges_accepted(self):
+        opts = FitOptions(tol=0.0, max_iter=1, zero_threshold=0.0)
+        assert (opts.tol, opts.max_iter, opts.zero_threshold) == (0.0, 1, 0.0)
+
+    def test_bounds_match_pipeline_config(self):
+        from dualce import pipeline
+
+        for key, field in (("fit_tol", "tol"), ("fit_max_iter", "max_iter"),
+                           ("zero_threshold", "zero_threshold")):
+            assert pipeline._MINIMUM[key] == fitting._FIT_MINIMUM[field]
 
 
 class TestZeroPatternMask:

@@ -74,7 +74,6 @@ from .fitting import (
     FitReport,
     FitStage,
     SnapshotPair,
-    ZeroPatternMask,
     build_snapshots,
     fit_dtpm,
     fit_infinitesimal,

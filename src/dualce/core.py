@@ -2,14 +2,16 @@
 
 A dual number is written p = p_s + p_i * eps with eps**2 = 0.  The standard
 part p_s and the infinitesimal part p_i are ordinary floats; comparisons use
-the lexicographic total order on (standard, infinitesimal).  All values are
-immutable after construction and every operation is a pure function, so the
-types are safe to share across threads.
+the lexicographic total order on (standard, infinitesimal).  DualVector and
+DualMatrix hold read-only arrays and take everything but indexing, shape and
+products from one private base.  All values are immutable after construction
+and every operation is a pure function, so the types are thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -33,6 +35,17 @@ def _as_finite_array(a, name: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _ordered(op):
+    """DualScalar comparison: coerce the other operand, then op on the _key()s."""
+    def method(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return op(self._key(), o._key())
+
+    return method
 
 
 class DualScalar:
@@ -107,35 +120,11 @@ class DualScalar:
     def _key(self) -> tuple:
         return (self._s, self._i)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() == o._key()
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() < o._key()
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() <= o._key()
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() > o._key()
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() >= o._key()
+    __eq__ = _ordered(operator.eq)
+    __lt__ = _ordered(operator.lt)
+    __le__ = _ordered(operator.le)
+    __gt__ = _ordered(operator.gt)
+    __ge__ = _ordered(operator.ge)
 
     def __hash__(self):
         return hash(self._key())
@@ -209,15 +198,16 @@ def dual_log2(a: DualScalar) -> DualScalar:
     raise ValueError(f"dual_log2 undefined for {a!r}")
 
 
-class DualVector:
-    """Pair of equal-length real vectors (standard, infinitesimal)."""
+class _DualArray:
+    """Read-only (standard, infinitesimal) arrays of _ndim dimensions and the
+    algebra DualVector and DualMatrix share; + and - need the same type."""
 
     __slots__ = ("_s", "_i")
 
     def __init__(self, s, i=None):
         s_arr = _as_finite_array(s, "standard part")
-        if s_arr.ndim != 1:
-            raise ValueError("DualVector parts must be one-dimensional")
+        if s_arr.ndim != self._ndim:
+            raise ValueError(f"{type(self).__name__} parts must be {self._dims}")
         if i is None:
             i_arr = np.zeros_like(s_arr)
             i_arr.setflags(write=False)
@@ -237,7 +227,38 @@ class DualVector:
         return self._i
 
     def __setattr__(self, name, value):
-        raise AttributeError("DualVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(self._s + other._s, self._i + other._i)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(self._s - other._s, self._i - other._i)
+
+    def __mul__(self, c):
+        c = DualScalar._coerce(c)
+        if c is None:
+            return NotImplemented
+        return type(self)(c.s * self._s, c.s * self._i + c.i * self._s)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(-self._s, -self._i)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(s={self._s!r}, i={self._i!r})"
+
+
+class DualVector(_DualArray):
+    """Pair of equal-length real vectors (standard, infinitesimal)."""
+
+    __slots__ = ()
+    _ndim, _dims = 1, "one-dimensional"
 
     def __len__(self) -> int:
         return self._s.shape[0]
@@ -248,57 +269,12 @@ class DualVector:
             return DualVector(self._s[k], self._i[k])
         return DualScalar(self._s[k], self._i[k])
 
-    def __add__(self, other):
-        if not isinstance(other, DualVector):
-            return NotImplemented
-        return DualVector(self._s + other._s, self._i + other._i)
 
-    def __sub__(self, other):
-        if not isinstance(other, DualVector):
-            return NotImplemented
-        return DualVector(self._s - other._s, self._i - other._i)
-
-    def __mul__(self, c):
-        c = DualScalar._coerce(c)
-        if c is None:
-            return NotImplemented
-        return DualVector(c.s * self._s, c.s * self._i + c.i * self._s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DualVector(-self._s, -self._i)
-
-    def __repr__(self) -> str:
-        return f"DualVector(s={self._s!r}, i={self._i!r})"
-
-
-class DualMatrix:
+class DualMatrix(_DualArray):
     """Pair of equal-shape real matrices (standard, infinitesimal)."""
 
-    __slots__ = ("_s", "_i")
-
-    def __init__(self, s, i=None):
-        s_arr = _as_finite_array(s, "standard part")
-        if s_arr.ndim != 2:
-            raise ValueError("DualMatrix parts must be two-dimensional")
-        if i is None:
-            i_arr = np.zeros_like(s_arr)
-            i_arr.setflags(write=False)
-        else:
-            i_arr = _as_finite_array(i, "infinitesimal part")
-        if i_arr.shape != s_arr.shape:
-            raise ValueError(f"shape mismatch: {s_arr.shape} vs {i_arr.shape}")
-        object.__setattr__(self, "_s", s_arr)
-        object.__setattr__(self, "_i", i_arr)
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._s
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._i
+    __slots__ = ()
+    _ndim, _dims = 2, "two-dimensional"
 
     @property
     def shape(self) -> tuple:
@@ -307,30 +283,6 @@ class DualMatrix:
     @property
     def T(self) -> "DualMatrix":
         return DualMatrix(self._s.T, self._i.T)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualMatrix is immutable")
-
-    def __add__(self, other):
-        if not isinstance(other, DualMatrix):
-            return NotImplemented
-        return DualMatrix(self._s + other._s, self._i + other._i)
-
-    def __sub__(self, other):
-        if not isinstance(other, DualMatrix):
-            return NotImplemented
-        return DualMatrix(self._s - other._s, self._i - other._i)
-
-    def __mul__(self, c):
-        c = DualScalar._coerce(c)
-        if c is None:
-            return NotImplemented
-        return DualMatrix(c.s * self._s, c.s * self._i + c.i * self._s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DualMatrix(-self._s, -self._i)
 
     def __matmul__(self, other):
         if isinstance(other, DualVector):
@@ -351,9 +303,6 @@ class DualMatrix:
             self._s @ other._s,
             self._s @ other._i + self._i @ other._s,
         )
-
-    def __repr__(self) -> str:
-        return f"DualMatrix(s={self._s!r}, i={self._i!r})"
 
 
 def sym(m: np.ndarray) -> np.ndarray:

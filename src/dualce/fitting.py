@@ -213,23 +213,6 @@ def project_zero_sum_masked(v, s) -> np.ndarray:
     return _zero_sum_projector(mask[:, None]).project(v[:, None])[:, 0]
 
 
-@dataclass(frozen=True)
-class ZeroPatternMask:
-    """Boolean matrix marking entries constrained to be nonnegative."""
-
-    mask: np.ndarray
-    threshold: float
-
-    @classmethod
-    def from_standard(
-        cls, p_s: np.ndarray, threshold: float = ZERO_PATTERN_THRESHOLD
-    ) -> "ZeroPatternMask":
-        p_s = np.asarray(p_s, dtype=float)
-        mask = p_s < threshold
-        mask.setflags(write=False)
-        return cls(mask, float(threshold))
-
-
 # Smallest allowed value of each FitOptions field: the bounds PipelineConfig
 # puts on fit_tol, fit_max_iter and zero_threshold.
 _FIT_MINIMUM = {"tol": 0.0, "max_iter": 1, "zero_threshold": 0.0}
@@ -276,7 +259,7 @@ class FitReport:
     converged: tuple
     condition_estimate: float
     ill_conditioned: bool
-    mask: ZeroPatternMask
+    zero_threshold: float
 
     def to_dict(self) -> dict:
         return {
@@ -286,7 +269,7 @@ class FitReport:
             "converged": list(self.converged),
             "condition_estimate": self.condition_estimate,
             "ill_conditioned": self.ill_conditioned,
-            "zero_threshold": self.mask.threshold,
+            "zero_threshold": self.zero_threshold,
         }
 
 
@@ -463,26 +446,23 @@ def fit_infinitesimal(
     p_s: np.ndarray,
     opts: FitOptions = FitOptions(),
     gram: tuple | None = None,
-    mask: ZeroPatternMask | None = None,
 ) -> FitStage:
     """Zero-column-sum least squares for the infinitesimal part.
 
     Minimizes (1/2)||R - P_i X_s||_F^2 with R = Y_i - P_s X_i, subject to
     columns of P_i summing to zero and nonnegativity on the zero pattern of
     P_s (entries below the threshold).  Starts from the zero matrix, which
-    is feasible.  gram is ``_gram(pair.x.s)`` and mask the zero pattern of
-    p_s, when the caller already has them.
+    is feasible.  gram is ``_gram(pair.x.s)``, when the caller already has it.
     """
     p_s = np.asarray(p_s, dtype=float)
     n = p_s.shape[0]
     x_s, x_i = pair.x.s, pair.x.i
     r = pair.y.i - p_s @ x_i
     xxt, lipschitz = _gram(x_s) if gram is None else gram
-    if mask is None:
-        mask = ZeroPatternMask.from_standard(p_s, opts.zero_threshold)
     p0 = np.zeros((n, n))
     return _fista(
-        xxt, r @ x_s.T, float(np.sum(r * r)), _zero_sum_projector(mask.mask), p0,
+        xxt, r @ x_s.T, float(np.sum(r * r)),
+        _zero_sum_projector(p_s < opts.zero_threshold), p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 
@@ -501,8 +481,7 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
     """Run both fitting stages and assemble the validated dual matrix."""
     gram = _gram(pair.x.s)
     stage_s = fit_standard(pair.x.s, pair.y.s, opts, gram)
-    mask = ZeroPatternMask.from_standard(stage_s.matrix, opts.zero_threshold)
-    stage_i = fit_infinitesimal(pair, stage_s.matrix, opts, gram, mask)
+    stage_i = fit_infinitesimal(pair, stage_s.matrix, opts, gram)
     p = DualMatrix(stage_s.matrix, stage_i.matrix)
     validate_dtpm(p)
     cond = condition_estimate(gram[0])
@@ -514,5 +493,5 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
         converged=(stage_s.converged, stage_i.converged),
         condition_estimate=cond,
         ill_conditioned=bool(cond > ILL_CONDITION_LIMIT),
-        mask=mask,
+        zero_threshold=float(opts.zero_threshold),
     )

@@ -26,10 +26,12 @@ _LN2 = math.log(2.0)
 
 
 def validate_tpm(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
-    """Check that p is square, entrywise >= 0, with unit column sums."""
+    """Check that p is square, finite, entrywise >= 0, with unit column sums."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"TPM must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("TPM must contain only finite values")
     if np.min(p) < 0.0:
         raise ValueError(f"TPM has a negative entry: {np.min(p)}")
     col_err = np.max(np.abs(p.sum(axis=0) - 1.0))
@@ -192,8 +194,8 @@ class DumbbellConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise ValueError("coupling_density must be in [0, 1]")
-        if self.coupling_scale <= 0.0:
-            raise ValueError("coupling_scale must be positive")
+        if not 0.0 < self.coupling_scale < math.inf:
+            raise ValueError("coupling_scale must be finite and positive")
 
     @property
     def block_sizes(self) -> tuple:
@@ -208,16 +210,6 @@ class DumbbellConfig:
     @property
     def n(self) -> int:
         return 2 * self.far_weight + 2 * self.near_weight + self.bar
-
-    def to_dict(self) -> dict:
-        return {
-            "far_weight": self.far_weight,
-            "near_weight": self.near_weight,
-            "bar": self.bar,
-            "coupling_density": self.coupling_density,
-            "coupling_scale": self.coupling_scale,
-            "seed": self.seed,
-        }
 
 
 def dumbbell_tpm(cfg: DumbbellConfig) -> np.ndarray:
@@ -333,23 +325,6 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 def matrix_from_dict(d: dict) -> np.ndarray:
     shape = tuple(d["shape"])
     return np.asarray(d["values"], dtype=float).reshape(shape, order="C")
-
-
-def dual_matrix_to_dict(a: DualMatrix) -> dict:
-    """JSON-ready payload with row-major standard and infinitesimal values."""
-    return {
-        "shape": list(a.shape),
-        "s": a.s.ravel(order="C").tolist(),
-        "i": a.i.ravel(order="C").tolist(),
-    }
-
-
-def dual_matrix_from_dict(d: dict) -> DualMatrix:
-    shape = tuple(d["shape"])
-    return DualMatrix(
-        np.asarray(d["s"], dtype=float).reshape(shape, order="C"),
-        np.asarray(d["i"], dtype=float).reshape(shape, order="C"),
-    )
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Dual scalars, vectors, matrices: algebra, order, and factory helpers."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -196,6 +197,33 @@ class TestDualMatrix:
         assert (a - b).s[0, 0] == -2.0
         c = DualScalar(0.0, 1.0)
         assert (c * a).i[0, 0] == 1.0  # c_i a_s survives, c_s a_i = 0
+
+
+@pytest.mark.parametrize(
+    "cls, s, other",
+    [(DualVector, [1.0, -2.0], DualMatrix([[1.0, 2.0]])),
+     (DualMatrix, [[1.0, -2.0]], DualVector([1.0, 2.0]))],
+    ids=["DualVector", "DualMatrix"],
+)
+def test_containers_share_algebra(cls, s, other):
+    x = cls(s)
+    with pytest.raises(AttributeError, match=cls.__name__):
+        x.extra = 1.0
+    assert np.array_equal(x.i, np.zeros_like(x.s))
+    assert not x.i.flags.writeable
+    neg = -x
+    assert type(neg) is cls
+    assert np.array_equal(neg.s, -np.asarray(s)) and np.array_equal(neg.i, x.i)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert repr(x).startswith(f"{cls.__name__}(s=array(")
+    with pytest.raises(TypeError):
+        DualScalar(1.0) < "a"
+    assert DualScalar(1.0) != "a"
+    assert DualScalar(1, 0) == 1
 
 
 class TestSymSkew:

@@ -10,7 +10,6 @@ from dualce import (
     DualMatrix,
     DumbbellConfig,
     FitOptions,
-    ZeroPatternMask,
     build_snapshots,
     dumbbell_dtpm,
     dumbbell_tpm,
@@ -411,7 +410,7 @@ def reference_infinitesimal(pair, p_s, opts):
     n = x_s.shape[0]
     xxt = x_s @ x_s.T
     r = y_i - p_s @ x_i
-    mask = ZeroPatternMask.from_standard(p_s).mask
+    mask = p_s < opts.zero_threshold
     return reference_fista(
         xxt, r @ x_s.T, float(np.sum(r * r)),
         lambda v: reference_zero_sum_columns(v, mask),
@@ -589,14 +588,6 @@ class TestFitOptions:
             assert pipeline._MINIMUM[key] == fitting._FIT_MINIMUM[field]
 
 
-class TestZeroPatternMask:
-    def test_threshold(self):
-        p = np.array([[0.0, 5e-14], [1e-12, 0.5]])
-        m = ZeroPatternMask.from_standard(p)
-        assert m.threshold == 1e-13
-        assert np.array_equal(m.mask, [[True, True], [False, False]])
-
-
 class TestFitStandard:
     def test_identity_recovery(self):
         stage = fit_standard(np.eye(4), np.eye(4))
@@ -687,6 +678,23 @@ class TestFitInfinitesimal:
         stage = fit_infinitesimal(pair, p_s)
         assert np.max(np.abs(stage.matrix)) == 0.0
 
+    def test_zero_pattern_threshold(self):
+        # with X_s = I the fit projects each column of R = Y_i onto the
+        # feasible set; column 0 pulls every row but the last below zero, and
+        # at the default 1e-13 only the entries 0 and 5e-14 are held at >= 0
+        p_s = np.full((4, 4), 0.25)
+        p_s[:, 0] = [0.0, 5e-14, 1e-12, 1.0]
+        y_i = np.zeros((4, 4))
+        y_i[:, 0] = [-1.0, -1.0, -1.0, 3.0]
+        pair = fitting.SnapshotPair(
+            DualMatrix(np.eye(4), np.zeros((4, 4))), DualMatrix(np.eye(4), y_i)
+        )
+        stage = fit_infinitesimal(pair, p_s)
+        assert FitOptions().zero_threshold == 1e-13
+        assert np.allclose(stage.matrix[:, 0], [0.0, 0.0, -2.0, 2.0], atol=1e-9)
+        assert np.min(stage.matrix[:2, 0]) >= 0.0
+        assert np.max(np.abs(stage.matrix[:, 1:])) <= 1e-12
+
 
 @pytest.fixture(scope="module")
 def small_run():
@@ -706,14 +714,14 @@ class TestFitDtpm:
         validate_dtpm(report.p)
         assert report.objective_s >= 0 and report.objective_i >= 0
         assert len(report.iterations) == 2 and len(report.converged) == 2
-        assert report.mask.threshold == 1e-13
+        assert report.zero_threshold == 1e-13
         assert report.condition_estimate >= 1.0
         payload = report.to_dict()
         assert payload["zero_threshold"] == 1e-13
 
     def test_infinitesimal_respects_sign_mask(self, small_run):
         p = small_run.p
-        mask = small_run.mask.mask
+        mask = p.s < small_run.zero_threshold
         assert np.min(p.i[mask], initial=0.0) >= -1e-12
         assert np.max(np.abs(p.i.sum(axis=0))) <= 1e-12
 

@@ -552,7 +552,8 @@ class TestCli:
         [({}, ["--p-list", "2.5"]), ({"t": "5"}, []), ({"drift": "yes"}, []),
          ({"t": -3}, []), ({"trajectories": 0}, []), ({"fit_tol": -1}, []),
          ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
-         ({"coupling_density": 2.0}, [])],
+         ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
+         ({"coupling_scale": float("nan")}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

@@ -278,7 +278,11 @@ def simulate(m, x1: np.ndarray, t: int):
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != (m_s.shape[0],):
         raise ValueError(f"x1 must have shape ({m_s.shape[0]},), got {x1.shape}")
-    if np.min(x1) < 0.0 or abs(float(x1.sum()) - 1.0) > 1e-10:
+    if (
+        not np.isfinite(x1).all()
+        or np.min(x1) < 0.0
+        or abs(float(x1.sum()) - 1.0) > 1e-10
+    ):
         raise ValueError("x1 must be a probability vector")
     if t < 1:
         raise ValueError("t must be >= 1")

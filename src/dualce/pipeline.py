@@ -40,7 +40,6 @@ from .fitting import (
 from .markov import (
     DumbbellConfig,
     STOCHASTIC_TOL,
-    delta_gamma,
     dumbbell_dtpm,
     dumbbell_tpm,
     effective_information,
@@ -49,7 +48,10 @@ from .markov import (
     validate_tpm,
     write_matrix_csv,
 )
-from .matrix_norms import ky_fan_pk_norm
+# norm_sweep's per-(k, p) references.  The sweep reads prefix sums instead,
+# but perfbench/spans.py looks both names up here to count their calls.
+from .markov import delta_gamma  # noqa: F401
+from .matrix_norms import ky_fan_pk_norm  # noqa: F401
 from .svd import GROUP_TOL, RANK_TOL, Decomposition, cdsvd, decompose, decomposed
 
 WITH_INFINITESIMAL = "with_infinitesimal"
@@ -94,20 +96,36 @@ def norm_sweep(
 ) -> SweepTable:
     """Dual Ky Fan (k, p) norms for k = 1..rank(P_s) and every p in p_list.
 
-    Each entry is the Ky Fan p-k norm; delta_gamma of the standard part
-    rides along for the vague-emergence report.  Every entry is read from
-    one decomposition of p: a Decomposition is used as it was built, and a
+    The Ky Fan p-k norm is the dual p-norm of the first k dual singular
+    values sigma_s + sigma_i eps, and sigma_s > 0 up to the rank, so each p
+    column comes from prefix sums over k: the standard part is
+    (cumsum sigma_s^p)^(1/p) and the infinitesimal part is
+    cumsum(sigma_s^(p-1) sigma_i) / standard^(p-1), which at p = 1 is
+    cumsum sigma_i.  delta_gamma of the standard part rides along for the
+    vague-emergence report, cumsum(s^p) / k - sum(s^p) / n over the n
+    singular values s.  ky_fan_pk_norm and markov.delta_gamma compute the
+    same entries one (k, p) at a time.  Every entry is read from one
+    decomposition of p: a Decomposition is used as it was built, and a
     DualMatrix is decomposed at group_tol.
     """
     p_list = _check_p_list(p_list)
     d = decomposed(p, group_tol)
     if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
+    sigma = d.sigma[: d.rank]
+    ks = np.arange(1, d.rank + 1)
     records = []
     for q in p_list:
-        for k in range(1, d.rank + 1):
-            val = ky_fan_pk_norm(d, k, q)
-            records.append(SweepRecord(k, q, val.s, val.i, delta_gamma(d, k, q)))
+        powered = d.s**q
+        prefix = np.cumsum(powered[: d.rank])
+        standard = prefix ** (1.0 / q)
+        weighted = np.cumsum(sigma.s ** (q - 1.0) * sigma.i)
+        infinitesimal = weighted / standard ** (q - 1.0)
+        gamma = prefix / ks - np.sum(powered) / d.shape[0]
+        records.extend(
+            SweepRecord(int(k), q, float(a), float(b), float(g))
+            for k, a, b, g in zip(ks, standard, infinitesimal, gamma)
+        )
     return SweepTable(tuple(records), p_list, d.rank)
 
 
@@ -154,11 +172,19 @@ class EmptyClusterError(RuntimeError):
     """Lloyd iteration produced a cluster with no members."""
 
 
+def _sq_dist(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of pts to one center."""
+    return np.sum((pts - center) ** 2, axis=1)
+
+
 def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
     """k-means++ seeding plus Lloyd iterations to an assignment fixpoint.
 
     Deterministic for a given (points, k, seed).  Raises EmptyClusterError
-    if an update empties a cluster; callers reseed and retry.
+    if an update empties a cluster; callers reseed and retry.  The n x k
+    distance table is filled one center at a time, so no temporary is
+    larger than the points themselves; each entry is the same row sum the
+    n x k x dim broadcast would give, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -170,7 +196,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
 
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _sq_dist(pts, centers[0])
     for c in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -178,11 +204,13 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[c] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist(pts, centers[c]))
 
     labels = np.full(n, -1)
+    dist = np.empty((n, k))
     for _ in range(max_iter):
-        dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        for c in range(k):
+            dist[:, c] = _sq_dist(pts, centers[c])
         new_labels = np.argmin(dist, axis=1)
         if np.array_equal(new_labels, labels):
             break

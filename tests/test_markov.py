@@ -290,6 +290,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(m, np.array([1.0]), 3)
 
+    @pytest.mark.parametrize(
+        "x1",
+        [[np.nan, 0.5], [1.0, np.nan], [np.inf, 0.5], [np.inf, -np.inf]],
+        ids=["nan-first", "nan-last", "inf", "inf-minus-inf"],
+    )
+    def test_non_finite_start_rejected(self, x1):
+        # NaN compares False both ways, so a min/sum range check alone lets
+        # [nan, 0.5] through and the trajectory fills with NaN.
+        for m in (np.eye(2), DualMatrix(np.eye(2), np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="probability vector"):
+                simulate(m, np.array(x1), 3)
+
 
 class TestDeltaGamma:
     def test_identity_is_zero(self):

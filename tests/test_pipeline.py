@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from dualce import (
     WITHOUT_INFINITESIMAL,
     analyze,
     coarse_grain,
+    decompose,
     delta_gamma,
     detect_k,
     dumbbell_dtpm,
@@ -30,7 +32,7 @@ from dualce import (
 )
 from dualce import pipeline
 from dualce.cli import main
-from dualce.pipeline import StageError, random_initial_states
+from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
 from tests.conftest import (
     matrix_with_sigmas,
     random_dtpm,
@@ -110,6 +112,35 @@ class TestNormSweep:
             assert r.delta_gamma == pytest.approx(
                 delta_gamma(p.s, r.k, r.p), rel=1e-12, abs=1e-13
             )
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [
+            3.0 * 0.7 ** np.arange(12),
+            [3.0, 2.2, 1.5, 1.5, 1.5, 1.5, 0.9, 0.6, 0.4, 0.25, 0.1, 0.05],
+            [2.5, 1.9, 1.4, 0.9, 0.6, 0.3, 0.1],
+        ],
+        ids=["distinct", "repeated-block", "rank-deficient"],
+    )
+    def test_prefix_sums_match_per_entry_references(self, sigmas):
+        # The sweep reads each p column from prefix sums; ky_fan_pk_norm and
+        # delta_gamma evaluate one (k, p) at a time from the same
+        # decomposition.  12 values take numpy's pairwise summation off the
+        # sequential path, and the rank-deficient case keeps the
+        # below-rank singular values in delta_gamma's total.
+        p = matrix_with_sigmas(np.random.default_rng(21), 12, 12, sigmas)
+        d = decompose(p)
+        assert d.rank == len(sigmas)
+        p_list = (1.0, 1.3, 1.6, 1.9, 1.99)
+        table = norm_sweep(d, p_list)
+        assert [(r.k, r.p) for r in table.records] == [
+            (k, q) for q in p_list for k in range(1, d.rank + 1)
+        ]
+        for r in table.records:
+            ref = ky_fan_pk_norm(d, r.k, r.p)
+            assert abs(r.standard - ref.s) <= 1e-12 * abs(ref.s)
+            assert abs(r.infinitesimal - ref.i) <= 1e-12 * abs(ref.i)
+            assert abs(r.delta_gamma - delta_gamma(d, r.k, r.p)) <= 1e-14
 
     def test_input_validation(self):
         rng = np.random.default_rng(3)
@@ -207,6 +238,75 @@ class TestKmeans:
     def test_k_larger_than_points(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((2, 2)), 3, seed=0)
+
+    def test_memory_is_linear_in_k(self):
+        # coarse_grain clusters n points of dimension 2k.  At n = 85 and
+        # k = 76 an n x k x 2k distance broadcast alone is 7.9 MB.
+        pts = np.random.default_rng(30).standard_normal((85, 152))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            kmeans(pts, 76, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("k", [1, 5, 36, 76])
+    @pytest.mark.parametrize("layout", ["scattered", "grid"])
+    def test_labels_match_broadcast_reference(self, k, layout):
+        # 85 points of dimension 2k, as coarse_grain passes them.  Scattered:
+        # the last five repeat earlier points.  Grid: coordinates in
+        # {0, 0.1, 0.2}, so many distances tie in exact arithmetic and the
+        # labels depend on how each sum rounds (the expanded form
+        # |x|^2 - 2 x.c + |c|^2 moves labels here).
+        rng = np.random.default_rng(31 + k)
+        if layout == "grid":
+            pts = rng.integers(0, 3, size=(85, 2 * k)) * 0.1
+        else:
+            pts = rng.standard_normal((85, 2 * k))
+            pts[80:] = pts[:5]
+        outcomes = []
+        for fn in (kmeans, broadcast_kmeans):
+            for seed in range(3):
+                try:
+                    outcomes.append(fn(pts, k, seed).tolist())
+                except EmptyClusterError:
+                    outcomes.append(None)
+        assert outcomes[:3] == outcomes[3:]
+        assert any(labels is not None for labels in outcomes)
+
+
+def broadcast_kmeans(points, k, seed, max_iter=300):
+    """kmeans with its distances from one n x k x dim broadcast, the form
+    the per-center distance table must reproduce bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        dist = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = pts[labels == c]
+            if members.shape[0] == 0:
+                raise EmptyClusterError(f"cluster {c} lost all members")
+            centers[c] = members.mean(axis=0)
+    return labels
 
 
 class TestCoarseGrain:

@@ -2,8 +2,10 @@
 
 Every subcommand runs `pipeline.stages` on the resolved configuration
 (config file defaults, overridden by flags) up to its own stage, so running
-`sweep` does not require having run `fit` first, and writes each file with
-the writer `pipeline` uses for it.
+`sweep` does not require having run `fit` first.  It then writes that
+stage's files with its writer in `pipeline.WRITERS`; `pipeline` runs
+`analyze` and writes the full artifact set with `write_artifacts`.  Either
+way one line names the files written, with k_star once detect has run.
 """
 
 from __future__ import annotations
@@ -13,20 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import DualMatrix
 from .pipeline import (
+    WRITERS,
     PipelineConfig,
     StageError,
-    _write_json,
-    _write_matrix,
     analyze,
     stages,
     write_artifacts,
-    write_coarse,
-    write_fit,
-    write_sweep_csv,
 )
 
 
@@ -107,12 +102,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "pipeline":
             result = analyze(cfg)
+            detection = result.detection
         else:
             done = {}
             for name, output in stages(cfg):
                 done[name] = output
                 if name == args.command:
                     break
+            detection = done.get("detect")
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -121,59 +118,15 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":
-            write_artifacts(result, out, fmt=args.format)
-            print(
-                f"pipeline complete: k_star={result.detection.k_star}, "
-                f"artifacts in {out}"
-            )
-        elif args.command == "generate":
-            chain = done["generate"]
-            if isinstance(chain, DualMatrix):
-                _write_matrix(out, "generator_drift", chain.i, args.format)
-                chain = chain.s
-            path = _write_matrix(out, "generator", chain, args.format)
-            _write_json(out / "config.json", cfg.to_dict())
-            print(f"wrote {path}")
-        elif args.command == "simulate":
-            # Trajectories side by side; a drifting chain's also carry an
-            # infinitesimal part.
-            trajs = done["simulate"]
-            if isinstance(trajs[0], DualMatrix):
-                traj = np.hstack([t.s for t in trajs])
-                _write_matrix(
-                    out, "trajectory_infinitesimal", np.hstack([t.i for t in trajs]),
-                    args.format,
-                )
-            else:
-                traj = np.hstack(trajs)
-            path = _write_matrix(out, "trajectory", traj, args.format)
-            print(
-                f"wrote {path} ({traj.shape[0]} states, "
-                f"{len(trajs)} x {cfg.t + 2} steps)"
-            )
-        elif args.command == "fit":
-            report = done["fit"]
-            write_fit(out, report, args.format)
-            print(
-                f"fit done: objectives ({report.objective_s:.6g}, "
-                f"{report.objective_i:.6g}), wrote 3 files to {out}"
-            )
-        elif args.command == "sweep":
-            table = done["sweep"]
-            write_sweep_csv(out / "sweep.csv", table)
-            print(f"wrote {out / 'sweep.csv'} ({len(table.records)} rows)")
-        elif args.command == "detect":
-            detection = done["detect"]
-            write_sweep_csv(out / "sweep.csv", done["sweep"])
-            _write_json(out / "detection.json", detection.to_dict())
-            print(f"k_star={detection.k_star} (unanimous={detection.unanimous})")
-        else:  # coarse-grain
-            write_coarse(out, *done["coarse-grain"])
-            k_star = done["detect"].k_star
-            print(f"coarse-grained to k={k_star}, wrote {out / 'coarse.json'}")
+            paths = write_artifacts(result, out, args.format)
+        else:
+            paths = WRITERS[args.command](out, done[args.command], args.format)
     except OSError as err:
         print(f"error in {args.command}: {err}", file=sys.stderr)
         return 1
+    k_star = "" if detection is None else f"k_star={detection.k_star}, "
+    names = ", ".join(path.name for path in paths)
+    print(f"{args.command} complete: {k_star}wrote {names} to {out}")
     return 0
 
 

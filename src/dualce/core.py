@@ -315,15 +315,19 @@ def skew(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
+def check_square(a, name: str) -> None:
+    """Raise ValueError unless a (array, dual matrix or Decomposition) is n x n."""
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
+
+
 def dm_inverse(a: DualMatrix, cond_limit: float = CONDITION_LIMIT) -> DualMatrix:
     """Inverse of a square dual matrix: A_s^-1 - A_s^-1 A_i A_s^-1 eps.
 
     Raises numpy.linalg.LinAlgError when A_s is singular or its condition
     number exceeds cond_limit.
     """
-    m, n = a.shape
-    if m != n:
-        raise ValueError("dual inverse requires a square matrix")
+    check_square(a, "dual inverse")
     cond = np.linalg.cond(a.s)
     if not np.isfinite(cond) or cond > cond_limit:
         raise np.linalg.LinAlgError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, dm_inverse
+from .core import DualMatrix, DualScalar, check_square, dm_inverse
 from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
@@ -28,8 +28,7 @@ _LN2 = math.log(2.0)
 def validate_tpm(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     """Check that p is square, finite, entrywise >= 0, with unit column sums."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"TPM must be square, got shape {p.shape}")
+    check_square(p, "a TPM")
     if not np.all(np.isfinite(p)):
         raise ValueError("TPM must contain only finite values")
     if np.min(p) < 0.0:
@@ -151,8 +150,7 @@ def is_dynamically_reversible(p: DualMatrix, tol: float = 1e-9) -> bool:
     zero infinitesimal part.  The two routes must agree; a disagreement is a
     RuntimeError rather than a silent pick.
     """
-    if p.shape[0] != p.shape[1]:
-        raise ValueError(f"reversibility needs a square matrix, got {p.shape}")
+    check_square(p, "reversibility")
     by_perm = _is_permutation(p.s, tol) and float(np.max(np.abs(p.i))) <= tol
 
     by_inverse = False
@@ -309,6 +307,7 @@ def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:
     """
     if not isinstance(p, Decomposition):
         p = np.asarray(p, dtype=float)
+    check_square(p, "delta_gamma")
     n = p.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, DualVector
+from .core import DualMatrix, DualScalar, DualVector, check_square
 from .svd import Decomposition, decomposed
 from .vector_norms import dual_vector_norm
 
@@ -144,9 +144,7 @@ def operator_inf_norm(a: DualMatrix) -> DualScalar:
 
 def dual_trace(a: DualMatrix) -> DualScalar:
     """tr(A_s) + tr(A_i) eps for square dual matrices."""
-    m, n = a.shape
-    if m != n:
-        raise ValueError("trace requires a square matrix")
+    check_square(a, "trace")
     return DualScalar(float(np.trace(a.s)), float(np.trace(a.i)))
 
 
@@ -171,10 +169,8 @@ def _adjugate(a_s: np.ndarray) -> np.ndarray:
 
 def dual_det(a: DualMatrix) -> DualScalar:
     """Dual determinant det(A_s) + <adj(A_s)^T, A_i> eps."""
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
+    check_square(a, "determinant")
+    if a.shape[0] == 0:
         return DualScalar(1.0, 0.0)
     det_s = float(np.linalg.det(a.s))
     adj = _adjugate(a.s)

@@ -6,7 +6,8 @@ optimal class count from the infinitesimal parts, and coarse-grain by
 clustering singular-vector projections of the columns.  `stages` runs them
 in order as pure functions of the configuration; `analyze` and every CLI
 subcommand iterate it, so later stages re-derive earlier ones from the seed
-instead of reading intermediate files.
+instead of reading intermediate files.  `WRITERS` holds the one function
+that writes each stage's files, for `write_artifacts` and the CLI alike.
 
 All artifacts are written with stable ordering and 17-significant-digit
 floats; two runs with the same configuration produce byte-identical files
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DualMatrix
+from .core import DualMatrix, check_square
 from .fitting import (
     FitOptions,
     FitReport,
@@ -106,9 +107,10 @@ def norm_sweep(
     singular values s.  ky_fan_pk_norm and markov.delta_gamma compute the
     same entries one (k, p) at a time.  Every entry is read from one
     decomposition of p: a Decomposition is used as it was built, and a
-    DualMatrix is decomposed at group_tol.
+    DualMatrix is decomposed at group_tol.  p must be n x n.
     """
     p_list = _check_p_list(p_list)
+    check_square(p, "norm_sweep")
     d = decomposed(p, group_tol)
     if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
@@ -262,10 +264,12 @@ def coarse_grain(
     Phi^T P_s Phi with columns renormalized, which is exactly stochastic
     because column sums equal the (positive) cluster sizes.  The singular
     vectors come from cdsvd of p's decomposition: a Decomposition is used as
-    it was built, and a DualMatrix is decomposed at group_tol.
+    it was built, and a DualMatrix is decomposed at group_tol.  p must be
+    n x n.
     """
     if method not in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
         raise ValueError(f"unknown method {method!r}")
+    check_square(p, "coarse_grain")
     d = decomposed(p, group_tol)
     p = d.matrix
     n = p.shape[0]
@@ -523,13 +527,48 @@ def analyze(cfg: PipelineConfig) -> PipelineResult:
     )
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> Path:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
-def write_sweep_csv(path: Path, table: SweepTable) -> None:
+def _write_matrix(out: Path, name: str, matrix: np.ndarray, fmt: str) -> Path:
+    if fmt == "csv":
+        path = out / f"{name}.csv"
+        write_matrix_csv(path, matrix)
+        return path
+    return _write_json(out / f"{name}.json", matrix_to_dict(matrix))
+
+
+def _write_parts(out: Path, name: str, name_i: str, matrices: list, fmt: str) -> list:
+    """name.* from the matrices side by side, or from their standard parts if
+    they are dual, and then name_i.* from their infinitesimal parts."""
+    if not isinstance(matrices[0], DualMatrix):
+        return [_write_matrix(out, name, np.hstack(matrices), fmt)]
+    return [
+        _write_matrix(out, name, np.hstack([m.s for m in matrices]), fmt),
+        _write_matrix(out, name_i, np.hstack([m.i for m in matrices]), fmt),
+    ]
+
+
+def _write_generate(out: Path, chain, fmt: str) -> list:
+    return _write_parts(out, "generator", "generator_drift", [chain], fmt)
+
+
+def _write_simulate(out: Path, runs: list, fmt: str) -> list:
+    return _write_parts(out, "trajectory", "trajectory_infinitesimal", runs, fmt)
+
+
+def _write_fit(out: Path, report: FitReport, fmt: str) -> list:
+    parts = _write_parts(out, "p_standard", "p_infinitesimal", [report.p], fmt)
+    return [*parts, _write_json(out / "fit.json", report.to_dict())]
+
+
+def _write_sweep(out: Path, table: SweepTable, fmt: str) -> list:
+    """sweep.csv in either format."""
+    path = out / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write("k,p,standard,infinitesimal,delta_gamma\n")
         for r in table.records:
@@ -537,27 +576,16 @@ def write_sweep_csv(path: Path, table: SweepTable) -> None:
                 "%d,%.17g,%.17g,%.17g,%.17g\n"
                 % (r.k, r.p, r.standard, r.infinitesimal, r.delta_gamma)
             )
+    return [path]
 
 
-def _write_matrix(out: Path, name: str, matrix: np.ndarray, fmt: str) -> Path:
-    if fmt == "csv":
-        path = out / f"{name}.csv"
-        write_matrix_csv(path, matrix)
-    else:
-        path = out / f"{name}.json"
-        _write_json(path, matrix_to_dict(matrix))
-    return path
+def _write_detect(out: Path, detection: DetectionResult, fmt: str) -> list:
+    return [_write_json(out / "detection.json", detection.to_dict())]
 
 
-def write_fit(out: Path, report: FitReport, fmt: str) -> None:
-    """Both fitted parts and the fit report."""
-    _write_matrix(out, "p_standard", report.p.s, fmt)
-    _write_matrix(out, "p_infinitesimal", report.p.i, fmt)
-    _write_json(out / "fit.json", report.to_dict())
-
-
-def write_coarse(out: Path, coarse: dict, ei_micro: float, ei_macro: dict) -> None:
+def _write_coarse(out: Path, output: tuple, fmt: str) -> list:
     """coarse.json: each method's coarse-graining and its EI comparison."""
+    coarse, ei_micro, ei_macro = output
     payload = {
         method: {
             **cg.to_dict(),
@@ -567,7 +595,19 @@ def write_coarse(out: Path, coarse: dict, ei_micro: float, ei_macro: dict) -> No
         }
         for method, cg in sorted(coarse.items())
     }
-    _write_json(out / "coarse.json", payload)
+    return [_write_json(out / "coarse.json", payload)]
+
+
+# Stage name -> writer(out, output, fmt) of that stage's files, where output
+# is what `stages` yields for it; each writer returns the paths it wrote.
+WRITERS = {
+    "generate": _write_generate,
+    "simulate": _write_simulate,
+    "fit": _write_fit,
+    "sweep": _write_sweep,
+    "detect": _write_detect,
+    "coarse-grain": _write_coarse,
+}
 
 
 def manifest_payload(result: PipelineResult) -> dict:
@@ -608,24 +648,29 @@ def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
     runs.
     """
     _check_fmt(fmt)
-    return write_artifacts(analyze(cfg), out_dir, fmt)
+    result = analyze(cfg)
+    write_artifacts(result, out_dir, fmt)
+    return manifest_payload(result)
 
 
-def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> dict:
+def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> list:
     """Write the artifact set of an analyzed run into out_dir.
 
-    Files: the generated matrix, fitted standard and infinitesimal parts,
-    sweep CSV, detection JSON, coarse-graining JSON, fit report JSON, and
-    the manifest.  Returns the manifest payload.
+    The files of generate (from result.m, so never generator_drift.*), fit,
+    sweep, detect and coarse-grain, each through its writer in WRITERS, then
+    manifest.json.  Returns the paths written.
     """
     _check_fmt(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out, "generator", result.m, fmt)
-    write_fit(out, result.report, fmt)
-    write_sweep_csv(out / "sweep.csv", result.sweep)
-    _write_json(out / "detection.json", result.detection.to_dict())
-    write_coarse(out, result.coarse, result.ei_micro, result.ei_macro)
-    manifest = manifest_payload(result)
-    _write_json(out / "manifest.json", manifest)
-    return manifest
+    outputs = {
+        "generate": result.m,
+        "fit": result.report,
+        "sweep": result.sweep,
+        "detect": result.detection,
+        "coarse-grain": (result.coarse, result.ei_micro, result.ei_macro),
+    }
+    paths = []
+    for name, output in outputs.items():
+        paths += WRITERS[name](out, output, fmt)
+    return [*paths, _write_json(out / "manifest.json", manifest_payload(result))]

@@ -1,6 +1,7 @@
 """Dual matrix norms, trace, determinant: closed forms, identities, axioms."""
 
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -232,10 +233,6 @@ def test_decomposition_input_matches_matrix_input(make):
             pairs.append((ky_fan_pk_norm(a, k, 1.6), ky_fan_pk_norm(d, k, 1.6)))
     for direct, shared in pairs:
         assert (shared.s, shared.i) == (direct.s, direct.i)
-    for k in range(1, min(a.shape) + 1):
-        assert delta_gamma(d, k, 1.3) == pytest.approx(
-            delta_gamma(a.s, k, 1.3), rel=1e-12, abs=1e-14
-        )
     with pytest.raises(ValueError):
         ky_fan_norm(d, min(a.shape) + 1)
 
@@ -248,12 +245,24 @@ def test_decomposition_input_matches_matrix_input(make):
         assert (shared.s.tobytes(), shared.i.tobytes()) == (
             direct.s.tobytes(), direct.i.tobytes()
         )
-    if d.rank:
-        assert norm_sweep(d, (1.0, 1.5)) == norm_sweep(a, (1.0, 1.5))
-    else:
-        for p in (a, d):
-            with pytest.raises(ValueError):
-                norm_sweep(p, (1.0, 1.5))
+    if a.shape[0] != a.shape[1]:
+        # the vague-emergence degree, the sweep and coarse-graining are
+        # defined for an n x n matrix only
+        shape = re.escape(f"shape {a.shape}")
+        for real, p in ((a.s, a), (d, d)):
+            for call in (
+                lambda: delta_gamma(real, 1, 1.3),
+                lambda: norm_sweep(p, (1.0, 1.5)),
+                lambda: coarse_grain(p, 1),
+            ):
+                with pytest.raises(ValueError, match=shape):
+                    call()
+        return
+    for k in range(1, min(a.shape) + 1):
+        assert delta_gamma(d, k, 1.3) == pytest.approx(
+            delta_gamma(a.s, k, 1.3), rel=1e-12, abs=1e-14
+        )
+    assert norm_sweep(d, (1.0, 1.5)) == norm_sweep(a, (1.0, 1.5))
     if np.all(a.s > 0):  # a transition matrix: coarse-grain it
         for k in range(1, 4):
             direct, shared = coarse_grain(a, k), coarse_grain(d, k)

@@ -473,6 +473,22 @@ class TestAnalyze:
             analyze(PipelineConfig(far_weight=2, near_weight=2, bar=1))
 
 
+def test_non_square_matrix_rejected():
+    # The vague-emergence degree is defined for an n x n TPM.  A 5 x 3 input
+    # let delta_gamma's k <= 5 check slice past the 3 singular values,
+    # norm_sweep divided by the row count (so a matrix and its transpose
+    # disagreed), and coarse_grain failed on an index shape mismatch.
+    rng = np.random.default_rng(0)
+    wide = DualMatrix(rng.random((3, 5)), rng.random((3, 5)))
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(5, 3\)"):
+        delta_gamma(rng.random((5, 3)), 5, 1.5)
+    for p in (wide, wide.T, decompose(wide), decompose(wide.T)):
+        with pytest.raises(ValueError, match="norm_sweep needs a square matrix"):
+            norm_sweep(p, (1.0, 1.5))
+        with pytest.raises(ValueError, match="coarse_grain needs a square matrix"):
+            coarse_grain(p, 2)
+
+
 class TestArtifacts:
     def test_file_set_and_shapes(self, tiny_config, tmp_path):
         manifest = run_pipeline(tiny_config, tmp_path)
@@ -523,6 +539,44 @@ class TestArtifacts:
             assert path.read_bytes() == twin.read_bytes(), path.name
 
 
+# The files each subcommand writes ("*" is the --format suffix), and those
+# it adds when the chain drifts.
+SUBCOMMAND_FILES = {
+    "generate": ({"generator.*"}, {"generator_drift.*"}),
+    "simulate": ({"trajectory.*"}, {"trajectory_infinitesimal.*"}),
+    "fit": ({"p_standard.*", "p_infinitesimal.*", "fit.json"}, set()),
+    "sweep": ({"sweep.csv"}, set()),
+    "detect": ({"detection.json"}, set()),
+    "coarse-grain": ({"coarse.json"}, set()),
+    "pipeline": (
+        {"generator.*", "p_standard.*", "p_infinitesimal.*", "fit.json",
+         "sweep.csv", "detection.json", "coarse.json", "manifest.json"},
+        set(),
+    ),
+}
+
+
+@pytest.fixture(scope="class")
+def pipeline_run(tmp_path_factory):
+    """(config file, `dualce pipeline` output) per (format, drift), run once."""
+    runs = {}
+
+    def run(fmt, drift):
+        if (fmt, drift) not in runs:
+            root = tmp_path_factory.mktemp("pipeline")
+            entry = {"far_weight": 2, "near_weight": 2, "bar": 1, "t": 50}
+            if drift:
+                entry.update(t=5, drift=True, trajectories=3)
+            cfg = root / "cfg.json"
+            cfg.write_text(json.dumps(entry))
+            assert main(["pipeline", "--config", str(cfg), "--format", fmt,
+                         "--out", str(root / "all")]) == 0
+            runs[fmt, drift] = cfg, root / "all"
+        return runs[fmt, drift]
+
+    return run
+
+
 class TestCli:
     def config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -552,33 +606,6 @@ class TestCli:
         detection = json.loads((tmp_path / "d" / "detection.json").read_text())
         assert {rec["p"] for rec in detection["per_p"]} == {1.3, 1.6}
 
-    def test_generate_and_fit_subcommands(self, tmp_path):
-        cfg = self.config_file(tmp_path)
-        assert main(["generate", "--config", str(cfg),
-                     "--out", str(tmp_path / "g")]) == 0
-        assert (tmp_path / "g" / "generator.csv").exists()
-        assert main(["fit", "--config", str(cfg),
-                     "--out", str(tmp_path / "f")]) == 0
-        assert (tmp_path / "f" / "fit.json").exists()
-
-    def test_drift_subcommands(self, tmp_path):
-        cfg = tmp_path / "drift.json"
-        cfg.write_text(json.dumps(
-            {"far_weight": 2, "near_weight": 2, "bar": 1, "t": 5,
-             "drift": True, "trajectories": 3}
-        ))
-        assert main(["generate", "--config", str(cfg),
-                     "--out", str(tmp_path / "g")]) == 0
-        assert {p.name for p in (tmp_path / "g").iterdir()} >= {
-            "generator.csv", "generator_drift.csv"}
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "s")]) == 0
-        traj = np.loadtxt(tmp_path / "s" / "trajectory.csv", delimiter=",")
-        traj_i = np.loadtxt(
-            tmp_path / "s" / "trajectory_infinitesimal.csv", delimiter=","
-        )
-        assert traj.shape == traj_i.shape == (9, 3 * 7)
-
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -600,18 +627,39 @@ class TestCli:
         for path in sorted((tmp_path / "x").iterdir()):
             assert path.read_bytes() == (tmp_path / "y" / path.name).read_bytes()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("sub", ["fit", "sweep", "detect", "coarse-grain"])
-    def test_subcommand_files_match_pipeline(self, tmp_path, sub, fmt):
-        cfg = self.config_file(tmp_path)
-        for command, out in (("pipeline", "all"), (sub, "one")):
-            assert main([command, "--config", str(cfg), "--format", fmt,
-                         "--out", str(tmp_path / out)]) == 0
-        written = sorted((tmp_path / "one").iterdir())
-        assert written
-        for path in written:
-            twin = tmp_path / "all" / path.name
-            assert path.read_bytes() == twin.read_bytes(), path.name
+    @pytest.mark.parametrize(
+        "sub, fmt, drift",
+        [
+            pytest.param(sub, fmt, drift, id=f"{sub}-{fmt}" + "-drift" * drift)
+            for drift in (False, True)
+            for sub in SUBCOMMAND_FILES
+            for fmt in ("csv", "json")
+        ],
+    )
+    def test_subcommand_files_match_pipeline(
+        self, tmp_path, capsys, pipeline_run, sub, fmt, drift
+    ):
+        # each subcommand writes exactly its stage's files, names them in
+        # one line, and a file it shares with `pipeline` holds the same bytes
+        cfg, everything = pipeline_run(fmt, drift)
+        capsys.readouterr()
+        out = tmp_path / "one"
+        assert main([sub, "--config", str(cfg), "--format", fmt,
+                     "--out", str(out)]) == 0
+        files, drift_files = SUBCOMMAND_FILES[sub]
+        expected = files | drift_files if drift else files
+        written = {path.name for path in out.iterdir()}
+        assert written == {name.replace("*", fmt) for name in expected}
+        line = capsys.readouterr().out
+        assert line.count("\n") == 1 and all(name in line for name in written)
+        assert ("k_star=" in line) == (sub in ("detect", "coarse-grain", "pipeline"))
+        for name in written & {path.name for path in everything.iterdir()}:
+            assert (out / name).read_bytes() == (everything / name).read_bytes(), name
+        if sub == "simulate" and fmt == "csv":
+            # 9 states; the runs sit side by side, t + 2 columns each
+            shape = (9, 3 * 7) if drift else (9, 52)
+            for name in written:
+                assert np.loadtxt(out / name, delimiter=",").shape == shape
 
     def test_failed_stage_is_named_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch

@@ -89,7 +89,6 @@ from .pipeline import (
     DetectionResult,
     PipelineConfig,
     PipelineResult,
-    SweepRecord,
     SweepTable,
     analyze,
     coarse_grain,

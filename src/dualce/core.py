@@ -158,7 +158,7 @@ def dual_pow(a: DualScalar, p: float) -> DualScalar:
     the reals).
     """
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if a.s < 0.0:
         raise ValueError("dual_pow requires a nonnegative standard part")
@@ -172,7 +172,7 @@ def dual_pow(a: DualScalar, p: float) -> DualScalar:
 def dual_root(a: DualScalar, p: float) -> DualScalar:
     """Dual p-th root for a_s > 0: a_s**(1/p) + (1/p) a_s**(1/p-1) a_i eps."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if a.s <= 0.0:
         raise ValueError("dual_root requires a positive standard part")

@@ -63,12 +63,13 @@ def validate_dtpm(p: DualMatrix, tol: float = STOCHASTIC_TOL) -> DualMatrix:
 
 
 def effective_information(p: np.ndarray) -> float:
-    """EI of a column-stochastic matrix over the uniform intervention prior.
+    """EI of an n x n column-stochastic matrix, uniform intervention prior.
 
     (1/n) sum over positive entries of P_jk (log2 P_jk - log2(rowsum_j / n)).
     log2 n at permutations, 0 when all columns are identical.
     """
     p = np.asarray(p, dtype=float)
+    check_square(p, "effective_information")
     n = p.shape[0]
     rows = p.sum(axis=1)
     jj, _ = np.nonzero(p > 0.0)
@@ -80,7 +81,7 @@ def effective_information(p: np.ndarray) -> float:
 
 
 def dual_effective_information(p: DualMatrix) -> DualScalar:
-    """Dual-valued EI of a dual TPM.
+    """Dual-valued EI of an n x n dual TPM.
 
     Standard part is effective_information(P_s).  The infinitesimal part
     sums, over entries with [P_s]_jk > 0,
@@ -90,6 +91,7 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     (rowsum_s)_j > 0, all divided by n.  Entries outside these index sets
     contribute 0, matching the standard part's log convention.
     """
+    check_square(p, "dual_effective_information")
     p_s, p_i = p.s, p.i
     n = p_s.shape[0]
     ei_s = effective_information(p_s)

@@ -59,26 +59,22 @@ WITH_INFINITESIMAL = "with_infinitesimal"
 WITHOUT_INFINITESIMAL = "without_infinitesimal"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    k: int
-    p: float
-    standard: float
-    infinitesimal: float
-    delta_gamma: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Complete (k, p) grid of dual Ky Fan norm evaluations."""
+    """Dual Ky Fan norms over the (p, k) grid, one row per p.
 
-    records: tuple
+    standard, infinitesimal and delta_gamma are read-only arrays of shape
+    (len(p_list), rank): row j holds p = p_list[j] and column k - 1 holds k.
+    """
+
     p_list: tuple
-    rank: int
+    standard: np.ndarray
+    infinitesimal: np.ndarray
+    delta_gamma: np.ndarray
 
-    def column(self, p: float):
-        """Records for one p, ordered by k."""
-        return [r for r in self.records if r.p == p]
+    @property
+    def rank(self) -> int:
+        return self.standard.shape[1]
 
 
 def _check_p_list(p_list) -> tuple:
@@ -99,7 +95,7 @@ def norm_sweep(
 
     The Ky Fan p-k norm is the dual p-norm of the first k dual singular
     values sigma_s + sigma_i eps, and sigma_s > 0 up to the rank, so each p
-    column comes from prefix sums over k: the standard part is
+    row comes from prefix sums over k: the standard part is
     (cumsum sigma_s^p)^(1/p) and the infinitesimal part is
     cumsum(sigma_s^(p-1) sigma_i) / standard^(p-1), which at p = 1 is
     cumsum sigma_i.  delta_gamma of the standard part rides along for the
@@ -116,19 +112,17 @@ def norm_sweep(
         raise ValueError("norm sweep needs a nonzero standard part")
     sigma = d.sigma[: d.rank]
     ks = np.arange(1, d.rank + 1)
-    records = []
-    for q in p_list:
+    standard, infinitesimal, gamma = np.empty((3, len(p_list), d.rank))
+    for row, q in enumerate(p_list):
         powered = d.s**q
         prefix = np.cumsum(powered[: d.rank])
-        standard = prefix ** (1.0 / q)
+        standard[row] = prefix ** (1.0 / q)
         weighted = np.cumsum(sigma.s ** (q - 1.0) * sigma.i)
-        infinitesimal = weighted / standard ** (q - 1.0)
-        gamma = prefix / ks - np.sum(powered) / d.shape[0]
-        records.extend(
-            SweepRecord(int(k), q, float(a), float(b), float(g))
-            for k, a, b, g in zip(ks, standard, infinitesimal, gamma)
-        )
-    return SweepTable(tuple(records), p_list, d.rank)
+        infinitesimal[row] = weighted / standard[row] ** (q - 1.0)
+        gamma[row] = prefix / ks - np.sum(powered) / d.shape[0]
+    for part in (standard, infinitesimal, gamma):
+        part.flags.writeable = False
+    return SweepTable(p_list, standard, infinitesimal, gamma)
 
 
 @dataclass(frozen=True)
@@ -150,24 +144,21 @@ class DetectionResult:
 def detect_k(table: SweepTable) -> DetectionResult:
     """Argmax over k of the infinitesimal norm part, per p, then the mode.
 
-    Ties go to the smallest k.  A p whose infinitesimal column is constant
-    (a permutation input gives all zeros) is flagged degenerate; its argmax
-    is still the tie-broken smallest k.  k_star is the most common per-p
-    argmax, smallest k winning equal counts.
+    Each p reads its own row of table.infinitesimal.  Ties go to the
+    smallest k.  A p whose row is constant (a permutation input gives all
+    zeros) is flagged degenerate; its argmax is still the tie-broken
+    smallest k.  k_star is the most common per-p argmax, smallest k winning
+    equal counts.
     """
-    per_p = []
-    for q in table.p_list:
-        col = table.column(q)
-        values = [r.infinitesimal for r in col]
-        best = max(values)
-        k_best = min(r.k for r in col if r.infinitesimal == best)
-        degenerate = best == min(values)
-        per_p.append((q, k_best, degenerate))
+    rows = table.infinitesimal
+    k_best = (np.argmax(rows, axis=1) + 1).tolist()
+    degenerate = (rows.max(axis=1) == rows.min(axis=1)).tolist()
+    per_p = tuple(zip(table.p_list, k_best, degenerate))
     counts = Counter(k for _, k, _ in per_p)
     top = max(counts.values())
     k_star = min(k for k, c in counts.items() if c == top)
     unanimous = len(counts) == 1
-    return DetectionResult(k_star, tuple(per_p), unanimous)
+    return DetectionResult(k_star, per_p, unanimous)
 
 
 class EmptyClusterError(RuntimeError):
@@ -186,8 +177,10 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
     if an update empties a cluster; callers reseed and retry.  The n x k
     distance table is filled one center at a time, so no temporary is
     larger than the points themselves; each entry is the same row sum the
-    n x k x dim broadcast would give, bit for bit.
+    n x k x dim broadcast would give, bit for bit.  max_iter must be >= 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array (one row per point)")
@@ -265,10 +258,14 @@ def coarse_grain(
     because column sums equal the (positive) cluster sizes.  The singular
     vectors come from cdsvd of p's decomposition: a Decomposition is used as
     it was built, and a DualMatrix is decomposed at group_tol.  p must be
-    n x n.
+    n x n, max_iter >= 1 and retries >= 0.
     """
     if method not in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
         raise ValueError(f"unknown method {method!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     check_square(p, "coarse_grain")
     d = decomposed(p, group_tol)
     p = d.matrix
@@ -571,11 +568,10 @@ def _write_sweep(out: Path, table: SweepTable, fmt: str) -> list:
     path = out / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write("k,p,standard,infinitesimal,delta_gamma\n")
-        for r in table.records:
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g\n"
-                % (r.k, r.p, r.standard, r.infinitesimal, r.delta_gamma)
-            )
+        parts = (table.standard, table.infinitesimal, table.delta_gamma)
+        for q, row in zip(table.p_list, np.stack(parts, axis=2).tolist()):
+            for k, values in enumerate(row, start=1):
+                fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, q, *values))
     return [path]
 
 

@@ -30,7 +30,7 @@ def _real_norm(v: np.ndarray, p: float) -> float:
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     return p
 

@@ -96,6 +96,13 @@ class TestDualScalar:
         back = dual_root(dual_pow(a, 2.3), 2.3)
         assert_dual_close(back, a.s, a.i, 1e-10, 1e-10)
 
+    def test_pow_and_root_reject_bad_p(self):
+        a = DualScalar(1.7, -0.4)
+        for fn in (dual_pow, dual_root):
+            for bad in (0.5, -1.0, math.nan):
+                with pytest.raises(ValueError, match="p must be >= 1"):
+                    fn(a, bad)
+
     def test_log2(self):
         v = dual_log2(DualScalar(2.0, 1.0))
         assert_dual_close(v, 1.0, 1.0 / (2.0 * math.log(2.0)), 1e-12, 1e-12)

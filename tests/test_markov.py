@@ -104,6 +104,15 @@ class TestEffectiveInformation:
         )
         assert effective_information(m) == pytest.approx(expect, abs=1e-12)
 
+    def test_requires_square(self):
+        # 2 x 3 and column-stochastic: the 3 columns are the interventions,
+        # but EI averages over the row count n
+        wide = np.array([[0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            effective_information(wide)
+        with pytest.raises(ValueError, match="dual_effective_information needs"):
+            dual_effective_information(DualMatrix(wide, np.zeros((2, 3))))
+
     def test_bounds_on_random(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -262,7 +262,10 @@ def test_decomposition_input_matches_matrix_input(make):
         assert delta_gamma(d, k, 1.3) == pytest.approx(
             delta_gamma(a.s, k, 1.3), rel=1e-12, abs=1e-14
         )
-    assert norm_sweep(d, (1.0, 1.5)) == norm_sweep(a, (1.0, 1.5))
+    shared, direct = norm_sweep(d, (1.0, 1.5)), norm_sweep(a, (1.0, 1.5))
+    assert shared.p_list == direct.p_list
+    for part in ("standard", "infinitesimal", "delta_gamma"):
+        assert getattr(shared, part).tobytes() == getattr(direct, part).tobytes()
     if np.all(a.s > 0):  # a transition matrix: coarse-grain it
         for k in range(1, 4):
             direct, shared = coarse_grain(a, k), coarse_grain(d, k)

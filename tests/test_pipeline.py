@@ -12,7 +12,6 @@ import dualce
 from dualce import (
     DualMatrix,
     PipelineConfig,
-    SweepRecord,
     SweepTable,
     WITH_INFINITESIMAL,
     WITHOUT_INFINITESIMAL,
@@ -52,35 +51,42 @@ class TestNormSweep:
         p = DualMatrix(random_permutation_matrix(rng, 6), np.zeros((6, 6)))
         table = norm_sweep(p, (1.0, 1.5))
         assert table.rank == 6
-        assert len(table.records) == 12
-        for r in table.records:
-            assert r.infinitesimal == pytest.approx(0.0, abs=1e-12)
-            assert r.standard == pytest.approx(r.k ** (1.0 / r.p), abs=1e-10)
+        for part in (table.standard, table.infinitesimal, table.delta_gamma):
+            assert part.shape == (2, 6)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 1.0
+        ks = np.arange(1, 7)
+        for q, standard, infinitesimal in zip(
+            table.p_list, table.standard, table.infinitesimal
+        ):
+            assert infinitesimal == pytest.approx(np.zeros(6), abs=1e-12)
+            assert standard == pytest.approx(ks ** (1.0 / q), abs=1e-10)
 
     def test_standard_part_structure(self):
         rng = np.random.default_rng(1)
         p = random_dtpm(rng, 7)
         table = norm_sweep(p, (1.3, 1.9))
-        for q in (1.3, 1.9):
-            col = table.column(q)
-            vals = [r.standard for r in col]
+        assert table.p_list == (1.3, 1.9)
+        for q, vals, infinitesimal in zip(
+            table.p_list, table.standard, table.infinitesimal
+        ):
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             # k = rank specializes to the Schatten norm
             assert vals[-1] == pytest.approx(schatten_norm(p, q).s, abs=1e-9)
             # cross-check against the closed forms
-            for r in col:
-                expect = reference_ky_fan(p, r.k, q)
-                assert r.standard == pytest.approx(expect.s, abs=1e-8)
-                assert r.infinitesimal == pytest.approx(expect.i, abs=1e-8)
+            for k in range(1, table.rank + 1):
+                expect = reference_ky_fan(p, k, q)
+                assert vals[k - 1] == pytest.approx(expect.s, abs=1e-8)
+                assert infinitesimal[k - 1] == pytest.approx(expect.i, abs=1e-8)
 
     def test_p_one_dispatch(self):
         rng = np.random.default_rng(2)
         p = random_dtpm(rng, 5)
         table = norm_sweep(p, (1.0,))
-        for r in table.column(1.0):
-            direct = reference_ky_fan(p, r.k, 1.0)
-            assert r.standard == pytest.approx(direct.s, abs=1e-12)
-            assert r.infinitesimal == pytest.approx(direct.i, abs=1e-12)
+        for k in range(1, table.rank + 1):
+            direct = reference_ky_fan(p, k, 1.0)
+            assert table.standard[0, k - 1] == pytest.approx(direct.s, abs=1e-12)
+            assert table.infinitesimal[0, k - 1] == pytest.approx(direct.i, abs=1e-12)
 
     def test_decomposes_once(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -102,16 +108,19 @@ class TestNormSweep:
         p = matrix_with_sigmas(rng, 6, 6, [3.0, 2.0, 2.0, 2.0, 0.7, 0.3])
         table = norm_sweep(p, (1.0, 1.3, 1.9))
         assert table.rank == 6
-        for r in table.records:
-            if r.p == 1.0:
-                direct = ky_fan_norm(p, r.k)
-            else:
-                direct = ky_fan_pk_norm(p, r.k, r.p)
-            assert r.standard == pytest.approx(direct.s, rel=1e-12)
-            assert r.infinitesimal == pytest.approx(direct.i, rel=1e-12, abs=1e-13)
-            assert r.delta_gamma == pytest.approx(
-                delta_gamma(p.s, r.k, r.p), rel=1e-12, abs=1e-13
-            )
+        for j, q in enumerate(table.p_list):
+            for k in range(1, 7):
+                if q == 1.0:
+                    direct = ky_fan_norm(p, k)
+                else:
+                    direct = ky_fan_pk_norm(p, k, q)
+                assert table.standard[j, k - 1] == pytest.approx(direct.s, rel=1e-12)
+                assert table.infinitesimal[j, k - 1] == pytest.approx(
+                    direct.i, rel=1e-12, abs=1e-13
+                )
+                assert table.delta_gamma[j, k - 1] == pytest.approx(
+                    delta_gamma(p.s, k, q), rel=1e-12, abs=1e-13
+                )
 
     @pytest.mark.parametrize(
         "sigmas",
@@ -133,14 +142,17 @@ class TestNormSweep:
         assert d.rank == len(sigmas)
         p_list = (1.0, 1.3, 1.6, 1.9, 1.99)
         table = norm_sweep(d, p_list)
-        assert [(r.k, r.p) for r in table.records] == [
-            (k, q) for q in p_list for k in range(1, d.rank + 1)
-        ]
-        for r in table.records:
-            ref = ky_fan_pk_norm(d, r.k, r.p)
-            assert abs(r.standard - ref.s) <= 1e-12 * abs(ref.s)
-            assert abs(r.infinitesimal - ref.i) <= 1e-12 * abs(ref.i)
-            assert abs(r.delta_gamma - delta_gamma(d, r.k, r.p)) <= 1e-14
+        assert table.p_list == p_list
+        assert table.standard.shape == (len(p_list), d.rank)
+        for j, q in enumerate(p_list):
+            for k in range(1, d.rank + 1):
+                ref = ky_fan_pk_norm(d, k, q)
+                standard = table.standard[j, k - 1]
+                infinitesimal = table.infinitesimal[j, k - 1]
+                assert abs(standard - ref.s) <= 1e-12 * abs(ref.s)
+                assert abs(infinitesimal - ref.i) <= 1e-12 * abs(ref.i)
+                gamma = table.delta_gamma[j, k - 1]
+                assert abs(gamma - delta_gamma(d, k, q)) <= 1e-14
 
     def test_input_validation(self):
         rng = np.random.default_rng(3)
@@ -154,11 +166,11 @@ class TestNormSweep:
 
 
 def make_table(per_p_infinitesimals, p_list):
-    records = []
-    for q, col in zip(p_list, per_p_infinitesimals):
-        for k, val in enumerate(col, start=1):
-            records.append(SweepRecord(k, q, float(k), float(val), 0.0))
-    return SweepTable(tuple(records), tuple(p_list), len(per_p_infinitesimals[0]))
+    infinitesimal = np.array(per_p_infinitesimals, dtype=float)
+    ks = np.arange(1.0, infinitesimal.shape[1] + 1)
+    standard = np.broadcast_to(ks, infinitesimal.shape)
+    gamma = np.zeros_like(infinitesimal)
+    return SweepTable(tuple(p_list), standard, infinitesimal, gamma)
 
 
 class TestDetectK:
@@ -238,6 +250,13 @@ class TestKmeans:
     def test_k_larger_than_points(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((2, 2)), 3, seed=0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        # max_iter < 1 runs no Lloyd step, so no point would get a label
+        pts = np.array([[0.0], [1.0], [5.0]])
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            kmeans(pts, 2, 0, max_iter=max_iter)
 
     def test_memory_is_linear_in_k(self):
         # coarse_grain clusters n points of dimension 2k.  At n = 85 and
@@ -361,6 +380,15 @@ class TestCoarseGrain:
         with pytest.raises(ValueError):
             coarse_grain(random_dtpm(rng, 4), 2, method="sideways")
 
+    def test_rejects_counts_that_cannot_work(self):
+        # both fail before the decomposition, naming the parameter; with
+        # max_iter = 0 no point gets a label, and retries = -1 runs no k-means
+        p = random_dtpm(np.random.default_rng(14), 4)
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+            coarse_grain(p, 2, max_iter=0)
+        with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
+            coarse_grain(p, 2, retries=-1)
+
 
 class TestConfig:
     def test_child_seeds_are_distinct_and_stable(self):
@@ -434,7 +462,9 @@ class TestAnalyze:
         n = 2 * (2 + 2) + 1
         assert res.m.shape == (n, n)
         assert res.p.shape == (n, n)
-        assert len(res.sweep.records) == res.sweep.rank * len(tiny_config.p_list)
+        shape = (len(tiny_config.p_list), res.sweep.rank)
+        sweep = res.sweep
+        assert sweep.infinitesimal.shape == sweep.delta_gamma.shape == shape
         assert 1 <= res.detection.k_star <= res.sweep.rank
         assert set(res.coarse) == {WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL}
         assert res.ei_micro >= 0.0

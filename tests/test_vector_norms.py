@@ -61,10 +61,12 @@ def test_zero_standard_part(p):
 
 
 def test_rejects_bad_p():
+    # NaN fails p < 1 as well as p >= 1; the check must still name p
     x = DualVector([1.0], [0.0])
-    for bad in (0.5, 0.0, -1.0):
-        with pytest.raises(ValueError):
-            dual_vector_norm(x, bad)
+    for norm in (dual_vector_norm, dual_vector_norm_elementwise):
+        for bad in (0.5, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="p must satisfy 1 <= p <= inf"):
+                norm(x, bad)
 
 
 class TestAxioms:

@@ -17,6 +17,8 @@ import numpy as np
 
 # dm_inverse refuses standard parts whose condition number exceeds this.
 CONDITION_LIMIT = 1e12
+# dm_is_orthogonal's bound on the Frobenius errors it tests.
+ORTHOGONAL_TOL = 1e-10
 
 _LN2 = math.log(2.0)
 
@@ -321,15 +323,15 @@ def check_square(a, name: str) -> None:
         raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
 
 
-def dm_inverse(a: DualMatrix, cond_limit: float = CONDITION_LIMIT) -> DualMatrix:
+def dm_inverse(a: DualMatrix) -> DualMatrix:
     """Inverse of a square dual matrix: A_s^-1 - A_s^-1 A_i A_s^-1 eps.
 
     Raises numpy.linalg.LinAlgError when A_s is singular or its condition
-    number exceeds cond_limit.
+    number exceeds CONDITION_LIMIT.
     """
     check_square(a, "dual inverse")
     cond = np.linalg.cond(a.s)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
             f"standard part too ill-conditioned to invert (cond ~ {cond:.3e})"
         )
@@ -337,14 +339,15 @@ def dm_inverse(a: DualMatrix, cond_limit: float = CONDITION_LIMIT) -> DualMatrix
     return DualMatrix(s_inv, -s_inv @ a.i @ s_inv)
 
 
-def dm_is_orthogonal(a: DualMatrix, tol: float = 1e-10) -> bool:
-    """True when A_s is orthogonal and A_s^T A_i is skew-symmetric, to tol."""
+def dm_is_orthogonal(a: DualMatrix) -> bool:
+    """True when A_s is orthogonal and A_s^T A_i is skew-symmetric, to
+    ORTHOGONAL_TOL in the Frobenius norm."""
     m, n = a.shape
     if m != n:
         return False
     eye_err = np.linalg.norm(a.s.T @ a.s - np.eye(n))
     skew_err = np.linalg.norm(sym(a.s.T @ a.i))
-    return eye_err <= tol and skew_err <= tol
+    return eye_err <= ORTHOGONAL_TOL and skew_err <= ORTHOGONAL_TOL
 
 
 def dm_random_orthogonal(n: int, seed: int) -> DualMatrix:

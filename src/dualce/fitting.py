@@ -187,29 +187,19 @@ def _zero_sum_projector(mask: np.ndarray) -> _ColumnSet:
     return _ColumnSet(project, ~mask)
 
 
-def project_zero_sum_masked(v, s) -> np.ndarray:
-    """Projection of a vector onto {u: sum(u) = 0, u_j >= 0 for j in s}.
+def project_zero_sum_masked(v, mask) -> np.ndarray:
+    """Projection of a vector onto {u: sum(u) = 0, u_j >= 0 where mask_j}.
 
-    s is a boolean mask or an iterable of 0-based integer indices; a
-    non-integer or out-of-range index raises ValueError.  With s empty the
-    result is v minus its mean; with s covering every index and the mean
-    positive, everything clips to 0 (the only feasible point dominates).
+    mask is a boolean array of v's shape.  With mask all False the result
+    is v minus its mean; with mask all True and the mean positive,
+    everything clips to 0 (the only feasible point dominates).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_zero_sum_masked expects a nonempty 1-D vector")
-    mask = np.zeros(v.shape[0], dtype=bool)
-    s = np.asarray(s)
-    if s.dtype == bool:
-        if s.shape != v.shape:
-            raise ValueError("boolean mask must match the vector shape")
-        mask = s
-    elif s.size:
-        if not np.issubdtype(s.dtype, np.integer):
-            raise ValueError(f"indices must be integers, got dtype {s.dtype}")
-        if s.min() < 0 or s.max() >= v.size:
-            raise ValueError(f"indices must lie in [0, {v.size})")
-        mask[s] = True
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != v.shape:
+        raise ValueError("mask must be a boolean array of the vector's shape")
     return _zero_sum_projector(mask[:, None]).project(v[:, None])[:, 0]
 
 
@@ -426,12 +416,14 @@ def fit_standard(
     Accelerated projected gradient from the uniform matrix; every iterate
     has exactly stochastic columns, so the returned matrix is feasible even
     when not converged.  gram is ``_gram(x_s)`` when the caller already has
-    it.
+    it.  A non-finite entry of x_s or y_s raises ValueError.
     """
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     if x_s.shape != y_s.shape or x_s.ndim != 2:
         raise ValueError("X_s and Y_s must be equal-shape 2-D arrays")
+    if not (np.isfinite(x_s).all() and np.isfinite(y_s).all()):
+        raise ValueError("X_s and Y_s must contain only finite values")
     n = x_s.shape[0]
     xxt, lipschitz = _gram(x_s) if gram is None else gram
     p0 = np.full((n, n), 1.0 / n)
@@ -453,8 +445,11 @@ def fit_infinitesimal(
     columns of P_i summing to zero and nonnegativity on the zero pattern of
     P_s (entries below the threshold).  Starts from the zero matrix, which
     is feasible.  gram is ``_gram(pair.x.s)``, when the caller already has it.
+    A non-finite entry of p_s raises ValueError.
     """
     p_s = np.asarray(p_s, dtype=float)
+    if not np.isfinite(p_s).all():
+        raise ValueError("P_s must contain only finite values")
     n = p_s.shape[0]
     x_s, x_i = pair.x.s, pair.x.i
     r = pair.y.i - p_s @ x_i

@@ -11,6 +11,7 @@ the branch points we care about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,14 +42,15 @@ def fd_directional(
     """Estimate the one-sided directional derivative of f at x along u.
 
     x and u may be floats or numpy arrays of the same shape; f maps that
-    point type to a float.  t_schedule must be strictly decreasing and
-    positive.  Evaluation failures of f propagate to the caller.
+    point type to a float.  t_schedule must be strictly decreasing, with
+    every step in (0, inf).  Evaluation failures of f propagate to the
+    caller.
     """
     ts = [float(t) for t in t_schedule]
     if not ts:
         raise ValueError("t_schedule must be nonempty")
-    if any(t <= 0 for t in ts):
-        raise ValueError("t_schedule entries must be positive")
+    if not all(0.0 < t < math.inf for t in ts):
+        raise ValueError(f"t_schedule entries must be positive and finite, got {ts}")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_schedule must be strictly decreasing")
 

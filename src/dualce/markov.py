@@ -17,16 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, check_square, dm_inverse
+from .core import DualMatrix, DualScalar, check_square
 from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
+# is_dynamically_reversible's bound on |P_s - permutation| and on |P_i|.
+REVERSIBILITY_TOL = 1e-9
 
 _LN2 = math.log(2.0)
 
 
-def validate_tpm(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
-    """Check that p is square, finite, entrywise >= 0, with unit column sums."""
+def validate_tpm(p: np.ndarray) -> np.ndarray:
+    """Check that p is square, finite, entrywise >= 0, with column sums 1 to
+    STOCHASTIC_TOL."""
     p = np.asarray(p, dtype=float)
     check_square(p, "a TPM")
     if not np.all(np.isfinite(p)):
@@ -34,21 +37,22 @@ def validate_tpm(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     if np.min(p) < 0.0:
         raise ValueError(f"TPM has a negative entry: {np.min(p)}")
     col_err = np.max(np.abs(p.sum(axis=0) - 1.0))
-    if col_err > tol:
+    if col_err > STOCHASTIC_TOL:
         raise ValueError(f"TPM columns must sum to 1 (max error {col_err:.3e})")
     return p
 
 
-def validate_dtpm(p: DualMatrix, tol: float = STOCHASTIC_TOL) -> DualMatrix:
+def validate_dtpm(p: DualMatrix) -> DualMatrix:
     """Check the dual-TPM invariants.
 
-    Standard part is a valid TPM; infinitesimal columns sum to zero; the
-    infinitesimal part is nonnegative wherever the standard part is exactly
-    zero (quantize fitted inputs before validating).
+    Standard part is a valid TPM; infinitesimal columns sum to zero (both
+    sums to STOCHASTIC_TOL); the infinitesimal part is nonnegative wherever
+    the standard part is exactly zero (quantize fitted inputs before
+    validating).
     """
-    validate_tpm(p.s, tol)
+    validate_tpm(p.s)
     col_err = np.max(np.abs(p.i.sum(axis=0)))
-    if col_err > tol:
+    if col_err > STOCHASTIC_TOL:
         raise ValueError(
             f"infinitesimal columns must sum to 0 (max error {col_err:.3e})"
         )
@@ -66,10 +70,13 @@ def effective_information(p: np.ndarray) -> float:
     """EI of an n x n column-stochastic matrix, uniform intervention prior.
 
     (1/n) sum over positive entries of P_jk (log2 P_jk - log2(rowsum_j / n)).
-    log2 n at permutations, 0 when all columns are identical.
+    log2 n at permutations, 0 when all columns are identical.  A negative or
+    non-finite entry raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     check_square(p, "effective_information")
+    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise ValueError("effective_information needs finite, nonnegative entries")
     n = p.shape[0]
     rows = p.sum(axis=1)
     jj, _ = np.nonzero(p > 0.0)
@@ -89,7 +96,8 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
         - ([P_s]_jk / ln2) (rowsum_i)_j / (rowsum_s)_j
     then subtracts [P_i]_jk log2((rowsum_s)_j / n) over all k in rows with
     (rowsum_s)_j > 0, all divided by n.  Entries outside these index sets
-    contribute 0, matching the standard part's log convention.
+    contribute 0, matching the standard part's log convention.  A negative
+    entry of P_s raises ValueError.
     """
     check_square(p, "dual_effective_information")
     p_s, p_i = p.s, p.i
@@ -118,57 +126,24 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     return DualScalar(ei_s, (term1 - term2) / n)
 
 
-def _is_permutation(m: np.ndarray, tol: float) -> bool:
-    n = m.shape[0]
-    if m.shape != (n, n):
-        return False
+def _is_permutation(m: np.ndarray) -> bool:
+    """Whether the square m is within REVERSIBILITY_TOL of a permutation."""
     ones = m > 0.5
-    rounded = ones.astype(float)
-    if np.max(np.abs(m - rounded)) > tol:
+    if np.max(np.abs(m - ones)) > REVERSIBILITY_TOL:
         return False
     return bool(
         np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)
     )
 
 
-def _satisfies_dtpm(q: DualMatrix, tol: float) -> bool:
-    if np.min(q.s) < -tol:
-        return False
-    if np.max(np.abs(q.s.sum(axis=0) - 1.0)) > tol:
-        return False
-    if np.max(np.abs(q.i.sum(axis=0))) > tol:
-        return False
-    zero_support = np.abs(q.s) <= tol
-    if np.any(q.i[zero_support] < -tol):
-        return False
-    return True
-
-
-def is_dynamically_reversible(p: DualMatrix, tol: float = 1e-9) -> bool:
+def is_dynamically_reversible(p: DualMatrix) -> bool:
     """Whether the dual inverse of a dual TPM is itself a dual TPM.
 
-    Computed two ways: directly (invert, re-validate to tol) and through the
-    characterization that such matrices are exactly the permutations with
-    zero infinitesimal part.  The two routes must agree; a disagreement is a
-    RuntimeError rather than a silent pick.
+    Decided by the characterization: exactly when P_s is a permutation and
+    P_i = O, both to REVERSIBILITY_TOL.  Nothing is inverted.
     """
     check_square(p, "reversibility")
-    by_perm = _is_permutation(p.s, tol) and float(np.max(np.abs(p.i))) <= tol
-
-    by_inverse = False
-    try:
-        q = dm_inverse(p)
-    except np.linalg.LinAlgError:
-        q = None
-    if q is not None:
-        by_inverse = _satisfies_dtpm(q, tol)
-
-    if by_perm != by_inverse:
-        raise RuntimeError(
-            f"reversibility routes disagree: permutation={by_perm}, "
-            f"inverse={by_inverse}"
-        )
-    return by_perm
+    return _is_permutation(p.s) and float(np.max(np.abs(p.i))) <= REVERSIBILITY_TOL
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,6 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
 class CoarseGraining:
     """Hard assignment of micro states to k macro states."""
 
-    phi: np.ndarray  # n x k, one-hot rows
     upsilon: np.ndarray  # k x k reduced TPM
     labels: np.ndarray
     method: str
@@ -303,16 +302,22 @@ def coarse_grain(
     raw = phi.T @ p.s @ phi
     upsilon = raw / raw.sum(axis=0, keepdims=True)
     validate_tpm(upsilon)
-    return CoarseGraining(phi, upsilon, labels, method, k, seed_used)
+    return CoarseGraining(upsilon, labels, method, k, seed_used)
+
+
+def _plain(value):
+    """value with numpy scalars as the Python numbers they hold and a list
+    as a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(q) for q in value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _same_kind(value, default) -> bool:
-    """Whether a config value has the type of the field's default; an int
-    may stand for a float, and a list of numbers for the p_list tuple."""
+    """Whether a plain config value has the type of the field's default; an
+    int may stand for a float, and a tuple of numbers for p_list."""
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(
-            _same_kind(q, 1.0) for q in value
-        )
+        return isinstance(value, tuple) and all(_same_kind(q, 1.0) for q in value)
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
     return isinstance(value, (int, float) if isinstance(default, float) else int)
@@ -344,8 +349,12 @@ class PipelineConfig:
     trajectories > 1 fits the stacked snapshots of that many runs of t
     steps, each from its own random start.
 
-    Construction raises ValueError for a value out of range: the dumbbell
-    fields through DumbbellConfig, the others against _MINIMUM.
+    Construction raises ValueError for a value of the wrong type (each field
+    takes the type of its default, where a numpy scalar counts as the
+    Python number it holds and an int may stand for a float) or out of
+    range: the dumbbell fields through DumbbellConfig, the others against
+    _MINIMUM.  p_list is stored as a tuple of floats and numpy scalars as
+    Python numbers.
     """
 
     far_weight: int = 25
@@ -366,7 +375,15 @@ class PipelineConfig:
     trajectories: int = 1
 
     def __post_init__(self):
-        _check_p_list(self.p_list)
+        for field in dataclasses.fields(self):
+            value = _plain(getattr(self, field.name))
+            if not _same_kind(value, field.default):
+                kind = type(field.default).__name__
+                raise ValueError(
+                    f"config key {field.name!r} must be {kind}, got {value!r}"
+                )
+            object.__setattr__(self, field.name, value)
+        object.__setattr__(self, "p_list", _check_p_list(self.p_list))
         for name, low in _MINIMUM.items():
             value = getattr(self, name)
             if not low <= value < math.inf:
@@ -404,17 +421,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(d) - set(defaults)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in d.items():
-            if not _same_kind(value, defaults[name]):
-                kind = type(defaults[name]).__name__
-                raise ValueError(f"config key {name!r} must be {kind}, got {value!r}")
-        if "p_list" in d:
-            d = dict(d)
-            d["p_list"] = tuple(float(q) for q in d["p_list"])
         return cls(**d)
 
 

@@ -10,8 +10,10 @@ from dualce import (
     DualMatrix,
     DualScalar,
     DualVector,
+    dm_inverse,
     group_singular_values,
     sym,
+    validate_dtpm,
 )
 
 settings.register_profile(
@@ -111,6 +113,27 @@ def random_permutation_matrix(rng, n):
     m = np.zeros((n, n))
     m[perm, np.arange(n)] = 1.0
     return m
+
+
+def permutation_with_drift(perm, off):
+    """The DTPM perm + P_i eps: P_i is `off` (>= 0) off perm's support, and
+    each column's hot entry absorbs the column sum."""
+    rows, cols = np.nonzero(perm)
+    p_i = np.array(off, dtype=float)
+    p_i[rows, cols] = 0.0
+    p_i[rows, cols] = -p_i.sum(axis=0)[cols]
+    return DualMatrix(perm, p_i)
+
+
+def inverse_is_dtpm(p):
+    """Dynamical reversibility from its definition: the dual inverse of p
+    exists and is a dual TPM.  The reference for is_dynamically_reversible,
+    which decides it by the permutation characterization instead."""
+    try:
+        validate_dtpm(dm_inverse(p))
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    return True
 
 
 def fd_check(closed, estimate, tol=None):

@@ -55,7 +55,9 @@ from dualce import (
     spectral_norm,
 )
 from tests.conftest import (
+    inverse_is_dtpm,
     matrix_with_sigmas,
+    permutation_with_drift,
     random_dtpm,
     random_dual_matrix,
     random_permutation_matrix,
@@ -365,23 +367,35 @@ def test_ei_extremes():
 
 
 def test_reversibility_characterization():
+    # Every input is also decided by the definition (inverse_is_dtpm), which
+    # must agree with the characterization is_dynamically_reversible uses.
     rng = np.random.default_rng(31)
+    disagree = 0
+
+    def decide(p):
+        nonlocal disagree
+        got = is_dynamically_reversible(p)
+        disagree += got != inverse_is_dtpm(p)
+        return got
+
     false_pos = 0
     for _ in range(500):
         n = int(rng.integers(2, 11))
-        if is_dynamically_reversible(random_dtpm(rng, n)):
-            false_pos += 1
-    false_neg = 0
-    for trial in range(20):
-        n = (2, 5, 17, 85)[trial % 4]
-        perm = random_permutation_matrix(rng, n)
-        if not is_dynamically_reversible(DualMatrix(perm, np.zeros((n, n)))):
-            false_neg += 1
+        false_pos += decide(random_dtpm(rng, n))
+    perms = [random_permutation_matrix(rng, (2, 5, 17, 85)[t % 4]) for t in range(20)]
+    false_neg = sum(not decide(DualMatrix(q, np.zeros(q.shape))) for q in perms)
+    for perm in perms:
+        drift = 1e-6 * rng.uniform(0.0, 1.0, size=perm.shape)
+        false_pos += decide(permutation_with_drift(perm, drift))
+    doubly = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    false_pos += decide(DualMatrix(doubly, np.zeros((3, 3))))
     check(
-        false_pos == 0 and false_neg == 0,
+        false_pos == 0 and false_neg == 0 and disagree == 0,
         "reversibility characterization",
-        f"500 random chains: {false_pos} wrongly reversible; "
-        f"20 permutations: {false_neg} wrongly irreversible",
+        f"500 random chains, 20 permutations with a 1e-6 drift and a doubly "
+        f"stochastic non-permutation: {false_pos} wrongly reversible; "
+        f"20 permutations: {false_neg} wrongly irreversible; "
+        f"{disagree} disagreements with the definition",
     )
 
 

@@ -268,18 +268,12 @@ class TestProjectSimplex:
 class TestProjectZeroSumMasked:
     def test_empty_mask_demeans(self):
         v = np.array([3.0, 1.0, -1.0])
-        u = project_zero_sum_masked(v, [])
+        u = project_zero_sum_masked(v, np.zeros(3, dtype=bool))
         assert np.allclose(u, v - v.mean(), atol=1e-12)
 
     def test_full_mask_with_positive_mean(self):
-        u = project_zero_sum_masked(np.array([3.0, -1.0]), [0, 1])
+        u = project_zero_sum_masked(np.array([3.0, -1.0]), np.ones(2, dtype=bool))
         assert np.allclose(u, [0.0, 0.0], atol=1e-12)
-
-    def test_boolean_and_index_masks_agree(self):
-        v = np.array([1.0, -2.0, 0.5])
-        a = project_zero_sum_masked(v, np.array([True, False, True]))
-        b = project_zero_sum_masked(v, [0, 2])
-        assert np.array_equal(a, b)
 
     def test_feasible_and_idempotent(self):
         rng = np.random.default_rng(3)
@@ -316,16 +310,16 @@ class TestProjectZeroSumMasked:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            project_zero_sum_masked(np.zeros((2, 2)), [])
+            project_zero_sum_masked(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            project_zero_sum_masked(np.array([]), [])
-        with pytest.raises(ValueError):
+            project_zero_sum_masked(np.array([]), np.array([], dtype=bool))
+        with pytest.raises(ValueError, match="boolean array"):
             project_zero_sum_masked(np.array([1.0, 2.0]), np.array([True]))
 
-    @pytest.mark.parametrize("s", [[1.5], [1.0], [-1], [0, 3]])
+    @pytest.mark.parametrize("s", [[1.5], [1.0], [-1], [0, 3], [0, 2]])
     def test_bad_indices_rejected(self, s):
-        # Not index 1 for 1.5, nor the last index for -1.
-        with pytest.raises(ValueError, match="indices"):
+        # Index lists, in range or not, are not masks.
+        with pytest.raises(ValueError, match="boolean array"):
             project_zero_sum_masked(np.array([1.0, -2.0, 0.5]), s)
 
 
@@ -630,6 +624,19 @@ class TestFitStandard:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, which, bad, monkeypatch):
+        def no_gram(x_s):
+            raise AssertionError("the Gram matrix was formed")
+
+        monkeypatch.setattr(fitting, "_gram", no_gram)
+        x = np.full((3, 5), 1.0 / 3)
+        y = x.copy()
+        (x if which == "x" else y)[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_standard(x, y)
+
     def test_tiny_instance_matches_grid(self):
         # n=2: each column of P has one free parameter; scan both on a grid
         rng = np.random.default_rng(10)
@@ -677,6 +684,17 @@ class TestFitInfinitesimal:
         )
         stage = fit_infinitesimal(pair, p_s)
         assert np.max(np.abs(stage.matrix)) == 0.0
+
+    def test_non_finite_standard_part_rejected(self, monkeypatch):
+        def no_gram(x_s):
+            raise AssertionError("the Gram matrix was formed")
+
+        monkeypatch.setattr(fitting, "_gram", no_gram)
+        x = DualMatrix(np.eye(3), np.zeros((3, 3)))
+        p_s = np.full((3, 3), 1.0 / 3)
+        p_s[0, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_infinitesimal(fitting.SnapshotPair(x, x), p_s)
 
     def test_zero_pattern_threshold(self):
         # with X_s = I the fit projects each column of R = Y_i onto the

@@ -28,6 +28,8 @@ from dualce.markov import (
 )
 from tests.conftest import (
     fd_check,
+    inverse_is_dtpm,
+    permutation_with_drift,
     random_dtpm,
     random_permutation_matrix,
     random_tpm,
@@ -113,6 +115,19 @@ class TestEffectiveInformation:
         with pytest.raises(ValueError, match="dual_effective_information needs"):
             dual_effective_information(DualMatrix(wide, np.zeros((2, 3))))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[[-0.5, 0.5], [1.5, 0.5]], [[np.nan, 0.5], [0.5, 0.5]],
+         [[np.inf, 0.5], [0.5, 0.5]]],
+    )
+    def test_bad_entries_rejected(self, bad):
+        bad = np.array(bad)
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            effective_information(bad)
+        if np.isfinite(bad).all():
+            with pytest.raises(ValueError, match="finite, nonnegative"):
+                dual_effective_information(DualMatrix(bad, np.zeros((2, 2))))
+
     def test_bounds_on_random(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -147,32 +162,50 @@ class TestDualEffectiveInformation:
             assert abs(v.s) <= 1e-12 and abs(v.i) <= 1e-12
 
 
+def assert_reversible(p, expected):
+    """is_dynamically_reversible gives `expected`, and so does its
+    definition, inverse_is_dtpm."""
+    __tracebackinfo__ = False
+    assert is_dynamically_reversible(p) is expected
+    assert inverse_is_dtpm(p) is expected
+
+
 class TestReversibility:
     def test_permutations_with_zero_infinitesimal(self):
         rng = np.random.default_rng(7)
         for n in (2, 4, 9):
             perm = random_permutation_matrix(rng, n)
-            assert is_dynamically_reversible(DualMatrix(perm, np.zeros((n, n))))
+            assert_reversible(DualMatrix(perm, np.zeros((n, n))), True)
 
     def test_permutation_with_drift_is_not(self):
-        # admissible drift: nonnegative on the zero support, with the hot
-        # entry of each column absorbing the column sum
         rng = np.random.default_rng(8)
         perm = random_permutation_matrix(rng, 4)
-        p_i = np.abs(rng.standard_normal((4, 4)))
-        for col in range(4):
-            hot = np.flatnonzero(perm[:, col] > 0.5)[0]
-            p_i[hot, col] = -(p_i[:, col].sum() - p_i[hot, col])
-        validate_dtpm(DualMatrix(perm, p_i))
-        assert not is_dynamically_reversible(DualMatrix(perm, p_i))
+        off = np.abs(rng.standard_normal((4, 4)))
+        for scale in (1.0, 1e-6):
+            p = permutation_with_drift(perm, scale * off)
+            validate_dtpm(p)
+            assert_reversible(p, False)
+
+    def test_drift_just_above_tolerance(self):
+        # 0.5e-9 off the cyclic permutation and -2e-9 on it: an admissible
+        # drift whose inverse is within 1e-9 of a DTPM, but P_i != O.
+        perm = np.roll(np.eye(5), 1, axis=0)
+        p = permutation_with_drift(perm, np.full((5, 5), 0.5e-9))
+        assert np.allclose(p.i[perm > 0.5], -2e-9, rtol=0, atol=1e-24)
+        validate_dtpm(p)
+        assert_reversible(p, False)
+
+    def test_doubly_stochastic_non_permutation(self):
+        p_s = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        assert_reversible(DualMatrix(p_s, np.zeros((3, 3))), False)
 
     def test_random_dtpms_are_not(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            assert not is_dynamically_reversible(random_dtpm(rng, 5))
+            assert_reversible(random_dtpm(rng, 5), False)
 
     def test_identity_is_reversible(self):
-        assert is_dynamically_reversible(DualMatrix(np.eye(3), np.zeros((3, 3))))
+        assert_reversible(DualMatrix(np.eye(3), np.zeros((3, 3))), True)
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -238,7 +271,7 @@ class TestDumbbellDtpm:
         p = validate_dtpm(dumbbell_dtpm(cfg))
         assert np.array_equal(p.s, dumbbell_tpm(cfg))
         target = p.s + p.i
-        validate_tpm(target, tol=1e-12)
+        validate_tpm(target)
         labels = np.repeat(np.arange(5), cfg.block_sizes)
         for block in range(5):
             cols = target[:, labels == block]

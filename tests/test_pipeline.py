@@ -350,7 +350,7 @@ class TestCoarseGrain:
         rng = np.random.default_rng(9)
         cg = coarse_grain(random_dtpm(rng, 5), 1, seed=0)
         assert cg.upsilon == pytest.approx(np.ones((1, 1)))
-        assert np.array_equal(cg.phi, np.ones((5, 1)))
+        assert np.array_equal(cg.labels, np.zeros(5, dtype=int))
 
     def test_methods_agree_when_infinitesimal_is_zero(self):
         rng = np.random.default_rng(10)
@@ -363,9 +363,12 @@ class TestCoarseGrain:
         rng = np.random.default_rng(11)
         p = random_dtpm(rng, 7)
         cg = coarse_grain(p, 3, seed=2)
-        assert np.array_equal(cg.phi.sum(axis=1), np.ones(7))
-        validate_tpm(cg.upsilon)
         assert sorted(set(cg.labels)) == [0, 1, 2]
+        # Phi, one one-hot row per state, is rebuilt from the labels.
+        phi = np.eye(3)[cg.labels]
+        raw = phi.T @ p.s @ phi
+        assert np.array_equal(cg.upsilon, raw / raw.sum(axis=0, keepdims=True))
+        validate_tpm(cg.upsilon)
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(12)
@@ -421,6 +424,19 @@ class TestConfig:
     def test_mistyped_values_rejected(self, entry):
         with pytest.raises(ValueError, match=next(iter(entry))):
             PipelineConfig.from_dict(entry)
+
+    @pytest.mark.parametrize(
+        "entry", [{"drift": "no"}, {"t": 5.5}, {"seed": 1.5}, {"p_list": [1.3, "1.6"]}],
+    )
+    def test_mistyped_values_rejected_at_construction(self, entry):
+        with pytest.raises(ValueError, match=f"config key '{next(iter(entry))}'"):
+            PipelineConfig(**entry)
+
+    def test_plain_values_stored(self):
+        cfg = PipelineConfig(p_list=[1.3], seed=np.int64(3), fit_tol=np.float32(0.5))
+        plain = PipelineConfig(p_list=(1.3,), seed=3, fit_tol=0.5)
+        assert cfg == plain and hash(cfg) == hash(plain)
+        assert type(cfg.seed) is int and type(cfg.fit_tol) is float
 
     @pytest.mark.parametrize(
         "entry",

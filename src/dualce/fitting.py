@@ -4,9 +4,10 @@ Two constrained least-squares problems are solved in succession: the standard
 part minimizes ||Y_s - P X_s||_F over column-stochastic P, then the
 infinitesimal part minimizes ||Y_i - P_s X_i - P_i X_s||_F over matrices
 whose columns sum to zero and are nonnegative on the zero pattern of P_s.
-Both feasible sets are products of per-column convex sets with cheap exact
-projections, so an accelerated projected-gradient method (FISTA with
-adaptive restart) solves them without external solver dependencies.
+Both feasible sets are products of per-column sets {u: sum(u) = b, u_j >= 0
+where masked}, b = 1 and b = 0, with one exact sort-and-prefix-sum projection
+(``_column_projector``), so an accelerated projected-gradient method (FISTA
+with adaptive restart) solves them without external solver dependencies.
 
 FISTA stops when the objective stalls and the gradient mapping
 G(P) = (P - proj(P - step g)) / step passes the first-order test
@@ -110,27 +111,53 @@ class _ColumnSet(NamedTuple):
     free: np.ndarray
 
 
-def _simplex_projector(shape) -> _ColumnSet:
-    """Projection of every column of an n x c matrix onto the unit simplex.
+def _column_projector(mask: np.ndarray, b: float) -> _ColumnSet:
+    """Projection of each column of an n x c matrix onto
+    {u: sum(u) = b, u_j >= 0 where mask_j}, built once per mask.
 
-    Works on the transposed layout, one row per column, so the sort and the
-    prefix sums run along contiguous memory.
+    The multiplier lam solves sum_free (v_j - lam) + sum_masked
+    max(v_j - lam, 0) = b.  Breakpoints key_j (v_j where masked, +inf where
+    free) are sorted in descending order and the values summed in that
+    order, free ones first by index.  With S_j the j-th prefix sum and
+    lam_j = (S_j - b) / (j + 1), the cut is rho = #{j: key_j > lam_j} - 1.
+    The counted j form a prefix: key_j > lam_j means that
+    (S_j - b) - (j + 1) key_j < 0, and over sorted keys that never decreases.
+    An all-masked column at b = 0 counts none (key_j is the least value
+    lam_j averages), so rho is clamped to 0: lam is the largest breakpoint
+    and the column clips to zero, its only feasible point.  Rows of the
+    transposed layout hold v's columns, so sorts and prefix sums run along
+    contiguous memory.
     """
-    n, c = shape
+    n, c = mask.shape
     counts = np.arange(1, n + 1, dtype=float)
     rows = np.arange(c)
+    mask_t = np.ascontiguousarray(mask.T)
+    cols_free, rows_free = np.nonzero(~mask_t)
+    # Each column's free entries, column by column, as flat indices into v
+    # and into the transposed layout, and the slots they take once that is
+    # sorted: row r starts with as many as column r of v has free entries.
+    gather = rows_free * c + cols_free
+    free_t = cols_free * n + rows_free
+    slots = np.flatnonzero(np.arange(n) < np.count_nonzero(~mask_t, axis=1)[:, None])
+    # A maximum with -inf leaves a value as it is, -0.0 included, so the clip
+    # acts on masked entries only.
+    lower = np.where(mask, 0.0, -np.inf)
 
     def project(v: np.ndarray) -> np.ndarray:
-        u = np.ascontiguousarray(v.T)
-        u.sort(axis=1)
-        u = u[:, ::-1]
-        css = np.cumsum(u, axis=1) - 1.0
-        # The condition below holds on a prefix of each row; rho is its end.
-        rho = np.count_nonzero(u > css / counts, axis=1) - 1
-        theta = css[rows, rho] / (rho + 1.0)
-        return np.maximum(v - theta, 0.0)
+        keys = v.T.copy()
+        keys.put(free_t, np.inf)
+        keys.sort(axis=1)
+        keys = keys[:, ::-1]
+        vals = keys.copy()
+        vals.put(slots, np.take(v, gather))
+        lam = np.cumsum(vals, axis=1)
+        lam -= b
+        lam /= counts
+        rho = np.count_nonzero(keys > lam, axis=1) - 1
+        out = v - lam[rows, np.maximum(rho, 0)]
+        return np.maximum(out, lower, out=out)
 
-    return _ColumnSet(project, np.zeros(shape, dtype=bool))
+    return _ColumnSet(project, ~mask)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -138,61 +165,15 @@ def project_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("project_simplex expects a nonempty 1-D vector")
-    return _simplex_projector((v.size, 1)).project(v[:, None])[:, 0]
-
-
-def _zero_sum_projector(mask: np.ndarray) -> _ColumnSet:
-    """Per-column projection onto {u: sum(u) = 0, u_j >= 0 for mask_j}.
-
-    The multiplier solves sum_free (v_j - lam) + sum_masked max(v_j - lam, 0)
-    = 0.  Masked coordinates get breakpoint v_j and free ones +inf (they are
-    active at every lam), so scanning prefix cuts of the breakpoints in
-    descending order finds the root exactly.  Everything that depends only on
-    the mask is built once here.  Work runs on the transposed layout, one row
-    per column of v.  Prefix sums add the free values in index order, then
-    the masked ones in descending order.  Tied breakpoints are equal values,
-    so how the sort orders them can change only the sign of a zero lam, and
-    only in an all-masked column, whose clip returns +0.0 either way.
-    """
-    n, c = mask.shape
-    mask_t = np.ascontiguousarray(mask.T)
-    cols_free, rows_free = np.nonzero(~mask_t)
-    # Flat indices into v of each column's free entries, column by column.
-    gather = rows_free * c + cols_free
-    # Row r of the transposed layout starts with as many slots as column r
-    # of v has free entries.
-    free_prefix = np.arange(n)[None, :] < np.count_nonzero(~mask_t, axis=1)[:, None]
-    counts = np.arange(1, n + 1, dtype=float)
-    rows = np.arange(c)
-    floor = np.full((c, 1), -np.inf)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        keys = np.where(mask_t, v.T, np.inf)
-        hi = np.sort(keys, axis=1)[:, ::-1]
-        vals = hi.copy()
-        vals[free_prefix] = np.take(v, gather)
-        lam = np.cumsum(vals, axis=1) / counts
-        lo = np.concatenate([hi[:, 1:], floor], axis=1)
-        valid = (lam <= hi) & (lam >= lo)
-        cut = np.argmax(valid, axis=1)
-        # Roundoff can push a root just outside its closed interval; a row
-        # with no valid cut takes the one its root violates least.
-        lost = ~valid[rows, cut]
-        if lost.any():
-            viol = np.maximum(lo[lost] - lam[lost], lam[lost] - hi[lost])
-            cut[lost] = np.argmin(viol, axis=1)
-        out = v - lam[rows, cut]
-        return np.where(mask, np.maximum(out, 0.0), out)
-
-    return _ColumnSet(project, ~mask)
+    simplex = _column_projector(np.ones((v.size, 1), dtype=bool), 1.0)
+    return simplex.project(v[:, None])[:, 0]
 
 
 def project_zero_sum_masked(v, mask) -> np.ndarray:
     """Projection of a vector onto {u: sum(u) = 0, u_j >= 0 where mask_j}.
 
     mask is a boolean array of v's shape.  With mask all False the result
-    is v minus its mean; with mask all True and the mean positive,
-    everything clips to 0 (the only feasible point dominates).
+    is v minus its mean; with mask all True it is 0, the only feasible point.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -200,7 +181,7 @@ def project_zero_sum_masked(v, mask) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.dtype != bool or mask.shape != v.shape:
         raise ValueError("mask must be a boolean array of the vector's shape")
-    return _zero_sum_projector(mask[:, None]).project(v[:, None])[:, 0]
+    return _column_projector(mask[:, None], 0.0).project(v[:, None])[:, 0]
 
 
 # Smallest allowed value of each FitOptions field: the bounds PipelineConfig
@@ -211,13 +192,16 @@ _FIT_MINIMUM = {"tol": 0.0, "max_iter": 1, "zero_threshold": 0.0}
 @dataclass(frozen=True)
 class FitOptions:
     """Solver settings; construction raises ValueError for a value out of range
-    (a NaN or negative tol would switch the stopping test off)."""
+    (a NaN or negative tol would switch the stopping test off) or a max_iter
+    that is not an integer (a bool included)."""
 
     tol: float = 1e-10
     max_iter: int = 20000
     zero_threshold: float = ZERO_PATTERN_THRESHOLD
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"FitOptions.max_iter must be an integer, got {self.max_iter!r}")
         for name, low in _FIT_MINIMUM.items():
             value = getattr(self, name)
             if not low <= value < math.inf:
@@ -427,8 +411,9 @@ def fit_standard(
     n = x_s.shape[0]
     xxt, lipschitz = _gram(x_s) if gram is None else gram
     p0 = np.full((n, n), 1.0 / n)
+    simplex = _column_projector(np.ones((n, n), dtype=bool), 1.0)
     return _fista(
-        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), _simplex_projector(p0.shape), p0,
+        xxt, y_s @ x_s.T, float(np.sum(y_s * y_s)), simplex, p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 
@@ -457,7 +442,7 @@ def fit_infinitesimal(
     p0 = np.zeros((n, n))
     return _fista(
         xxt, r @ x_s.T, float(np.sum(r * r)),
-        _zero_sum_projector(p_s < opts.zero_threshold), p0,
+        _column_projector(p_s < opts.zero_threshold, 0.0), p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 

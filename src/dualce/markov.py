@@ -153,7 +153,9 @@ class DumbbellConfig:
     Defaults give the 85-node benchmark (25 + 15 + 5 + 15 + 25).  Couplings
     exist only between adjacent blocks; coupling_density is the fraction of
     cross-block entries made nonzero and coupling_scale bounds their raw
-    magnitude before column normalization.
+    magnitude before column normalization.  A block size that is not an
+    integer >= 1 (a bool is not one) raises ValueError, as does a coupling
+    out of range.
     """
 
     far_weight: int = 25
@@ -165,8 +167,9 @@ class DumbbellConfig:
 
     def __post_init__(self):
         for name in ("far_weight", "near_weight", "bar"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise ValueError("coupling_density must be in [0, 1]")
         if not 0.0 < self.coupling_scale < math.inf:

@@ -353,8 +353,9 @@ class PipelineConfig:
     takes the type of its default, where a numpy scalar counts as the
     Python number it holds and an int may stand for a float) or out of
     range: the dumbbell fields through DumbbellConfig, the others against
-    _MINIMUM.  p_list is stored as a tuple of floats and numpy scalars as
-    Python numbers.
+    _MINIMUM.  Numpy scalars are stored as the Python numbers they hold, a
+    float field as a float (so coupling_scale=1 writes 1.0, as 1.0 does; an
+    int past the float range is out of range) and p_list as a tuple of floats.
     """
 
     far_weight: int = 25
@@ -382,6 +383,10 @@ class PipelineConfig:
                 raise ValueError(
                     f"config key {field.name!r} must be {kind}, got {value!r}"
                 )
+            if isinstance(field.default, float):
+                if abs(value) > sys.float_info.max:  # an int past the float range
+                    value = math.inf if value > 0 else -math.inf
+                value = float(value)
             object.__setattr__(self, field.name, value)
         object.__setattr__(self, "p_list", _check_p_list(self.p_list))
         for name, low in _MINIMUM.items():

@@ -151,6 +151,9 @@ def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
             s_i[start:stop] = w[::-1]
             u[:, start:stop] = u[:, start:stop] @ q[:, ::-1]
             v[:, start:stop] = v[:, start:stop] @ q[:, ::-1]
+    # Past the rank the dual singular values are those of B's trailing
+    # corner.  schatten_norm, nuclear_norm and ky_fan_pk_norm with k > rank
+    # read them; norm_sweep and cdsvd stop at the rank.
     corner = np.linalg.svd(b[rank:, rank:], compute_uv=False) if rank < n else []
     sigma = DualVector(
         np.concatenate([s[:rank], np.zeros(n - rank)]), np.concatenate([s_i, corner])

@@ -239,6 +239,11 @@ class TestProjectSimplex:
         on = np.array([0.2, 0.3, 0.5])
         assert np.allclose(project_simplex(on), on, atol=1e-12)
 
+    def test_unsorted_input_left_alone(self):
+        v = np.array([0.3, 0.1, 0.6, -0.2])
+        assert np.allclose(project_simplex(v), [0.3, 0.1, 0.6, 0.0], atol=1e-12)
+        assert np.array_equal(v, [0.3, 0.1, 0.6, -0.2])
+
     def test_feasible_and_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -342,26 +347,41 @@ def projection_cases():
         cases.append((zeros, rng.random((6, 5)) < 0.7))
         cases.append((zeros, np.ones_like(zeros, dtype=bool)))
     cases.append((np.array([[-0.0], [0.0], [-0.0]]), np.array([[False], [True], [True]])))
+    # Exact ties, one column each, "m" marking a masked entry and "f" a free
+    # one: masked breakpoints equal to the root (1, or 0 among the signed
+    # zeros), tied maxima in all-masked columns, and signed-zero
+    # breakpoints.  The arithmetic is exact, so the count cut must give the
+    # reference's multiplier to the bit.
+    for values, kinds in (
+        ([1.0, 1.0, -2.0], "mfm"), ([1.0, 1.0], "fm"), ([3.0, -1.0, 1.0, 0.5], "ffmm"),
+        ([0.0, 2.0, 1.0, -1.0], "fmmm"), ([1.0, 1.0, 1.0, -4.0, 1.0], "mfmmm"),
+        ([2.0, 2.0, -1.0], "mmm"), ([1.0, 1.0, -5.0], "mmm"), ([-1.0, -1.0, -2.0], "mmm"),
+        ([0.5, 0.5, 0.5], "mmm"), ([0.0, -0.0, -0.0], "mmm"), ([-0.0, 0.0], "mm"),
+        ([-0.0, 0.0, -0.0], "fmm"), ([-0.0, 0.0, 0.0], "mfm"),
+        ([1.0, 0.0, -1.0, -0.0], "fmfm"),
+    ):
+        mask = np.array([[kind == "m"] for kind in kinds])
+        cases.append((np.array(values)[:, None], mask))
     return cases
 
 
 class TestProjectorsMatchReference:
     def test_zero_sum_projector_is_bit_equal(self):
         for v, mask in projection_cases():
-            got = fitting._zero_sum_projector(mask).project(v)
+            got = fitting._column_projector(mask, 0.0).project(v)
             assert_bits_equal(got, reference_zero_sum_columns(v, mask))
 
     def test_zero_sum_projector_reuses_its_mask(self):
         rng = np.random.default_rng(15)
         mask = rng.random((30, 20)) < 0.6
-        project = fitting._zero_sum_projector(mask).project
+        project = fitting._column_projector(mask, 0.0).project
         for _ in range(5):
             v = rng.standard_normal((30, 20))
             assert_bits_equal(project(v), reference_zero_sum_columns(v, mask))
 
     def test_simplex_projection_is_bit_equal(self):
         for v, _ in projection_cases():
-            got = fitting._simplex_projector(v.shape).project(v)
+            got = fitting._column_projector(np.ones(v.shape, dtype=bool), 1.0).project(v)
             assert_bits_equal(got, reference_simplex_columns(v))
 
 
@@ -512,8 +532,9 @@ class TestStoppingCost:
 
             return build
 
-        for name in ("_simplex_projector", "_zero_sum_projector"):
-            monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
+        monkeypatch.setattr(
+            fitting, "_column_projector", counting(fitting._column_projector)
+        )
         report = fit_dtpm(solver_instances()["restart"])
         assert report.converged == (True, True)
         assert len(calls) - sum(report.iterations) <= 10
@@ -532,8 +553,9 @@ def bound_cases():
         mask[:, -1] = False
         step = float(rng.uniform(0.05, 2.0))
         for columns, start in (
-            (fitting._simplex_projector((n, c)), np.full((n, c), 1.0 / n)),
-            (fitting._zero_sum_projector(mask), np.zeros((n, c))),
+            (fitting._column_projector(np.ones((n, c), dtype=bool), 1.0),
+             np.full((n, c), 1.0 / n)),
+            (fitting._column_projector(mask, 0.0), np.zeros((n, c))),
         ):
             p = columns.project(rng.standard_normal((n, c)))
             g = rng.standard_normal((n, c))
@@ -563,7 +585,7 @@ class TestFitOptions:
         "field, value",
         [("tol", math.nan), ("tol", -1.0), ("tol", math.inf), ("max_iter", 0),
          ("max_iter", -5), ("zero_threshold", math.nan), ("zero_threshold", -1e-13),
-         ("zero_threshold", math.inf)],
+         ("zero_threshold", math.inf), ("max_iter", 2.5), ("max_iter", True)],
     )
     def test_out_of_range_rejected(self, field, value):
         # A NaN or negative tol would switch the stopping test off.

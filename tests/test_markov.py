@@ -263,6 +263,12 @@ class TestDumbbell:
             DumbbellConfig(coupling_density=1.5)
         with pytest.raises(ValueError):
             DumbbellConfig(coupling_scale=0.0)
+        # A fractional or boolean block size would fail later, inside
+        # dumbbell_tpm, with a TypeError.
+        for name in ("far_weight", "near_weight", "bar"):
+            for value in (2.5, True):
+                with pytest.raises(ValueError, match=name):
+                    DumbbellConfig(**{name: value})
 
 
 class TestDumbbellDtpm:

@@ -437,6 +437,11 @@ class TestConfig:
         plain = PipelineConfig(p_list=(1.3,), seed=3, fit_tol=0.5)
         assert cfg == plain and hash(cfg) == hash(plain)
         assert type(cfg.seed) is int and type(cfg.fit_tol) is float
+        # An int for a float field is stored as a float, so equal configs
+        # write the same config echo.
+        as_int, as_float = PipelineConfig(coupling_scale=1), PipelineConfig(coupling_scale=1.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
 
     @pytest.mark.parametrize(
         "entry",
@@ -444,7 +449,8 @@ class TestConfig:
          {"kmeans_max_iter": 0}, {"kmeans_retries": -1}, {"fit_tol": -1e-10},
          {"fit_tol": float("inf")}, {"zero_threshold": float("nan")},
          {"group_tol": float("nan")}, {"far_weight": 0},
-         {"coupling_density": 1.5}, {"coupling_scale": -1.0}],
+         {"coupling_density": 1.5}, {"coupling_scale": -1.0},
+         {"fit_tol": 10**400}],
     )
     def test_out_of_range_values_rejected(self, entry):
         with pytest.raises(ValueError, match=next(iter(entry))):
@@ -747,7 +753,7 @@ class TestCli:
          ({"t": -3}, []), ({"trajectories": 0}, []), ({"fit_tol": -1}, []),
          ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
          ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
-         ({"coupling_scale": float("nan")}, [])],
+         ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

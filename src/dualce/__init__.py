@@ -17,7 +17,6 @@ from .core import (
     compare,
     dm_inverse,
     dm_is_orthogonal,
-    dm_random_orthogonal,
     dual_abs,
     dual_log2,
     dual_pow,
@@ -26,11 +25,7 @@ from .core import (
     sym,
 )
 from .gateaux import DEFAULT_T_SCHEDULE, FdEstimate, fd_directional
-from .vector_norms import (
-    dual_vector_norm,
-    dual_vector_norm_elementwise,
-    quantize,
-)
+from .vector_norms import dual_vector_norm, quantize
 from .svd import (
     GROUP_TOL,
     RANK_TOL,
@@ -39,11 +34,9 @@ from .svd import (
     Decomposition,
     cdsvd,
     decompose,
-    dual_singular_values,
     group_singular_values,
 )
 from .matrix_norms import (
-    OperatorNormCheck,
     RankDeficiencyWarning,
     dual_det,
     dual_trace,
@@ -52,7 +45,6 @@ from .matrix_norms import (
     ky_fan_pk_norm,
     nuclear_norm,
     operator_inf_norm,
-    operator_norm_ratio_check,
     operator_one_norm,
     schatten_norm,
     spectral_norm,

@@ -348,19 +348,3 @@ def dm_is_orthogonal(a: DualMatrix) -> bool:
     eye_err = np.linalg.norm(a.s.T @ a.s - np.eye(n))
     skew_err = np.linalg.norm(sym(a.s.T @ a.i))
     return eye_err <= ORTHOGONAL_TOL and skew_err <= ORTHOGONAL_TOL
-
-
-def dm_random_orthogonal(n: int, seed: int) -> DualMatrix:
-    """Random dual-orthogonal matrix, deterministic per seed.
-
-    The standard part comes from a QR factorization with the sign convention
-    diag(R) > 0; the infinitesimal part is Q K with K random skew-symmetric,
-    which is exactly the first-order tangent space of the orthogonal group.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    k = skew(rng.standard_normal((n, n)))
-    return DualMatrix(q, q @ k)

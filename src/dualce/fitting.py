@@ -20,6 +20,7 @@ out a pass.  Iterates and stopping are those of projecting at every test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -191,9 +192,10 @@ _FIT_MINIMUM = {"tol": 0.0, "max_iter": 1, "zero_threshold": 0.0}
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver settings; construction raises ValueError for a value out of range
-    (a NaN or negative tol would switch the stopping test off) or a max_iter
-    that is not an integer (a bool included)."""
+    """Solver settings; construction raises ValueError for a tol or
+    zero_threshold that is not a number, a max_iter that is not an integer (a
+    bool is neither), or a value out of range (a NaN or negative tol would
+    switch the stopping test off)."""
 
     tol: float = 1e-10
     max_iter: int = 20000
@@ -204,6 +206,8 @@ class FitOptions:
             raise ValueError(f"FitOptions.max_iter must be an integer, got {self.max_iter!r}")
         for name, low in _FIT_MINIMUM.items():
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"FitOptions.{name} must be a number, got {value!r}")
             if not low <= value < math.inf:
                 raise ValueError(
                     f"FitOptions.{name} must be finite and >= {low}, got {value!r}"

@@ -154,8 +154,8 @@ class DumbbellConfig:
     exist only between adjacent blocks; coupling_density is the fraction of
     cross-block entries made nonzero and coupling_scale bounds their raw
     magnitude before column normalization.  A block size that is not an
-    integer >= 1 (a bool is not one) raises ValueError, as does a coupling
-    out of range.
+    integer >= 1 (a bool is not one) raises ValueError, as do a seed that is
+    not an integer >= 0 and a coupling out of range.
     """
 
     far_weight: int = 25
@@ -166,10 +166,10 @@ class DumbbellConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("far_weight", "near_weight", "bar"):
+        for name, low in (("far_weight", 1), ("near_weight", 1), ("bar", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise ValueError("coupling_density must be in [0, 1]")
         if not 0.0 < self.coupling_scale < math.inf:
@@ -315,7 +315,7 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=float)
     with open(path, "w", newline="") as fh:
         for row in np.atleast_2d(m):
-            fh.write(",".join("%.17g" % v for v in row))
+            fh.write(",".join("%.17g" % v for v in row.tolist()))
             fh.write("\n")
 
 

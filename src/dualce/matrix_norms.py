@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,80 +174,3 @@ def dual_det(a: DualMatrix) -> DualScalar:
     det_s = float(np.linalg.det(a.s))
     adj = _adjugate(a.s)
     return DualScalar(det_s, _inner(adj.T, a.i))
-
-
-@dataclass(frozen=True)
-class OperatorNormCheck:
-    """Sampling report for the induced-norm inequality of an operator norm."""
-
-    norm: DualScalar
-    trials: int
-    violations: int
-    witness_attains: bool
-
-
-def operator_norm_ratio_check(
-    a: DualMatrix,
-    alpha: float,
-    beta: float,
-    trials: int = 100,
-    seed: int = 0,
-) -> OperatorNormCheck:
-    """Check ||A x||_alpha <= ||A||_(alpha,beta) ||x||_beta on random duals.
-
-    Only the implemented operator norms are accepted: (alpha, beta) = (1, 1)
-    for the operator 1-norm and (inf, inf) for the operator infinity-norm.
-    Also builds the attaining vector (standard-part maximizer, x_i = 0) and
-    reports whether it achieves equality in both parts.
-    """
-    alpha, beta = float(alpha), float(beta)
-    if (alpha, beta) == (1.0, 1.0):
-        norm = operator_one_norm(a)
-        work = a
-    elif (alpha, beta) == (math.inf, math.inf):
-        norm = operator_inf_norm(a)
-        work = a.T  # rows of a are columns of a.T
-    else:
-        raise ValueError("only (1, 1) and (inf, inf) operator norms are implemented")
-
-    rng = np.random.default_rng(seed)
-    n = a.shape[1]
-    violations = 0
-    for _ in range(trials):
-        x = DualVector(rng.standard_normal(n), rng.standard_normal(n))
-        lhs = dual_vector_norm(a @ x, alpha)
-        rhs = norm * dual_vector_norm(x, beta)
-        # Tolerate roundoff at the scale of the bound itself.
-        slack = 1e-10 * max(1.0, abs(rhs.s), abs(rhs.i))
-        if lhs.s > rhs.s + slack or (
-            abs(lhs.s - rhs.s) <= slack and lhs.i > rhs.i + slack
-        ):
-            violations += 1
-
-    # Attaining vector.  For the column norm it is the basis vector of the
-    # lexicographically maximal column; for the row norm, the sign pattern
-    # of the maximal row (zeros filled from A_i so the infinitesimal part is
-    # picked up too).
-    cols = [
-        dual_vector_norm(DualVector(work.s[:, j], work.i[:, j]), 1.0)
-        for j in range(work.shape[1])
-    ]
-    j_star = max(range(len(cols)), key=lambda j: (cols[j].s, cols[j].i))
-    if alpha == 1.0:
-        x_s = np.zeros(n)
-        x_s[j_star] = 1.0
-    else:
-        row_s = a.s[j_star, :]
-        row_i = a.i[j_star, :]
-        x_s = np.sign(row_s)
-        fill = x_s == 0.0
-        x_s[fill] = np.where(np.sign(row_i[fill]) == 0.0, 1.0, np.sign(row_i[fill]))
-    witness = DualVector(x_s, np.zeros(n))
-    attained = dual_vector_norm(a @ witness, alpha)
-    bound = norm * dual_vector_norm(witness, beta)
-    tol = 1e-10 * max(1.0, abs(bound.s), abs(bound.i))
-    witness_attains = (
-        abs(attained.s - bound.s) <= tol and abs(attained.i - bound.i) <= tol
-    )
-    return OperatorNormCheck(norm, trials, violations, witness_attains)
-

@@ -232,11 +232,3 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
     if wide:
         res_u, res_v = res_v, res_u
     return CdsvdResult(res_u, sigma, res_v, d.grouping, residual)
-
-
-def dual_singular_values(a: DualMatrix | Decomposition, k: int) -> DualVector:
-    """First k dual singular values of a, 1 <= k <= rank(A_s)."""
-    d = decomposed(a)
-    if not 1 <= k <= d.rank:
-        raise ValueError(f"k must be in 1..{d.rank}, got {k}")
-    return d.sigma[:k]

@@ -1,4 +1,4 @@
-"""Dual-valued vector p-norms, closed form and element-wise.
+"""Dual-valued vector p-norms in closed form.
 
 For x = x_s + x_i eps the norm is ||x_s|| + D_{x_i} ||x_s|| eps whenever
 x_s != 0, with the directional derivative given by the subdifferential max;
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import DualScalar, DualVector, dual_abs, dual_pow, dual_root
+from .core import DualScalar, DualVector
 
 
 def quantize(a: np.ndarray, tol: float) -> np.ndarray:
@@ -74,48 +74,3 @@ def dual_vector_norm(x: DualVector, p: float) -> DualScalar:
     weights = np.sign(xs) * ratio ** (p - 1.0)
     deriv = float(weights @ xi)
     return DualScalar(value, deriv)
-
-
-def dual_vector_norm_elementwise(x: DualVector, p: float) -> DualScalar:
-    """p-norm evaluated entirely in dual-scalar arithmetic.
-
-    Computes (sum_k |x_k|^p)^(1/p) (or the dual max of |x_k| for p = inf)
-    with dual_abs/dual_pow/dual_root, and agrees with dual_vector_norm on
-    the common domain.  For 1 < p < inf an entry with x_s^k = 0 and
-    x_i^k < 0 is rejected: the one-sided limit defining its dual power
-    leaves the domain of t**p, so no value is assigned.  A vector with
-    x_s = 0 falls back to ||x_i||_p eps.
-    """
-    p = _check_p(p)
-    if len(x) == 0:
-        return DualScalar(0.0, 0.0)
-
-    entries = [x[k] for k in range(len(x))]
-
-    if p == 1.0:
-        total = DualScalar(0.0, 0.0)
-        for e in entries:
-            total = total + dual_abs(e)
-        return total
-
-    if math.isinf(p):
-        best = dual_abs(entries[0])
-        for e in entries[1:]:
-            cand = dual_abs(e)
-            if cand > best:
-                best = cand
-        return best
-
-    if not x.s.any():
-        return DualScalar(0.0, _real_norm(x.i, p))
-    bad = (x.s == 0.0) & (x.i < 0.0)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"entry {k} has zero standard part and negative infinitesimal "
-            f"part; its dual {p}-th power is undefined"
-        )
-    total = DualScalar(0.0, 0.0)
-    for e in entries:
-        total = total + dual_pow(dual_abs(e), p)
-    return dual_root(total, p)

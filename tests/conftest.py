@@ -12,6 +12,7 @@ from dualce import (
     DualVector,
     dm_inverse,
     group_singular_values,
+    skew,
     sym,
     validate_dtpm,
 )
@@ -50,6 +51,20 @@ def random_dual_matrix(rng, m, n, min_gap=0.0):
         s = np.linalg.svd(a.s, compute_uv=False)
         if s[-1] > min_gap and np.all(np.diff(-s) > min_gap):
             return a
+
+
+def dm_random_orthogonal(n, seed):
+    """Random dual-orthogonal matrix, deterministic per seed.
+
+    The standard part comes from a QR factorization with the sign convention
+    diag(R) > 0; the infinitesimal part is Q K with K random skew-symmetric,
+    which is exactly the first-order tangent space of the orthogonal group.
+    """
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    k = skew(rng.standard_normal((n, n)))
+    return DualMatrix(q, q @ k)
 
 
 def matrix_with_sigmas(rng, m, n, sigmas):

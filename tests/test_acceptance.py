@@ -28,14 +28,13 @@ from dualce import (
     cdsvd,
     coarse_grain,
     compare,
-    dm_random_orthogonal,
+    decompose,
     dual_abs,
     dual_det,
     dual_effective_information,
     dual_log2,
     dual_pow,
     dual_root,
-    dual_singular_values,
     dual_trace,
     dual_vector_norm,
     dumbbell_dtpm,
@@ -55,6 +54,7 @@ from dualce import (
     spectral_norm,
 )
 from tests.conftest import (
+    dm_random_orthogonal,
     inverse_is_dtpm,
     matrix_with_sigmas,
     permutation_with_drift,
@@ -317,7 +317,7 @@ def test_kyfan_dual_sigma_equivalence():
         assert res.residual <= 1e-8, "factorization residual gate"
         rank = len(res.S)
         for k in (1, 2, min(4, rank)):
-            sv = dual_singular_values(a, k)
+            sv = decompose(a).sigma[:k]
             for p in (1.3, 1.6, 1.9):
                 ref = reference_ky_fan(a, k, p)
                 dev = max(

@@ -2,12 +2,16 @@
 
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dualce
 from dualce import (
     CONDITION_LIMIT,
     DualMatrix,
@@ -16,7 +20,6 @@ from dualce import (
     compare,
     dm_inverse,
     dm_is_orthogonal,
-    dm_random_orthogonal,
     dual_abs,
     dual_log2,
     dual_pow,
@@ -24,7 +27,7 @@ from dualce import (
     skew,
     sym,
 )
-from tests.conftest import assert_dual_close
+from tests.conftest import assert_dual_close, dm_random_orthogonal
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -283,3 +286,21 @@ class TestOrthogonal:
         assert not dm_is_orthogonal(DualMatrix(q.s * 1.001, q.i))
         assert not dm_is_orthogonal(DualMatrix(q.s, q.i + 0.01 * np.eye(4)))
         assert not dm_is_orthogonal(DualMatrix(np.ones((2, 3)), np.zeros((2, 3))))
+
+
+def test_import_needs_only_numpy():
+    # The package ships no test helper: importing it pulls in none of the
+    # test dependencies.
+    code = (
+        "import sys, dualce; "
+        "print(sorted({'pytest', '_pytest', 'hypothesis', 'scipy'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(dualce.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

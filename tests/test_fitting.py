@@ -585,7 +585,8 @@ class TestFitOptions:
         "field, value",
         [("tol", math.nan), ("tol", -1.0), ("tol", math.inf), ("max_iter", 0),
          ("max_iter", -5), ("zero_threshold", math.nan), ("zero_threshold", -1e-13),
-         ("zero_threshold", math.inf), ("max_iter", 2.5), ("max_iter", True)],
+         ("zero_threshold", math.inf), ("max_iter", 2.5), ("max_iter", True),
+         ("tol", "1"), ("tol", True), ("zero_threshold", "0"), ("zero_threshold", None)],
     )
     def test_out_of_range_rejected(self, field, value):
         # A NaN or negative tol would switch the stopping test off.

@@ -269,6 +269,11 @@ class TestDumbbell:
             for value in (2.5, True):
                 with pytest.raises(ValueError, match=name):
                     DumbbellConfig(**{name: value})
+        # A fractional, boolean or negative seed would fail later, inside
+        # numpy's SeedSequence.
+        for value in (2.5, True, -1, "1"):
+            with pytest.raises(ValueError, match="seed"):
+                DumbbellConfig(seed=value)
 
 
 class TestDumbbellDtpm:
@@ -390,3 +395,14 @@ class TestSerialization:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, m)
         assert np.array_equal(read_matrix_csv(path), m)
+
+    def test_csv_bytes_of_edge_values(self, tmp_path):
+        # Signed zeros, a tiny normal, a subnormal and a value with 17
+        # significant digits: the bytes are those of formatting each numpy
+        # scalar, and reading them back gives the same bits.
+        m = np.array([[0.0, -0.0, 1e-300], [5e-324, 1.0 / 3.0, -1.0 / 3.0]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in m)
+        assert path.read_bytes() == expected.encode()
+        assert read_matrix_csv(path).tobytes() == m.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from dualce import (
     DualMatrix,
     cdsvd,
-    dual_singular_values,
+    decompose,
     fd_directional,
     group_singular_values,
     sym,
@@ -122,14 +122,10 @@ class TestDualSigmas:
     def test_dual_singular_values_slice(self):
         rng = np.random.default_rng(8)
         a = random_dual_matrix(rng, 5, 5, min_gap=1e-6)
-        top2 = dual_singular_values(a, 2)
+        top2 = decompose(a).sigma[:2]
         full = cdsvd(a)
         assert np.allclose(top2.s, full.S.s[:2])
         assert np.allclose(top2.i, full.S.i[:2])
-        with pytest.raises(ValueError):
-            dual_singular_values(a, 6)
-        with pytest.raises(ValueError):
-            dual_singular_values(a, 0)
 
 
 class TestGrouping:

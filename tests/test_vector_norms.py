@@ -10,11 +10,13 @@ from dualce import (
     DualVector,
     compare,
     dual_abs,
+    dual_pow,
+    dual_root,
     dual_vector_norm,
-    dual_vector_norm_elementwise,
     fd_directional,
     quantize,
 )
+from dualce.vector_norms import _check_p, _real_norm
 from tests.conftest import assert_dual_close, fd_check, random_dual_vector
 
 P_VALUES = [1.0, 1.3, 2.0, 3.5, math.inf]
@@ -59,6 +61,51 @@ def test_zero_standard_part(p):
     assert v.s == 0.0
     assert v.i == pytest.approx(norm_of(p)(x.i), abs=1e-12)
 
+
+def dual_vector_norm_elementwise(x, p):
+    """p-norm evaluated entirely in dual-scalar arithmetic: the reference
+    for dual_vector_norm's closed form.
+
+    Computes (sum_k |x_k|^p)^(1/p) (or the dual max of |x_k| for p = inf)
+    with dual_abs/dual_pow/dual_root, and agrees with dual_vector_norm on
+    the common domain.  For 1 < p < inf an entry with x_s^k = 0 and
+    x_i^k < 0 is rejected: the one-sided limit defining its dual power
+    leaves the domain of t**p, so no value is assigned.  A vector with
+    x_s = 0 falls back to ||x_i||_p eps.
+    """
+    p = _check_p(p)
+    if len(x) == 0:
+        return DualScalar(0.0, 0.0)
+
+    entries = [x[k] for k in range(len(x))]
+
+    if p == 1.0:
+        total = DualScalar(0.0, 0.0)
+        for e in entries:
+            total = total + dual_abs(e)
+        return total
+
+    if math.isinf(p):
+        best = dual_abs(entries[0])
+        for e in entries[1:]:
+            cand = dual_abs(e)
+            if cand > best:
+                best = cand
+        return best
+
+    if not x.s.any():
+        return DualScalar(0.0, _real_norm(x.i, p))
+    bad = (x.s == 0.0) & (x.i < 0.0)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"entry {k} has zero standard part and negative infinitesimal "
+            f"part; its dual {p}-th power is undefined"
+        )
+    total = DualScalar(0.0, 0.0)
+    for e in entries:
+        total = total + dual_pow(dual_abs(e), p)
+    return dual_root(total, p)
 
 def test_rejects_bad_p():
     # NaN fails p < 1 as well as p >= 1; the check must still name p

@@ -13,6 +13,7 @@ by flooring.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,8 @@ class DumbbellConfig:
     cross-block entries made nonzero and coupling_scale bounds their raw
     magnitude before column normalization.  A block size that is not an
     integer >= 1 (a bool is not one) raises ValueError, as do a seed that is
-    not an integer >= 0 and a coupling out of range.
+    not an integer >= 0 and a coupling that is not a real number (a bool is
+    not one) or is out of range.
     """
 
     far_weight: int = 25
@@ -170,6 +172,10 @@ class DumbbellConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("coupling_density", "coupling_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise ValueError("coupling_density must be in [0, 1]")
         if not 0.0 < self.coupling_scale < math.inf:

@@ -387,7 +387,8 @@ class TestProjectorsMatchReference:
 
 def solver_instances():
     """Small snapshot pairs by name; "restart" is one whose momentum
-    overshoots in both stages, "zero-gram" one with lipschitz == 0."""
+    overshoots in both stages, "zero-gram" one with lipschitz == 0, and
+    "drift-31" a drifting dumbbell with more columns than the screen."""
     rng = np.random.default_rng(16)
 
     def pair_of(x_s, y_s, x_i):
@@ -404,7 +405,13 @@ def solver_instances():
     wide = pair_of(x, y, 0.1 * rng.standard_normal((6, 4)))
     # X_s = 0: the Gram and the Lipschitz constant are zero.
     zero = pair_of(np.zeros((4, 5)), rng.dirichlet(np.ones(4), size=5).T, rng.standard_normal((4, 5)))
-    return {"rich": rich, "restart": restart, "wide-null": wide, "zero-gram": zero}
+    # n = 31, more than SCREEN_COLUMNS: P_s has 7 to 21 zeros per column, so
+    # the P_i columns mix free and masked entries in varying counts.
+    cfg = DumbbellConfig(far_weight=8, near_weight=5, bar=5)
+    drift = build_snapshots(simulate(dumbbell_dtpm(cfg), np.full(cfg.n, 1.0 / cfg.n), 60))
+    return {
+        "rich": rich, "restart": restart, "wide-null": wide, "zero-gram": zero, "drift-31": drift
+    }
 
 
 def reference_standard(pair, opts):
@@ -434,24 +441,24 @@ def reference_infinitesimal(pair, p_s, opts):
 
 @pytest.fixture
 def bound_decisions(monkeypatch):
-    """One entry per stopping test: True when the bound failed it unprojected."""
+    """One entry per stopping test: True when a bound (screened or full)
+    failed it unprojected."""
     decided = []
-    real = fitting._kkt_lower_bound
+    real = fitting._bound_fails
 
-    def recording(p, g, step, free):
-        bound = real(p, g, step, free)
-        limit = fitting.KKT_FACTOR * (1.0 + np.linalg.norm(g))
-        decided.append(bool(bound > (1.0 + fitting.KKT_BOUND_MARGIN) * limit))
-        return bound
+    def recording(*args):
+        fails, screen = real(*args)
+        decided.append(fails)
+        return fails, screen
 
-    monkeypatch.setattr(fitting, "_kkt_lower_bound", recording)
+    monkeypatch.setattr(fitting, "_bound_fails", recording)
     return decided
 
 
 SOLVER_CASES = [
     pytest.param(name, tol, id=name if tol == 1e-12 else f"{name}-tol{tol:g}")
     for tol in (1e-12, 1e-10)
-    for name in ("rich", "restart", "wide-null", "zero-gram")
+    for name in ("rich", "restart", "wide-null", "zero-gram", "drift-31")
 ]
 
 
@@ -539,6 +546,38 @@ class TestStoppingCost:
         assert report.converged == (True, True)
         assert len(calls) - sum(report.iterations) <= 10
 
+    def test_column_screen_spares_full_bounds(self, monkeypatch):
+        """On this instance (n = 11) the screen of SCREEN_COLUMNS columns
+        decides most failing tests, so the bound over every column runs on
+        fewer tests than fire, and the projection count does not grow."""
+        pair = solver_instances()["restart"]
+        n = pair.x.shape[0]
+        assert n > fitting.SCREEN_COLUMNS
+        tests, full, projections = [], [], []
+        real_fails, real_terms = fitting._bound_fails, fitting._kkt_terms
+        real_projector = fitting._column_projector
+
+        def fails(*args):
+            tests.append(1)
+            return real_fails(*args)
+
+        def terms(p, g, step, free):
+            if p.shape[1] == n:
+                full.append(1)
+            return real_terms(p, g, step, free)
+
+        def projector(*args):
+            columns = real_projector(*args)
+            return columns._replace(project=lambda v: projections.append(1) or columns.project(v))
+
+        monkeypatch.setattr(fitting, "_bound_fails", fails)
+        monkeypatch.setattr(fitting, "_kkt_terms", terms)
+        monkeypatch.setattr(fitting, "_column_projector", projector)
+        report = fit_dtpm(pair)
+        assert report.converged == (True, True)
+        assert 0 < len(full) < len(tests)
+        assert len(projections) - sum(report.iterations) <= 10
+
 
 def bound_cases():
     """(p, g, step, columns) with p feasible for columns: random points of
@@ -578,6 +617,22 @@ class TestKktLowerBound:
             # Both sides carry roundoff of about n eps (||p|| / step + ||g||).
             slack = 16 * p.shape[0] * eps * (np.linalg.norm(p) / step + np.linalg.norm(g))
             assert bound <= exact + slack
+
+    def test_column_subset_bound_never_exceeds_the_mapping_norm(self):
+        """The terms of any set of columns bound that set's share of ||G||,
+        which is what the column screen relies on."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(19)
+        for p, g, step, columns in bound_cases():
+            c = p.shape[1]
+            mapped = (p - columns.project(p - step * g)) / step
+            slack = 16 * p.shape[0] * eps * (np.linalg.norm(p) / step + np.linalg.norm(g))
+            subsets = [[0], [c - 1], list(range(0, c, 2)), rng.permutation(c)[: (c + 1) // 2]]
+            for cols in subsets:
+                cols = np.asarray(cols)
+                free = columns.free[:, cols]
+                bound = fitting._kkt_lower_bound(p[:, cols], g[:, cols], step, free)
+                assert bound <= np.linalg.norm(mapped[:, cols]) + slack
 
 
 class TestFitOptions:

@@ -275,6 +275,21 @@ class TestDumbbell:
             with pytest.raises(ValueError, match="seed"):
                 DumbbellConfig(seed=value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("coupling_density", "0.5"), ("coupling_density", None), ("coupling_density", True),
+         ("coupling_density", math.nan), ("coupling_scale", "0.05"), ("coupling_scale", None),
+         ("coupling_scale", True), ("coupling_scale", math.inf)],
+    )
+    def test_coupling_rejected(self, field, value):
+        # A string or None would fail on the range comparison with a TypeError.
+        with pytest.raises(ValueError, match=field):
+            DumbbellConfig(**{field: value})
+
+    def test_coupling_accepts_real_numbers(self):
+        cfg = DumbbellConfig(coupling_density=1, coupling_scale=np.float64(0.5))
+        assert (cfg.coupling_density, cfg.coupling_scale) == (1, 0.5)
+
 
 class TestDumbbellDtpm:
     def test_valid_drift_toward_lumpable_chain(self):

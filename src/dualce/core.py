@@ -323,6 +323,17 @@ def check_square(a, name: str) -> None:
         raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
 
 
+def check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """Raise ValueError naming the argument unless value is an integer (a
+    Python or numpy int; a bool is not one) in low..high, or >= low with no
+    high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+
+
 def dm_inverse(a: DualMatrix) -> DualMatrix:
     """Inverse of a square dual matrix: A_s^-1 - A_s^-1 A_i A_s^-1 eps.
 

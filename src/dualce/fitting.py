@@ -3,7 +3,8 @@
 Two constrained least-squares problems are solved in succession: the standard
 part minimizes ||Y_s - P X_s||_F over column-stochastic P, then the
 infinitesimal part minimizes ||Y_i - P_s X_i - P_i X_s||_F over matrices
-whose columns sum to zero and are nonnegative on the zero pattern of P_s.
+whose columns sum to zero and are nonnegative exactly where P_s == 0, the
+zero support ``validate_dtpm`` checks.
 Both feasible sets are products of per-column sets {u: sum(u) = b, u_j >= 0
 where masked}, b = 1 and b = 0, with one exact sort-and-prefix-sum projection
 (``_column_projector``), so an accelerated projected-gradient method (FISTA
@@ -32,7 +33,6 @@ import numpy as np
 from .core import DualMatrix
 from .markov import validate_dtpm
 
-ZERO_PATTERN_THRESHOLD = 1e-13
 ILL_CONDITION_LIMIT = 1e10
 KKT_FACTOR = 1e-6
 # A stopping test is skipped only when the lower bound clears its threshold
@@ -199,20 +199,19 @@ def project_zero_sum_masked(v, mask) -> np.ndarray:
 
 
 # Smallest allowed value of each FitOptions field: the bounds PipelineConfig
-# puts on fit_tol, fit_max_iter and zero_threshold.
-_FIT_MINIMUM = {"tol": 0.0, "max_iter": 1, "zero_threshold": 0.0}
+# puts on fit_tol and fit_max_iter.
+_FIT_MINIMUM = {"tol": 0.0, "max_iter": 1}
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver settings; construction raises ValueError for a tol or
-    zero_threshold that is not a number, a max_iter that is not an integer (a
-    bool is neither), or a value out of range (a NaN or negative tol would
-    switch the stopping test off)."""
+    """Solver settings; construction raises ValueError for a tol that is
+    not a number, a max_iter that is not an integer (a bool is neither), or a
+    value out of range (a NaN or negative tol would switch the stopping test
+    off)."""
 
     tol: float = 1e-10
     max_iter: int = 20000
-    zero_threshold: float = ZERO_PATTERN_THRESHOLD
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
@@ -250,7 +249,6 @@ class FitReport:
     converged: tuple
     condition_estimate: float
     ill_conditioned: bool
-    zero_threshold: float
 
     def to_dict(self) -> dict:
         return {
@@ -260,7 +258,6 @@ class FitReport:
             "converged": list(self.converged),
             "condition_estimate": self.condition_estimate,
             "ill_conditioned": self.ill_conditioned,
-            "zero_threshold": self.zero_threshold,
         }
 
 
@@ -484,10 +481,10 @@ def fit_infinitesimal(
     """Zero-column-sum least squares for the infinitesimal part.
 
     Minimizes (1/2)||R - P_i X_s||_F^2 with R = Y_i - P_s X_i, subject to
-    columns of P_i summing to zero and nonnegativity on the zero pattern of
-    P_s (entries below the threshold).  Starts from the zero matrix, which
-    is feasible.  gram is ``_gram(pair.x.s)``, when the caller already has it.
-    A non-finite entry of p_s raises ValueError.
+    columns of P_i summing to zero and nonnegativity exactly where
+    P_s == 0, the zero support ``validate_dtpm`` checks.  Starts from the
+    zero matrix, which is feasible.  gram is ``_gram(pair.x.s)``, when the
+    caller already has it.  A non-finite entry of p_s raises ValueError.
     """
     p_s = np.asarray(p_s, dtype=float)
     if not np.isfinite(p_s).all():
@@ -499,7 +496,7 @@ def fit_infinitesimal(
     p0 = np.zeros((n, n))
     return _fista(
         xxt, r @ x_s.T, float(np.sum(r * r)),
-        _column_projector(p_s < opts.zero_threshold, 0.0), p0,
+        _column_projector(p_s == 0.0, 0.0), p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 
@@ -530,5 +527,4 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
         converged=(stage_s.converged, stage_i.converged),
         condition_estimate=cond,
         ill_conditioned=bool(cond > ILL_CONDITION_LIMIT),
-        zero_threshold=float(opts.zero_threshold),
     )

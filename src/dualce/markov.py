@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, check_square
+from .core import DualMatrix, DualScalar, check_integer, check_square
 from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
@@ -268,8 +268,7 @@ def simulate(m, x1: np.ndarray, t: int):
         or abs(float(x1.sum()) - 1.0) > 1e-10
     ):
         raise ValueError("x1 must be a probability vector")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_integer(t, "t", 1)
     out = np.empty((m_s.shape[0], t + 2))
     out[:, 0] = x1
     for step in range(1, t + 2):
@@ -295,8 +294,7 @@ def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:
         p = np.asarray(p, dtype=float)
     check_square(p, "delta_gamma")
     n = p.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    check_integer(k, "k", 1, n)
     p_exp = float(p_exp)
     if not 1.0 <= p_exp < 2.0:
         raise ValueError(f"p must be in [1, 2), got {p_exp}")

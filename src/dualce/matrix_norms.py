@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, DualVector, check_square
+from .core import DualMatrix, DualScalar, DualVector, check_integer, check_square
 from .svd import Decomposition, decomposed
 from .vector_norms import dual_vector_norm
 
@@ -43,12 +43,6 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def _check_k(a: DualMatrix | Decomposition, k: int) -> None:
-    n = min(a.shape)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-
-
 def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScalar:
     """Dual-valued Ky Fan p-k norm, 1 <= p < inf, 1 <= k <= min(m, n).
 
@@ -62,7 +56,7 @@ def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScala
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"ky_fan_pk_norm requires 1 <= p < inf, got {p}")
-    _check_k(a, k)
+    check_integer(k, "k", 1, min(a.shape))
     d = decomposed(a)
     if p > 1.0 and 0 < d.rank < k:
         warnings.warn(

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DualMatrix, check_square
+from .core import DualMatrix, check_integer, check_square
 from .fitting import (
     FitOptions,
     FitReport,
@@ -185,8 +185,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array (one row per point)")
     n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    check_integer(k, "k", 1, n)
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, pts.shape[1]))
@@ -270,9 +269,7 @@ def coarse_grain(
     p = d.matrix
     n = p.shape[0]
     result = cdsvd(d)
-    r = len(result.S)
-    if not 1 <= k <= r:
-        raise ValueError(f"k must be in 1..rank={r}, got {k}")
+    check_integer(k, "k", 1, len(result.S))
     u_s = result.U.s[:, :k]
     u_i = result.U.i[:, :k]
     top = u_s.T @ p.s
@@ -331,7 +328,6 @@ _MINIMUM = {
     "kmeans_max_iter": 1,
     "kmeans_retries": 0,
     "fit_tol": 0.0,
-    "zero_threshold": 0.0,
     "group_tol": 0.0,
 }
 
@@ -369,7 +365,6 @@ class PipelineConfig:
     seed: int = 0
     fit_tol: float = 1e-10
     fit_max_iter: int = 20000
-    zero_threshold: float = 1e-13
     kmeans_max_iter: int = 300
     kmeans_retries: int = 5
     drift: bool = False
@@ -413,11 +408,7 @@ class PipelineConfig:
         )
 
     def fit_options(self) -> FitOptions:
-        return FitOptions(
-            tol=self.fit_tol,
-            max_iter=self.fit_max_iter,
-            zero_threshold=self.zero_threshold,
-        )
+        return FitOptions(tol=self.fit_tol, max_iter=self.fit_max_iter)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -630,7 +621,6 @@ def manifest_payload(result: PipelineResult) -> dict:
             "rank_tol": RANK_TOL,
             "group_tol": cfg.group_tol,
             "stochastic_tol": STOCHASTIC_TOL,
-            "zero_threshold": cfg.zero_threshold,
             "fit_tol": cfg.fit_tol,
         },
         "versions": {

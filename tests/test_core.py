@@ -17,17 +17,21 @@ from dualce import (
     DualMatrix,
     DualScalar,
     DualVector,
+    coarse_grain,
     compare,
+    delta_gamma,
     dm_inverse,
     dm_is_orthogonal,
     dual_abs,
     dual_log2,
     dual_pow,
     dual_root,
+    kmeans,
+    ky_fan_pk_norm,
     skew,
     sym,
 )
-from tests.conftest import assert_dual_close, dm_random_orthogonal
+from tests.conftest import assert_dual_close, dm_random_orthogonal, random_dtpm
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -304,3 +308,29 @@ def test_import_needs_only_numpy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+# Every function taking a class count k, called on a 4-state input of rank 4:
+# each checks k with core.check_integer.
+_P4 = random_dtpm(np.random.default_rng(21), 4)
+K_SITES = {
+    "ky_fan_pk_norm": lambda k: ky_fan_pk_norm(_P4, k, 1.5),
+    "delta_gamma": lambda k: delta_gamma(_P4.s, k, 1.5),
+    "kmeans": lambda k: kmeans(_P4.s.T, k, seed=0),
+    "coarse_grain": lambda k: coarse_grain(_P4, k),
+}
+
+
+@pytest.mark.parametrize("site", sorted(K_SITES))
+@pytest.mark.parametrize("k", [2.5, True, "2", 0, 5])
+def test_k_check_names_k(site, k):
+    # Unchecked, a float or string k reaches numpy as a slice bound or an
+    # array shape (TypeError), and True passes for 1.
+    with pytest.raises(ValueError, match="^k must be"):
+        K_SITES[site](k)
+
+
+@pytest.mark.parametrize("site", sorted(K_SITES))
+def test_k_check_accepts_numpy_integer(site):
+    K_SITES[site](np.int64(1))
+    K_SITES[site](np.int64(4))

@@ -431,7 +431,7 @@ def reference_infinitesimal(pair, p_s, opts):
     n = x_s.shape[0]
     xxt = x_s @ x_s.T
     r = y_i - p_s @ x_i
-    mask = p_s < opts.zero_threshold
+    mask = p_s == 0.0
     return reference_fista(
         xxt, r @ x_s.T, float(np.sum(r * r)),
         lambda v: reference_zero_sum_columns(v, mask),
@@ -639,9 +639,8 @@ class TestFitOptions:
     @pytest.mark.parametrize(
         "field, value",
         [("tol", math.nan), ("tol", -1.0), ("tol", math.inf), ("max_iter", 0),
-         ("max_iter", -5), ("zero_threshold", math.nan), ("zero_threshold", -1e-13),
-         ("zero_threshold", math.inf), ("max_iter", 2.5), ("max_iter", True),
-         ("tol", "1"), ("tol", True), ("zero_threshold", "0"), ("zero_threshold", None)],
+         ("max_iter", -5), ("max_iter", 2.5), ("max_iter", True), ("tol", "1"),
+         ("tol", True)],
     )
     def test_out_of_range_rejected(self, field, value):
         # A NaN or negative tol would switch the stopping test off.
@@ -649,14 +648,13 @@ class TestFitOptions:
             FitOptions(**{field: value})
 
     def test_edges_accepted(self):
-        opts = FitOptions(tol=0.0, max_iter=1, zero_threshold=0.0)
-        assert (opts.tol, opts.max_iter, opts.zero_threshold) == (0.0, 1, 0.0)
+        opts = FitOptions(tol=0.0, max_iter=1)
+        assert (opts.tol, opts.max_iter) == (0.0, 1)
 
     def test_bounds_match_pipeline_config(self):
         from dualce import pipeline
 
-        for key, field in (("fit_tol", "tol"), ("fit_max_iter", "max_iter"),
-                           ("zero_threshold", "zero_threshold")):
+        for key, field in (("fit_tol", "tol"), ("fit_max_iter", "max_iter")):
             assert pipeline._MINIMUM[key] == fitting._FIT_MINIMUM[field]
 
 
@@ -777,7 +775,9 @@ class TestFitInfinitesimal:
     def test_zero_pattern_threshold(self):
         # with X_s = I the fit projects each column of R = Y_i onto the
         # feasible set; column 0 pulls every row but the last below zero, and
-        # at the default 1e-13 only the entries 0 and 5e-14 are held at >= 0
+        # the zero pattern has no threshold: only the exact zero is held at
+        # >= 0, and 5e-14 is no zero of P_s, so P_i is free there, as
+        # validate_dtpm reads it
         p_s = np.full((4, 4), 0.25)
         p_s[:, 0] = [0.0, 5e-14, 1e-12, 1.0]
         y_i = np.zeros((4, 4))
@@ -786,9 +786,9 @@ class TestFitInfinitesimal:
             DualMatrix(np.eye(4), np.zeros((4, 4))), DualMatrix(np.eye(4), y_i)
         )
         stage = fit_infinitesimal(pair, p_s)
-        assert FitOptions().zero_threshold == 1e-13
-        assert np.allclose(stage.matrix[:, 0], [0.0, 0.0, -2.0, 2.0], atol=1e-9)
-        assert np.min(stage.matrix[:2, 0]) >= 0.0
+        expected = [0.0, -4.0 / 3.0, -4.0 / 3.0, 8.0 / 3.0]
+        assert np.allclose(stage.matrix[:, 0], expected, atol=1e-9)
+        assert stage.matrix[0, 0] >= 0.0
         assert np.max(np.abs(stage.matrix[:, 1:])) <= 1e-12
 
 
@@ -810,15 +810,12 @@ class TestFitDtpm:
         validate_dtpm(report.p)
         assert report.objective_s >= 0 and report.objective_i >= 0
         assert len(report.iterations) == 2 and len(report.converged) == 2
-        assert report.zero_threshold == 1e-13
         assert report.condition_estimate >= 1.0
-        payload = report.to_dict()
-        assert payload["zero_threshold"] == 1e-13
 
     def test_infinitesimal_respects_sign_mask(self, small_run):
         p = small_run.p
-        mask = p.s < small_run.zero_threshold
-        assert np.min(p.i[mask], initial=0.0) >= -1e-12
+        mask = p.s == 0.0
+        assert np.min(p.i[mask], initial=0.0) >= 0.0
         assert np.max(np.abs(p.i.sum(axis=0))) <= 1e-12
 
     def test_long_horizon_flags_conditioning(self):

@@ -358,6 +358,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(m, np.array([1.0]), 3)
 
+    @pytest.mark.parametrize("t", [5.5, True, "3", 0])
+    def test_t_must_be_positive_integer(self, t):
+        # Unchecked, 5.5 fails in range() with a TypeError and True runs one
+        # step.
+        with pytest.raises(ValueError, match="^t must be"):
+            simulate(np.eye(2), np.array([0.5, 0.5]), t)
+
+    def test_numpy_integer_t(self):
+        x1 = np.array([0.5, 0.5])
+        assert simulate(np.eye(2), x1, np.int64(3)).shape == (2, 5)
+
     @pytest.mark.parametrize(
         "x1",
         [[np.nan, 0.5], [1.0, np.nan], [np.inf, 0.5], [np.inf, -np.inf]],

@@ -411,6 +411,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({"speed": 11})
 
+    def test_removed_zero_threshold_rejected(self):
+        # The P_i sign mask is P_s's exact zero support; no threshold is read.
+        with pytest.raises(ValueError, match="unknown config keys: \\['zero_threshold'\\]"):
+            PipelineConfig.from_dict({"zero_threshold": 1e-13})
+
     @pytest.mark.parametrize("p_list", [(), (2.5,), (1.3, 0.5), (float("nan"),)])
     def test_bad_p_list_rejected(self, p_list):
         with pytest.raises(ValueError):
@@ -447,7 +452,7 @@ class TestConfig:
         "entry",
         [{"t": 0}, {"trajectories": -1}, {"fit_max_iter": 0},
          {"kmeans_max_iter": 0}, {"kmeans_retries": -1}, {"fit_tol": -1e-10},
-         {"fit_tol": float("inf")}, {"zero_threshold": float("nan")},
+         {"fit_tol": float("inf")}, {"group_tol": -1e-12},
          {"group_tol": float("nan")}, {"far_weight": 0},
          {"coupling_density": 1.5}, {"coupling_scale": -1.0},
          {"fit_tol": 10**400}],
@@ -459,7 +464,7 @@ class TestConfig:
     def test_range_edges_accepted(self):
         cfg = PipelineConfig(
             t=1, trajectories=1, fit_max_iter=1, kmeans_max_iter=1,
-            kmeans_retries=0, fit_tol=0.0, zero_threshold=0.0, group_tol=0.0,
+            kmeans_retries=0, fit_tol=0.0, group_tol=0.0,
         )
         assert cfg.kmeans_retries == 0
 
@@ -753,7 +758,8 @@ class TestCli:
          ({"t": -3}, []), ({"trajectories": 0}, []), ({"fit_tol": -1}, []),
          ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
          ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
-         ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, [])],
+         ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, []),
+         ({"zero_threshold": 1e-13}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

@@ -29,7 +29,6 @@ from .vector_norms import dual_vector_norm, quantize
 from .svd import (
     GROUP_TOL,
     RANK_TOL,
-    BlockGrouping,
     CdsvdResult,
     Decomposition,
     cdsvd,

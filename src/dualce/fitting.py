@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DualMatrix
+from .core import DualMatrix, check_integer
 from .markov import validate_dtpm
 
 ILL_CONDITION_LIMIT = 1e10
@@ -214,16 +214,14 @@ class FitOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"FitOptions.max_iter must be an integer, got {self.max_iter!r}")
-        for name, low in _FIT_MINIMUM.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"FitOptions.{name} must be a number, got {value!r}")
-            if not low <= value < math.inf:
-                raise ValueError(
-                    f"FitOptions.{name} must be finite and >= {low}, got {value!r}"
-                )
+        check_integer(self.max_iter, "FitOptions.max_iter", _FIT_MINIMUM["max_iter"])
+        low = _FIT_MINIMUM["tol"]
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"FitOptions.tol must be a number, got {self.tol!r}")
+        if not low <= self.tol < math.inf:
+            raise ValueError(
+                f"FitOptions.tol must be finite and >= {low}, got {self.tol!r}"
+            )
 
 
 @dataclass(frozen=True)

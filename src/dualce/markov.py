@@ -169,9 +169,7 @@ class DumbbellConfig:
 
     def __post_init__(self):
         for name, low in (("far_weight", 1), ("near_weight", 1), ("bar", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_integer(getattr(self, name), name, low)
         for name in ("coupling_density", "coupling_scale"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

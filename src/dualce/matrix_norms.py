@@ -148,16 +148,13 @@ def _adjugate(a_s: np.ndarray) -> np.ndarray:
     cond = np.linalg.cond(a_s)
     if np.isfinite(cond) and cond <= ADJUGATE_COND_LIMIT:
         return np.linalg.det(a_s) * np.linalg.inv(a_s)
-    # Singular or ill-conditioned: fall back to cofactors.  adj is still
-    # well-defined there, unlike det * inv.
-    adj = np.empty((n, n))
-    rows = np.arange(n)
-    cols = np.arange(n)
-    for j in range(n):
-        for k in range(n):
-            minor = a_s[np.ix_(rows != k, cols != j)]
-            adj[j, k] = (-1.0) ** (j + k) * np.linalg.det(minor)
-    return adj
+    # Singular or ill-conditioned, where adj is still well-defined but
+    # det * inv is not: with A = U diag(s) V^T, adj(A) = det(U V^T) V
+    # diag(prod_{j != i} s_j) U^T, the products taken as prefix x suffix.
+    u, s, vt = np.linalg.svd(a_s)
+    before = np.cumprod(np.concatenate([[1.0], s[:-1]]))
+    after = np.cumprod(np.concatenate([[1.0], s[:0:-1]]))[::-1]
+    return np.linalg.det(u @ vt) * (vt.T * (before * after)) @ u.T
 
 
 def dual_det(a: DualMatrix) -> DualScalar:

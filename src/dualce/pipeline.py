@@ -177,10 +177,10 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
     if an update empties a cluster; callers reseed and retry.  The n x k
     distance table is filled one center at a time, so no temporary is
     larger than the points themselves; each entry is the same row sum the
-    n x k x dim broadcast would give, bit for bit.  max_iter must be >= 1.
+    n x k x dim broadcast would give, bit for bit.  max_iter must be an
+    integer >= 1.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_integer(max_iter, "max_iter", 1)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array (one row per point)")
@@ -256,14 +256,12 @@ def coarse_grain(
     because column sums equal the (positive) cluster sizes.  The singular
     vectors come from cdsvd of p's decomposition: a Decomposition is used as
     it was built, and a DualMatrix is decomposed at group_tol.  p must be
-    n x n, max_iter >= 1 and retries >= 0.
+    n x n, and max_iter and retries integers, >= 1 and >= 0.
     """
     if method not in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
         raise ValueError(f"unknown method {method!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    check_integer(max_iter, "max_iter", 1)
+    check_integer(retries, "retries", 0)
     check_square(p, "coarse_grain")
     d = decomposed(p, group_tol)
     p = d.matrix
@@ -437,9 +435,9 @@ class PipelineResult:
 
 
 def random_initial_states(n: int, seed: int, count: int) -> list:
-    """count random probability vectors: uniform draws, normalized."""
-    if count < 1:
-        raise ValueError(f"need at least one initial state, got {count}")
+    """count (an integer >= 1) random probability vectors: uniform draws,
+    normalized."""
+    check_integer(count, "count", 1)
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(count):

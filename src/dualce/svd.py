@@ -8,7 +8,8 @@ sym(U_g^T A_i V_g), and the block's singular vector basis is rotated into
 that eigenbasis.  Off-block first-order coupling fixes the rest of U_i, V_i.
 
 The one SVD of the standard part, rotated block by block, is a
-Decomposition.  It carries the dual singular values: with B = U^T A_i V,
+Decomposition; its blocks are the (start, stop) index ranges of the
+repeated values.  It carries the dual singular values: with B = U^T A_i V,
 B_jj on a 1 x 1 block, the descending eigenvalues above on a repeated
 block, and past the rank the singular values of B's trailing corner, the
 growth of rank in the direction A_i.  The dual SVD and every unitarily
@@ -40,32 +41,10 @@ GROUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class BlockGrouping:
-    """Partition of 1..r into blocks of equal (within tolerance) sigma.
-
-    boundaries are half-open index ranges (start, stop) into the singular
-    value vector; distinct_values are the per-block representative values in
-    strictly decreasing order; multiplicities are the block sizes.
-    """
-
-    boundaries: tuple[tuple[int, int], ...]
-    distinct_values: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-
-    def block_of(self, index: int) -> tuple[int, int]:
-        """The (start, stop) block containing a 0-based singular value index."""
-        for a, b in self.boundaries:
-            if a <= index < b:
-                return (a, b)
-        raise IndexError(f"index {index} outside grouped range")
-
-
-@dataclass(frozen=True)
 class CdsvdResult:
     U: DualMatrix
     S: DualVector
     V: DualMatrix
-    grouping: BlockGrouping
     residual: float
 
 
@@ -76,10 +55,11 @@ class Decomposition:
     matrix is the dual matrix decomposed; one with fewer rows than columns
     is decomposed through its transpose, so with m >= n: u (m x m) and
     v (n x n) are full singular vector bases of A_s and s its n singular
-    values, descending.  rank counts s > RANK_TOL * s[0]; grouping blocks
-    the first rank values at the group_tol given to decompose, and each
-    block of u and v is rotated into the eigenbasis of sym(B) on the
-    block, descending, where B = U^T A_i V.  sigma holds the n dual
+    values, descending.  rank counts s > RANK_TOL * s[0]; blocks holds the
+    half-open (start, stop) ranges of the first rank values, grouped at the
+    group_tol given to decompose, and each block of u and v is rotated
+    into the eigenbasis of sym(B) on the block, descending, where
+    B = U^T A_i V.  sigma holds the n dual
     singular values: standard part s with exact zeros past the rank;
     infinitesimal part diag(B) up to the rank (the eigenvalues on a block),
     then the descending singular values of B[rank:, rank:].  No sign
@@ -92,7 +72,7 @@ class Decomposition:
     s: np.ndarray
     v: np.ndarray
     rank: int
-    grouping: BlockGrouping
+    blocks: tuple[tuple[int, int], ...]
     sigma: DualVector
 
     @property
@@ -100,37 +80,26 @@ class Decomposition:
         return self.matrix.shape
 
 
-def group_singular_values(s: np.ndarray, group_tol: float) -> BlockGrouping:
-    """Chain consecutive singular values with gap <= group_tol * s[0]."""
+def group_singular_values(
+    s: np.ndarray, group_tol: float
+) -> tuple[tuple[int, int], ...]:
+    """Half-open (start, stop) blocks of s, chaining consecutive singular
+    values whose gap is <= group_tol * s[0]."""
     if not 0.0 <= group_tol < np.inf:
         raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
-    r = len(s)
-    if r == 0:
-        return BlockGrouping((), (), ())
-    thresh = group_tol * s[0]
-    boundaries = []
-    start = 0
-    for j in range(1, r):
-        if s[j - 1] - s[j] > thresh:
-            boundaries.append((start, j))
-            start = j
-    boundaries.append((start, r))
-    values = tuple(float(np.mean(s[a:b])) for a, b in boundaries)
-    mults = tuple(b - a for a, b in boundaries)
-    return BlockGrouping(tuple(boundaries), values, mults)
+    if len(s) == 0:
+        return ()
+    cuts = (np.flatnonzero(s[:-1] - s[1:] > group_tol * s[0]) + 1).tolist()
+    edges = [0, *cuts, len(s)]
+    return tuple(zip(edges[:-1], edges[1:]))
 
 
 def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each left vector made positive, flipping the
-    # paired right vector too, so outputs are reproducible across runs.
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, v
+    # Largest-magnitude entry of each left vector (the first, on a tie) made
+    # positive, flipping the paired right vector too, so outputs are
+    # reproducible across runs.
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    return np.where(flip, -u, u), np.where(flip, -v, v)
 
 
 def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
@@ -140,12 +109,12 @@ def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
     v = vt.T
     n = s.size
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if n and s[0] > 0.0 else 0
-    grouping = group_singular_values(s[:rank], group_tol)
+    blocks = group_singular_values(s[:rank], group_tol)
     b = u.T @ t.i @ v
     s_i = np.diagonal(b)[:rank].copy()
     # Rotate each repeated block into the eigenbasis of its symmetrized part
     # of B; its eigenvalues, descending, are the block's entries of sigma.
-    for start, stop in grouping.boundaries:
+    for start, stop in blocks:
         if stop - start > 1:
             w, q = np.linalg.eigh(sym(b[start:stop, start:stop]))
             s_i[start:stop] = w[::-1]
@@ -158,7 +127,7 @@ def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
     sigma = DualVector(
         np.concatenate([s[:rank], np.zeros(n - rank)]), np.concatenate([s_i, corner])
     )
-    return Decomposition(a, u, s, v, rank, grouping, sigma)
+    return Decomposition(a, u, s, v, rank, blocks, sigma)
 
 
 def decomposed(
@@ -169,20 +138,21 @@ def decomposed(
 
 
 def _coupling_generators(
-    b: np.ndarray, s: np.ndarray, grouping: BlockGrouping
+    b: np.ndarray, s: np.ndarray, blocks: tuple[tuple[int, int], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve B = Omega_U Sigma + Sigma_i - Sigma Omega_V for the generators.
 
     Entries (j, k) in different blocks solve the 2 x 2 first-order system;
-    inside a block only the skew part of B is determined, split evenly
-    between the two generators.
+    inside a block only the skew part of B is determined; it is split
+    evenly between the two generators, with the block mean of sigma as the
+    in-block scale.
     """
-    gid = np.repeat(np.arange(len(grouping.multiplicities)), grouping.multiplicities)
+    gid = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
     same = gid[:, None] == gid[None, :]
     sj, sk = s[:, None], s[None, :]
     denom = np.where(same, 1.0, sk**2 - sj**2)
-    scale = 2.0 * np.asarray(grouping.distinct_values)[gid][:, None]
-    half_skew = 0.5 * (b - b.T) / scale
+    block_mean = np.array([np.mean(s[start:stop]) for start, stop in blocks])
+    half_skew = 0.5 * (b - b.T) / (2.0 * block_mean[gid][:, None])
     omega_u = np.where(same, half_skew, (sk * b + sj * b.T) / denom)
     omega_v = np.where(same, -half_skew, (sj * b + sk * b.T) / denom)
     return omega_u, omega_v
@@ -216,7 +186,7 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
 
         # First-order coupling, with B taken in the sign-fixed basis.
         b = u.T @ a_i @ v
-        omega_u, omega_v = _coupling_generators(b, s, d.grouping)
+        omega_u, omega_v = _coupling_generators(b, s, d.blocks)
 
         # Components of A_i orthogonal to the compact column spans are folded
         # in where a first-order factor can carry them; what remains is the
@@ -231,4 +201,4 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
         res_u, res_v = DualMatrix(u, u_i), DualMatrix(v, v_i)
     if wide:
         res_u, res_v = res_v, res_u
-    return CdsvdResult(res_u, sigma, res_v, d.grouping, residual)
+    return CdsvdResult(res_u, sigma, res_v, residual)

@@ -97,7 +97,9 @@ def reference_ky_fan(a, k, p):
     u, s, vt = np.linalg.svd(s_part)
     b = u.T @ i_part @ vt.T
     rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    start, stop = group_singular_values(s, GROUP_TOL).block_of(k - 1)
+    start, stop = next(
+        (lo, hi) for lo, hi in group_singular_values(s, GROUP_TOL) if lo < k <= hi
+    )
     value = float(np.sum(s[:k] ** p) ** (1.0 / p))
     if k <= rank:
         lam = np.sort(np.linalg.eigvalsh(sym(b[start:stop, start:stop])))[::-1]

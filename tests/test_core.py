@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from dualce import (
     DualMatrix,
     DualScalar,
     DualVector,
+    DumbbellConfig,
+    FitOptions,
     coarse_grain,
     compare,
     delta_gamma,
@@ -31,6 +34,7 @@ from dualce import (
     skew,
     sym,
 )
+from dualce.pipeline import random_initial_states
 from tests.conftest import assert_dual_close, dm_random_orthogonal, random_dtpm
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -334,3 +338,28 @@ def test_k_check_names_k(site, k):
 def test_k_check_accepts_numpy_integer(site):
     K_SITES[site](np.int64(1))
     K_SITES[site](np.int64(4))
+
+
+# Every other count argument, with the name its message starts with; each
+# is checked with core.check_integer.
+COUNT_SITES = {
+    "kmeans max_iter": ("max_iter", lambda v: kmeans(_P4.s.T, 2, seed=0, max_iter=v)),
+    "coarse_grain max_iter": ("max_iter", lambda v: coarse_grain(_P4, 2, max_iter=v)),
+    "coarse_grain retries": ("retries", lambda v: coarse_grain(_P4, 2, retries=v)),
+    "random_initial_states count": ("count", lambda v: random_initial_states(4, 0, v)),
+    "FitOptions max_iter": ("FitOptions.max_iter", lambda v: FitOptions(max_iter=v)),
+    "DumbbellConfig far_weight": ("far_weight", lambda v: DumbbellConfig(far_weight=v)),
+    "DumbbellConfig near_weight": ("near_weight", lambda v: DumbbellConfig(near_weight=v)),
+    "DumbbellConfig bar": ("bar", lambda v: DumbbellConfig(bar=v)),
+    "DumbbellConfig seed": ("seed", lambda v: DumbbellConfig(seed=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_count_check_names_argument(site, value):
+    # Unchecked, a float or string count reached range() (TypeError), and
+    # True ran as 1.
+    name, call = COUNT_SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+        call(value)

@@ -358,6 +358,22 @@ class TestTraceDet:
         assert d.s == 0.0
         assert d.i == pytest.approx(1.0)  # d/dt det(diag(1+t, t)) at 0
 
+    def test_det_singular_takes_one_svd(self, monkeypatch):
+        # adj(A_s) comes from one SVD: the cofactor expansion it replaced
+        # made n^2 + 1 = 145 det calls here.
+        rng = np.random.default_rng(71)
+        n = 12
+        a_s = rng.standard_normal((n, n))
+        a_s[:, -1] = a_s[:, :-1] @ rng.standard_normal(n - 1)  # rank n - 1
+        a = DualMatrix(a_s, rng.standard_normal((n, n)))
+        det = np.linalg.det
+        calls = []
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m) or det(m))
+        d = dual_det(a)
+        monkeypatch.undo()
+        assert len(calls) <= 3
+        fd_check(d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i))
+
 
 def operator_norm_ratio_check(a, alpha, beta, trials=100, seed=0):
     """Check ||A x||_alpha <= ||A||_(alpha,beta) ||x||_beta on random duals.

@@ -11,7 +11,7 @@ from dualce import (
     group_singular_values,
     sym,
 )
-from dualce.svd import _coupling_generators
+from dualce.svd import _coupling_generators, _signfix_columns
 from tests.conftest import matrix_with_sigmas, random_dual_matrix
 
 
@@ -99,7 +99,7 @@ class TestDualSigmas:
         rng = np.random.default_rng(6)
         a = matrix_with_sigmas(rng, 6, 6, [2.0, 2.0, 2.0, 0.5])
         res = cdsvd(a)
-        blk = res.grouping.block_of(0)
+        blk = decompose(a).blocks[0]
         assert blk == (0, 3)
         lam = res.S.i[blk[0] : blk[1]]
         assert np.all(np.diff(lam) <= 1e-12)  # eigenvalues sorted descending
@@ -131,20 +131,16 @@ class TestDualSigmas:
 class TestGrouping:
     def test_engineered_spectrum(self):
         g = group_singular_values(np.array([4.0, 4.0, 2.0, 2.0, 2.0, 1.0]), 1e-8)
-        assert g.boundaries == ((0, 2), (2, 5), (5, 6))
-        assert g.multiplicities == (2, 3, 1)
-        assert g.distinct_values == (4.0, 2.0, 1.0)
-        assert g.block_of(3) == (2, 5)
-        with pytest.raises(IndexError):
-            g.block_of(6)
+        assert g == ((0, 2), (2, 5), (5, 6))
+        assert all(type(i) is int for block in g for i in block)
 
     def test_tolerance_is_relative(self):
         s = np.array([1.0, 1.0 - 5e-9, 0.5])
-        assert group_singular_values(s, 1e-8).multiplicities == (2, 1)
-        assert group_singular_values(s, 1e-10).multiplicities == (1, 1, 1)
+        assert group_singular_values(s, 1e-8) == ((0, 2), (2, 3))
+        assert group_singular_values(s, 1e-10) == ((0, 1), (1, 2), (2, 3))
 
     def test_empty(self):
-        assert group_singular_values(np.array([]), 1e-8).boundaries == ()
+        assert group_singular_values(np.array([]), 1e-8) == ()
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_bad_tolerance_rejected(self, tol):
@@ -174,16 +170,61 @@ def test_transpose_swaps_factors():
     assert np.allclose(res_t.V.s, res.U.s)
 
 
-def coupling_generators_by_blocks(b, s, grouping):
+def signfix_by_columns(u, v):
+    """Reference: the sign fix one column at a time."""
+    u = u.copy()
+    v = v.copy()
+    for j in range(u.shape[1]):
+        idx = int(np.argmax(np.abs(u[:, j])))
+        if u[idx, j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, v
+
+
+def assert_same_bits(got, expect):
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+class TestSignfix:
+    def test_random_shapes_match_column_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m, n, r = rng.integers(1, 9, size=3)
+            u = rng.standard_normal((m, r))
+            v = rng.standard_normal((n, r))
+            for got, expect in zip(_signfix_columns(u, v), signfix_by_columns(u, v)):
+                assert_same_bits(got, expect)
+
+    def test_ties_and_negative_zero(self):
+        # columns: |max| tied, negative first (flips); tied, positive first
+        # (stays); -0.0 beside a positive maximum (stays -0.0); -0.0 beside
+        # a negative maximum (flips to 0.0); all zeros, the first -0.0
+        u = np.array(
+            [[0.1, 0.2, -0.0, -0.0, -0.0],
+             [-0.5, 0.5, 0.3, -0.3, 0.0],
+             [0.5, -0.5, -0.1, 0.1, -0.0]]
+        )
+        v = np.arange(10.0).reshape(2, 5) - 4.0
+        got_u, got_v = _signfix_columns(u, v)
+        expect_u, expect_v = signfix_by_columns(u, v)
+        assert_same_bits(got_u, expect_u)
+        assert_same_bits(got_v, expect_v)
+        assert np.array_equal(np.signbit(got_u[1]), [False, False, False, False, False])
+        assert np.array_equal(np.signbit(got_u[0]), [True, False, True, False, True])
+
+
+def coupling_generators_by_blocks(b, s, blocks):
     """Reference: the coupling generators filled one block pair at a time."""
     r = len(s)
     omega_u = np.zeros((r, r))
     omega_v = np.zeros((r, r))
-    for gi, (ga, gb) in enumerate(grouping.boundaries):
-        for gj, (ha, hb) in enumerate(grouping.boundaries):
+    for gi, (ga, gb) in enumerate(blocks):
+        for gj, (ha, hb) in enumerate(blocks):
             if gi == gj:
                 blk = b[ga:gb, ha:hb]
-                half_skew = 0.5 * (blk - blk.T) / (2.0 * grouping.distinct_values[gi])
+                half_skew = 0.5 * (blk - blk.T) / (2.0 * float(np.mean(s[ga:gb])))
                 omega_u[ga:gb, ha:hb] = half_skew
                 omega_v[ga:gb, ha:hb] = -half_skew
             else:
@@ -204,9 +245,9 @@ def coupling_generators_by_blocks(b, s, grouping):
 def test_coupling_generators_match_block_loop(sigmas):
     rng = np.random.default_rng(11)
     s = np.array(sigmas)
-    grouping = group_singular_values(s, 1e-8)
+    blocks = group_singular_values(s, 1e-8)
     b = rng.standard_normal((len(s), len(s)))
-    got = _coupling_generators(b, s, grouping)
-    expect = coupling_generators_by_blocks(b, s, grouping)
+    got = _coupling_generators(b, s, blocks)
+    expect = coupling_generators_by_blocks(b, s, blocks)
     assert np.array_equal(got[0], expect[0])
     assert np.array_equal(got[1], expect[1])

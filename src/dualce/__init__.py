@@ -71,7 +71,6 @@ from .fitting import (
     fit_standard,
     project_simplex,
     project_zero_sum_masked,
-    stack_snapshots,
 )
 from .pipeline import (
     WITH_INFINITESIMAL,

@@ -1,4 +1,7 @@
-"""Estimate a dual transition matrix from a simulated trajectory.
+"""Estimate a dual transition matrix from simulated trajectories.
+
+``build_snapshots`` turns one run, or several side by side as
+``markov.simulate`` returns them, into one pair of dual snapshot matrices.
 
 Two constrained least-squares problems are solved in succession: the standard
 part minimizes ||Y_s - P X_s||_F over column-stochastic P, then the
@@ -66,44 +69,35 @@ class SnapshotPair:
             raise ValueError(f"shape mismatch: {self.x.shape} vs {self.y.shape}")
 
 
-def build_snapshots(trajectory) -> SnapshotPair:
-    """Slice a state sequence x_1..x_{T+2} (columns) into snapshot duals.
+def build_snapshots(trajectory, runs: int = 1) -> SnapshotPair:
+    """Snapshot duals of `runs` runs (an integer >= 1) of L >= 3 states each,
+    side by side as `markov.simulate` returns them.
 
-    X_s = columns 1..T, Y_s = columns 2..T+1; the infinitesimal parts are
-    the forward differences of the corresponding slices.  A DualMatrix
-    trajectory (a simulated DTPM) already carries its infinitesimal part,
-    so X = columns 1..T+1 and Y = columns 2..T+2 of it, both parts as given.
+    A real run x_1..x_L becomes the dual run (x_j, x_{j+1} - x_j), j < L; a
+    DualMatrix run (a simulated DTPM) carries its own infinitesimal part.
+    X holds every dual run's columns but its last, and Y all but its first.
     """
     if isinstance(trajectory, DualMatrix):
-        if trajectory.shape[1] < 3:
-            raise ValueError("trajectory must contain at least 3 states")
         s, i = trajectory.s, trajectory.i
-        return SnapshotPair(DualMatrix(s[:, :-1], i[:, :-1]), DualMatrix(s[:, 1:], i[:, 1:]))
-    traj = np.asarray(trajectory, dtype=float)
-    if traj.ndim != 2:
-        raise ValueError("trajectory must be a 2-D array of state columns")
-    t = traj.shape[1] - 2
-    if t < 1:
-        raise ValueError("trajectory must contain at least 3 states")
-    x_s = traj[:, 0:t]
-    x_i = traj[:, 1 : t + 1] - traj[:, 0:t]
-    y_s = traj[:, 1 : t + 1]
-    y_i = traj[:, 2 : t + 2] - traj[:, 1 : t + 1]
-    return SnapshotPair(DualMatrix(x_s, x_i), DualMatrix(y_s, y_i))
+    else:
+        s, i = np.asarray(trajectory, dtype=float), None
+        if s.ndim != 2:
+            raise ValueError("trajectory must be a 2-D array of state columns")
+    check_integer(runs, "runs", 1)
+    n, width = s.shape
+    if width % runs or width // runs < 3:
+        raise ValueError(f"{width} states are not {runs} runs of at least 3 states")
+    s = s.reshape(n, runs, -1)
+    if i is None:
+        i = np.diff(s, axis=2)
+        s = s[:, :, :-1]
+    else:
+        i = i.reshape(n, runs, -1)
 
+    def cut(cols):
+        return DualMatrix(s[:, :, cols].reshape(n, -1), i[:, :, cols].reshape(n, -1))
 
-def stack_snapshots(pairs) -> SnapshotPair:
-    """Side-by-side columns of several trajectories' snapshot pairs."""
-    pairs = list(pairs)
-    if len(pairs) == 1:
-        return pairs[0]
-
-    def stack(part):
-        return DualMatrix(
-            np.hstack([part(q).s for q in pairs]), np.hstack([part(q).i for q in pairs])
-        )
-
-    return SnapshotPair(stack(lambda q: q.x), stack(lambda q: q.y))
+    return SnapshotPair(cut(slice(None, -1)), cut(slice(1, None)))
 
 
 class _ColumnSet(NamedTuple):

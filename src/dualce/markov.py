@@ -8,6 +8,9 @@ whose entries are nonnegative wherever the standard entry vanishes.
 Effective information treats the columns as interventions over a uniform
 prior; zero-probability entries contribute exactly 0, by branch rather than
 by flooring.
+
+`simulate` runs one start or many in one call, the runs side by side in the
+layout `fitting.build_snapshots` splits with its `runs` argument.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ def validate_tpm(p: np.ndarray) -> np.ndarray:
     STOCHASTIC_TOL."""
     p = np.asarray(p, dtype=float)
     check_square(p, "a TPM")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("TPM must contain only finite values")
-    if np.min(p) < 0.0:
-        raise ValueError(f"TPM has a negative entry: {np.min(p)}")
-    col_err = np.max(np.abs(p.sum(axis=0) - 1.0))
+    if p.min() < 0.0:
+        raise ValueError(f"TPM has a negative entry: {p.min()}")
+    col_err = np.abs(p.sum(axis=0) - 1.0).max()
     if col_err > STOCHASTIC_TOL:
         raise ValueError(f"TPM columns must sum to 1 (max error {col_err:.3e})")
     return p
@@ -52,7 +55,7 @@ def validate_dtpm(p: DualMatrix) -> DualMatrix:
     validating).
     """
     validate_tpm(p.s)
-    col_err = np.max(np.abs(p.i.sum(axis=0)))
+    col_err = np.abs(p.i.sum(axis=0)).max()
     if col_err > STOCHASTIC_TOL:
         raise ValueError(
             f"infinitesimal columns must sum to 0 (max error {col_err:.3e})"
@@ -246,7 +249,14 @@ def dumbbell_dtpm(cfg: DumbbellConfig) -> DualMatrix:
 
 
 def simulate(m, x1: np.ndarray, t: int):
-    """Propagate x_{t+1} = M x_t; returns the n x (T+2) matrix of x_1..x_{T+2}.
+    """Propagate x_{t+1} = M x_t from one start or from r starts.
+
+    x1 is one start (a vector of length n) or r starts (the columns of an
+    n x r matrix), each a probability vector.  The result holds each run's
+    x_1..x_{T+2} as T + 2 columns, the runs side by side: n x r(T+2).  The
+    chain is validated once per call, and each step is one stacked
+    matrix-vector product over the r runs, so every run is bit for bit the
+    run simulated alone.
 
     A DualMatrix M (a DTPM) is propagated in dual arithmetic from
     x_1 + 0 eps, so the result is a DualMatrix whose infinitesimal columns
@@ -257,26 +267,31 @@ def simulate(m, x1: np.ndarray, t: int):
         m_s, m_i = m.s, m.i
     else:
         m_s, m_i = validate_tpm(m), None
+    n = m_s.shape[0]
     x1 = np.asarray(x1, dtype=float)
-    if x1.shape != (m_s.shape[0],):
-        raise ValueError(f"x1 must have shape ({m_s.shape[0]},), got {x1.shape}")
-    if (
-        not np.isfinite(x1).all()
-        or np.min(x1) < 0.0
-        or abs(float(x1.sum()) - 1.0) > 1e-10
-    ):
-        raise ValueError("x1 must be a probability vector")
+    if x1.ndim not in (1, 2) or x1.shape[0] != n or x1.size == 0:
+        raise ValueError(f"x1 must be a vector or columns of length {n}, got {x1.shape}")
+    starts = x1.reshape(n, -1).T
+    # NaN or +inf fails a start's sum test, and -inf the sign test first.
+    if starts.min() < 0.0 or not (np.abs(starts.sum(axis=1) - 1.0) <= 1e-10).all():
+        raise ValueError("every start in x1 must be a probability vector")
     check_integer(t, "t", 1)
-    out = np.empty((m_s.shape[0], t + 2))
-    out[:, 0] = x1
+    # states[step, run] is that run's state at that step, an n x 1 column.
+    states = np.empty((t + 2, len(starts), n, 1))
+    states[0, :, :, 0] = starts
     for step in range(1, t + 2):
-        out[:, step] = m_s @ out[:, step - 1]
+        np.matmul(m_s, states[step - 1], out=states[step])
+
+    def side_by_side(a):
+        return a[..., 0].transpose(2, 1, 0).reshape(n, -1)
+
     if m_i is None:
-        return out
-    out_i = np.zeros_like(out)
+        return side_by_side(states)
+    drift = np.zeros_like(states)
     for step in range(1, t + 2):
-        out_i[:, step] = m_s @ out_i[:, step - 1] + m_i @ out[:, step - 1]
-    return DualMatrix(out, out_i)
+        np.matmul(m_s, drift[step - 1], out=drift[step])
+        drift[step] += m_i @ states[step - 1]
+    return DualMatrix(side_by_side(states), side_by_side(drift))
 
 
 def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:

@@ -26,8 +26,6 @@ from .core import DualMatrix, DualScalar, DualVector, check_integer, check_squar
 from .svd import Decomposition, decomposed
 from .vector_norms import dual_vector_norm
 
-ADJUGATE_COND_LIMIT = 1e8
-
 
 class RankDeficiencyWarning(UserWarning):
     """A Ky Fan p-k norm was evaluated with sigma_k = 0 and 1 < p < inf.
@@ -142,15 +140,9 @@ def dual_trace(a: DualMatrix) -> DualScalar:
 
 
 def _adjugate(a_s: np.ndarray) -> np.ndarray:
-    n = a_s.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    cond = np.linalg.cond(a_s)
-    if np.isfinite(cond) and cond <= ADJUGATE_COND_LIMIT:
-        return np.linalg.det(a_s) * np.linalg.inv(a_s)
-    # Singular or ill-conditioned, where adj is still well-defined but
-    # det * inv is not: with A = U diag(s) V^T, adj(A) = det(U V^T) V
-    # diag(prod_{j != i} s_j) U^T, the products taken as prefix x suffix.
+    """adj(A) from one SVD A = U diag(s) V^T: det(U V^T) V diag(prod_{j != i}
+    s_j) U^T, the products taken as prefix x suffix, so it stays exact in
+    form where A is singular or ill-conditioned and det(A) inv(A) is not."""
     u, s, vt = np.linalg.svd(a_s)
     before = np.cumprod(np.concatenate([[1.0], s[:-1]]))
     after = np.cumprod(np.concatenate([[1.0], s[:0:-1]]))[::-1]

@@ -31,13 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core import DualMatrix, check_integer, check_square
-from .fitting import (
-    FitOptions,
-    FitReport,
-    build_snapshots,
-    fit_dtpm,
-    stack_snapshots,
-)
+from .fitting import FitOptions, FitReport, build_snapshots, fit_dtpm
 from .markov import (
     DumbbellConfig,
     STOCHASTIC_TOL,
@@ -177,9 +171,10 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
     if an update empties a cluster; callers reseed and retry.  The n x k
     distance table is filled one center at a time, so no temporary is
     larger than the points themselves; each entry is the same row sum the
-    n x k x dim broadcast would give, bit for bit.  max_iter must be an
-    integer >= 1.
+    n x k x dim broadcast would give, bit for bit.  seed must be an integer
+    >= 0 and max_iter an integer >= 1.
     """
+    check_integer(seed, "seed", 0)
     check_integer(max_iter, "max_iter", 1)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -256,10 +251,11 @@ def coarse_grain(
     because column sums equal the (positive) cluster sizes.  The singular
     vectors come from cdsvd of p's decomposition: a Decomposition is used as
     it was built, and a DualMatrix is decomposed at group_tol.  p must be
-    n x n, and max_iter and retries integers, >= 1 and >= 0.
+    n x n, and seed, max_iter and retries integers, >= 0, >= 1 and >= 0.
     """
     if method not in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL):
         raise ValueError(f"unknown method {method!r}")
+    check_integer(seed, "seed", 0)
     check_integer(max_iter, "max_iter", 1)
     check_integer(retries, "retries", 0)
     check_square(p, "coarse_grain")
@@ -434,16 +430,14 @@ class PipelineResult:
     ei_macro: dict  # method -> float
 
 
-def random_initial_states(n: int, seed: int, count: int) -> list:
-    """count (an integer >= 1) random probability vectors: uniform draws,
-    normalized."""
+def random_initial_states(n: int, seed: int, count: int) -> np.ndarray:
+    """n x count random probability vectors (count an integer >= 1, seed one
+    >= 0), uniform draws normalized.  One count x n draw is the stream of
+    count draws of n, so more starts extend the stream."""
     check_integer(count, "count", 1)
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(count):
-        x = rng.uniform(0.0, 1.0, size=n)
-        states.append(x / x.sum())
-    return states
+    check_integer(seed, "seed", 0)
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(count, n))
+    return (x / x.sum(axis=1, keepdims=True)).T
 
 
 class StageError(RuntimeError):
@@ -464,8 +458,9 @@ def stages(cfg: PipelineConfig):
     """Run the stages in order, each under _stage; yield (name, output).
 
     The outputs: the chain (the dumbbell TPM, or its DTPM under drift), the
-    trajectories, the FitReport, SweepTable and DetectionResult, and for
-    coarse-grain (method -> CoarseGraining, micro EI, method -> macro EI).
+    trajectories (one matrix, the runs side by side), the FitReport,
+    SweepTable and DetectionResult, and for coarse-grain (method ->
+    CoarseGraining, micro EI, method -> macro EI).
     Stop iterating to skip the later stages.
     """
     with _stage("generate"):
@@ -477,11 +472,13 @@ def stages(cfg: PipelineConfig):
         starts = random_initial_states(
             chain.shape[0], cfg.child_seeds()["x1"], cfg.trajectories
         )
-        trajectories = [simulate(chain, x1, cfg.t) for x1 in starts]
+        trajectories = simulate(chain, starts, cfg.t)
     yield "simulate", trajectories
     with _stage("fit"):
-        pairs = (build_snapshots(traj) for traj in trajectories)
-        report = fit_dtpm(stack_snapshots(pairs), cfg.fit_options())
+        # No local holds the snapshots, so they are freed when the fit returns.
+        report = fit_dtpm(
+            build_snapshots(trajectories, runs=cfg.trajectories), cfg.fit_options()
+        )
     yield "fit", report
     with _stage("sweep"):
         # One decomposition of the fitted matrix serves the sweep and both
@@ -542,27 +539,27 @@ def _write_matrix(out: Path, name: str, matrix: np.ndarray, fmt: str) -> Path:
     return _write_json(out / f"{name}.json", matrix_to_dict(matrix))
 
 
-def _write_parts(out: Path, name: str, name_i: str, matrices: list, fmt: str) -> list:
-    """name.* from the matrices side by side, or from their standard parts if
-    they are dual, and then name_i.* from their infinitesimal parts."""
-    if not isinstance(matrices[0], DualMatrix):
-        return [_write_matrix(out, name, np.hstack(matrices), fmt)]
+def _write_parts(out: Path, name: str, name_i: str, matrix, fmt: str) -> list:
+    """name.* from the matrix, or from its standard part if it is dual, and
+    then name_i.* from its infinitesimal part."""
+    if not isinstance(matrix, DualMatrix):
+        return [_write_matrix(out, name, matrix, fmt)]
     return [
-        _write_matrix(out, name, np.hstack([m.s for m in matrices]), fmt),
-        _write_matrix(out, name_i, np.hstack([m.i for m in matrices]), fmt),
+        _write_matrix(out, name, matrix.s, fmt),
+        _write_matrix(out, name_i, matrix.i, fmt),
     ]
 
 
 def _write_generate(out: Path, chain, fmt: str) -> list:
-    return _write_parts(out, "generator", "generator_drift", [chain], fmt)
+    return _write_parts(out, "generator", "generator_drift", chain, fmt)
 
 
-def _write_simulate(out: Path, runs: list, fmt: str) -> list:
+def _write_simulate(out: Path, runs, fmt: str) -> list:
     return _write_parts(out, "trajectory", "trajectory_infinitesimal", runs, fmt)
 
 
 def _write_fit(out: Path, report: FitReport, fmt: str) -> list:
-    parts = _write_parts(out, "p_standard", "p_infinitesimal", [report.p], fmt)
+    parts = _write_parts(out, "p_standard", "p_infinitesimal", report.p, fmt)
     return [*parts, _write_json(out / "fit.json", report.to_dict())]
 
 

@@ -363,3 +363,25 @@ def test_count_check_names_argument(site, value):
     name, call = COUNT_SITES[site]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
         call(value)
+
+
+# Every seed argument, each checked with core.check_integer(seed, "seed", 0).
+SEED_SITES = {
+    "kmeans": lambda v: kmeans(_P4.s.T, 2, seed=v),
+    "coarse_grain": lambda v: coarse_grain(_P4, 2, seed=v),
+    "random_initial_states": lambda v: random_initial_states(4, v, 2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SEED_SITES))
+@pytest.mark.parametrize("value", [True, 2.5, "2", -1])
+def test_seed_check_names_seed(site, value):
+    # Unchecked, True ran as seed 1 (coarse_grain recorded kmeans_seed 1),
+    # 2.5 and "2" raised numpy TypeErrors, and -1 a ValueError from numpy.
+    with pytest.raises(ValueError, match="^seed must be"):
+        SEED_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", sorted(SEED_SITES))
+def test_seed_check_accepts_numpy_integer(site):
+    SEED_SITES[site](np.uint32(7))

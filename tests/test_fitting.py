@@ -10,6 +10,7 @@ from dualce import (
     DualMatrix,
     DumbbellConfig,
     FitOptions,
+    SnapshotPair,
     build_snapshots,
     dumbbell_dtpm,
     dumbbell_tpm,
@@ -19,7 +20,6 @@ from dualce import (
     project_simplex,
     project_zero_sum_masked,
     simulate,
-    stack_snapshots,
     validate_dtpm,
 )
 from tests.conftest import random_tpm
@@ -175,6 +175,27 @@ def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
     return best_on(axes)
 
 
+def stack_snapshots(pairs) -> SnapshotPair:
+    """Side-by-side columns of several trajectories' snapshot pairs: the
+    per-run stacking `build_snapshots(..., runs=r)` replaced."""
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        return pairs[0]
+
+    def stack(part):
+        return DualMatrix(
+            np.hstack([part(q).s for q in pairs]), np.hstack([part(q).i for q in pairs])
+        )
+
+    return SnapshotPair(stack(lambda q: q.x), stack(lambda q: q.y))
+
+
+def _parts(pair, side):
+    """The standard and infinitesimal arrays of pair.x or pair.y."""
+    half = getattr(pair, side)
+    return half.s, half.i
+
+
 class TestBuildSnapshots:
     def test_slicing(self):
         # x_1..x_5 as columns: T = 3
@@ -215,13 +236,51 @@ class TestBuildSnapshots:
         assert np.array_equal(pair.y.i, traj.i[:, 1:5])
 
     def test_stack_side_by_side(self):
-        a = build_snapshots(np.arange(10, dtype=float).reshape(2, 5))
-        b = build_snapshots(np.arange(10, 18, dtype=float).reshape(2, 4))
-        assert stack_snapshots([a]) is a
-        both = stack_snapshots([a, b])
-        assert both.x.shape == (2, 5)
-        assert np.array_equal(both.y.i, np.hstack([a.y.i, b.y.i]))
-        assert np.array_equal(both.x.s, np.hstack([a.x.s, b.x.s]))
+        # runs=r reads r runs side by side; each run's snapshots are those of
+        # the run alone, side by side as stack_snapshots put them.
+        rng = np.random.default_rng(5)
+        for length, runs in ((3, 1), (5, 2), (6, 4)):
+            traj = rng.standard_normal((3, runs * length))
+            dual = DualMatrix(traj, rng.standard_normal(traj.shape))
+            for whole in (traj, dual):
+                parts = np.split(traj, runs, axis=1)
+                if whole is dual:
+                    parts = [
+                        DualMatrix(s, i)
+                        for s, i in zip(parts, np.split(dual.i, runs, axis=1))
+                    ]
+                expected = stack_snapshots([build_snapshots(q) for q in parts])
+                got = build_snapshots(whole, runs=runs)
+                for part in ("x", "y"):
+                    for a, b in zip(_parts(got, part), _parts(expected, part)):
+                        assert a.tobytes() == b.tobytes()
+
+    def test_runs_of_simulated_trajectories(self):
+        m = dumbbell_dtpm(DumbbellConfig(far_weight=2, near_weight=2, bar=1))
+        starts = np.random.default_rng(8).dirichlet(np.ones(9), size=4).T
+        got = build_snapshots(simulate(m, starts, 5), runs=4)
+        expected = stack_snapshots(
+            build_snapshots(simulate(m, x1, 5)) for x1 in starts.T
+        )
+        for part in ("x", "y"):
+            for a, b in zip(_parts(got, part), _parts(expected, part)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "width, runs",
+        [(10, 3), (3, 4), (4, 2), (2, 1)],
+        ids=["not-a-multiple", "fewer-states-than-runs", "two-per-run", "two-in-one-run"],
+    )
+    def test_rejects_bad_run_split(self, width, runs):
+        traj = np.ones((2, width)) / 2.0
+        for whole in (traj, DualMatrix(traj)):
+            with pytest.raises(ValueError, match="runs of at least 3 states"):
+                build_snapshots(whole, runs=runs)
+
+    @pytest.mark.parametrize("runs", [0, True, 2.5, "2"])
+    def test_runs_must_be_positive_integer(self, runs):
+        with pytest.raises(ValueError, match="^runs must be"):
+            build_snapshots(np.ones((2, 6)) / 2.0, runs=runs)
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dualce import markov
 from dualce import (
     DualMatrix,
     DumbbellConfig,
@@ -380,6 +381,48 @@ class TestSimulate:
         for m in (np.eye(2), DualMatrix(np.eye(2), np.zeros((2, 2)))):
             with pytest.raises(ValueError, match="probability vector"):
                 simulate(m, np.array(x1), 3)
+
+
+class TestSimulateStacked:
+    @pytest.mark.parametrize("runs", [1, 3, 100])
+    @pytest.mark.parametrize("drift", [False, True], ids=["tpm", "dtpm"])
+    def test_runs_equal_single_runs_bit_for_bit(self, runs, drift):
+        cfg = DumbbellConfig(seed=3)
+        chain = dumbbell_dtpm(cfg) if drift else dumbbell_tpm(cfg)
+        starts = np.random.default_rng(runs).dirichlet(np.ones(cfg.n), size=runs).T
+        t = 5
+        stacked = simulate(chain, starts, t)
+        singles = [simulate(chain, x1, t) for x1 in starts.T]
+        assert stacked.shape == (cfg.n, runs * (t + 2))
+        parts = ("s", "i") if drift else (None,)
+        for part in parts:
+            got = stacked if part is None else getattr(stacked, part)
+            want = [q if part is None else getattr(q, part) for q in singles]
+            assert got.tobytes() == np.hstack(want).tobytes()
+
+    def test_validates_the_chain_once(self, monkeypatch):
+        calls = []
+        check = markov.validate_dtpm
+        monkeypatch.setattr(markov, "validate_dtpm", lambda p: calls.append(p) or check(p))
+        p = dumbbell_dtpm(DumbbellConfig(far_weight=2, near_weight=2, bar=1))
+        simulate(p, np.full((9, 50), 1.0 / 9), 3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            np.array([[0.5, 0.5], [0.5, 0.6]]),
+            np.array([[1.0, 1.1], [0.0, -0.1]]),
+            np.array([[1.0, np.nan], [0.0, 0.5]]),
+            np.full((3, 2), 1.0 / 3),
+            np.empty((2, 0)),
+            np.full((2, 1, 1), 0.5),
+        ],
+        ids=["bad-sum", "negative", "nan", "wrong-rows", "no-start", "3-d"],
+    )
+    def test_every_start_is_checked(self, starts):
+        with pytest.raises(ValueError, match="probability vector|x1 must be"):
+            simulate(np.eye(2), starts, 3)
 
 
 class TestDeltaGamma:

@@ -375,6 +375,44 @@ class TestTraceDet:
         fd_check(d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i))
 
 
+@pytest.mark.parametrize("singular", [False, True], ids=["well-conditioned", "singular"])
+def test_det_takes_one_svd_and_no_cond(singular, monkeypatch):
+    # adj(A_s) comes from one SVD for every input; a condition-number
+    # pre-pass would be a second SVD.
+    rng = np.random.default_rng(73)
+    n = 9
+    a_s = rng.standard_normal((n, n)) + n * np.eye(n)
+    if singular:
+        a_s[:, -1] = a_s[:, :-1] @ rng.standard_normal(n - 1)
+    a = DualMatrix(a_s, rng.standard_normal((n, n)))
+    svd, calls = np.linalg.svd, {"svd": 0, "cond": 0}
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def no_cond(*args, **kwargs):
+        calls["cond"] += 1
+        raise AssertionError("dual_det took a condition number")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    d = dual_det(a)
+    monkeypatch.undo()
+    assert calls == {"svd": 1, "cond": 0}
+    fd_check(d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i))
+
+
+def test_adjugate_matches_det_times_inverse():
+    # Where A is well-conditioned, the one-SVD adjugate is det(A) inv(A).
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 5, 30, 85):
+        a_s = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        d = dual_det(DualMatrix(a_s, np.eye(n)))
+        expected = np.linalg.det(a_s) * np.trace(np.linalg.inv(a_s))
+        assert d.i == pytest.approx(expected, rel=1e-11)
+
+
 def operator_norm_ratio_check(a, alpha, beta, trials=100, seed=0):
     """Check ||A x||_alpha <= ||A||_(alpha,beta) ||x||_beta on random duals.
 

@@ -472,15 +472,28 @@ class TestConfig:
         assert PipelineConfig.from_dict({"fit_tol": 0}).fit_tol == 0
 
     def test_random_initial_state(self):
-        x, y = random_initial_states(20, seed=4, count=2)
-        assert x.shape == (20,)
+        starts = random_initial_states(20, seed=4, count=2)
+        assert starts.shape == (20, 2)
+        x, y = starts.T
         assert x.sum() == pytest.approx(1.0)
         assert np.min(x) >= 0.0
         # more starts extend the stream: the first is the one-start draw
-        assert np.array_equal(x, random_initial_states(20, seed=4, count=1)[0])
+        one = random_initial_states(20, seed=4, count=1)
+        assert one.shape == (20, 1)
+        assert np.array_equal(x, one[:, 0])
         assert not np.array_equal(x, y)
         with pytest.raises(ValueError):
             random_initial_states(20, seed=4, count=0)
+
+    def test_initial_states_are_successive_draws(self):
+        # One (count, n) draw is the stream of count draws of n, and each
+        # normalisation is the one-vector one, bit for bit.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            draws = [rng.uniform(0.0, 1.0, size=85) for _ in range(7)]
+            expected = np.column_stack([x / x.sum() for x in draws])
+            got = random_initial_states(85, seed=seed, count=7)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestAnalyze:

@@ -6,6 +6,13 @@ the lexicographic total order on (standard, infinitesimal).  DualVector and
 DualMatrix hold read-only arrays and take everything but indexing, shape and
 products from one private base.  All values are immutable after construction
 and every operation is a pure function, so the types are thread-safe.
+
+The public constructors copy both parts, C-ordered, so a container never
+shares memory with a caller's array, writable or read-only.  Only arrays the
+library has just built and holds no other writable reference to, such as
+the snapshot pair of ``fitting.build_snapshots``, go in without a copy
+(``_DualArray._owned``); they get the same checks and are marked read-only,
+and they may be views with a wider row stride.
 """
 
 from __future__ import annotations
@@ -30,11 +37,14 @@ def _check_finite_scalar(value: float, name: str) -> float:
     return value
 
 
-def _as_finite_array(a, name: str) -> np.ndarray:
+def _as_finite_array(a, name: str, copy: bool) -> np.ndarray:
+    """a as a read-only float array after checking that it is finite: a new
+    C-ordered copy, or with copy False, a itself when it is a float array."""
     arr = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
-    arr = arr.copy()
+    if copy:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -207,14 +217,26 @@ class _DualArray:
     __slots__ = ("_s", "_i")
 
     def __init__(self, s, i=None):
-        s_arr = _as_finite_array(s, "standard part")
+        self._hold(s, i, copy=True)
+
+    @classmethod
+    def _owned(cls, s: np.ndarray, i: np.ndarray):
+        """The container of float arrays (or views) that the library has just
+        built and writes no more: the constructor's checks, without its
+        copies.  The arrays are marked read-only in place."""
+        arr = object.__new__(cls)
+        arr._hold(s, i, copy=False)
+        return arr
+
+    def _hold(self, s, i, copy: bool) -> None:
+        s_arr = _as_finite_array(s, "standard part", copy)
         if s_arr.ndim != self._ndim:
             raise ValueError(f"{type(self).__name__} parts must be {self._dims}")
         if i is None:
             i_arr = np.zeros_like(s_arr)
             i_arr.setflags(write=False)
         else:
-            i_arr = _as_finite_array(i, "infinitesimal part")
+            i_arr = _as_finite_array(i, "infinitesimal part", copy)
         if i_arr.shape != s_arr.shape:
             raise ValueError(f"shape mismatch: {s_arr.shape} vs {i_arr.shape}")
         object.__setattr__(self, "_s", s_arr)

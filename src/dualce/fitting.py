@@ -76,11 +76,18 @@ def build_snapshots(trajectory, runs: int = 1) -> SnapshotPair:
     A real run x_1..x_L becomes the dual run (x_j, x_{j+1} - x_j), j < L; a
     DualMatrix run (a simulated DTPM) carries its own infinitesimal part.
     X holds every dual run's columns but its last, and Y all but its first.
+
+    The pair shares no memory with a real trajectory.  A real one is copied
+    once, C-ordered, and differenced once by ``np.diff``; a DualMatrix run is
+    not copied, since its parts are immutable.  For one run, X and Y are
+    views of these, one column apart, so a pair of L-state runs holds about
+    2 n L doubles, not the 4 n (L - 2) of four separate parts.  For several
+    runs, each of the four parts is one reshape copy.
     """
     if isinstance(trajectory, DualMatrix):
         s, i = trajectory.s, trajectory.i
     else:
-        s, i = np.asarray(trajectory, dtype=float), None
+        s, i = np.array(trajectory, dtype=float, order="C"), None
         if s.ndim != 2:
             raise ValueError("trajectory must be a 2-D array of state columns")
     check_integer(runs, "runs", 1)
@@ -95,7 +102,13 @@ def build_snapshots(trajectory, runs: int = 1) -> SnapshotPair:
         i = i.reshape(n, runs, -1)
 
     def cut(cols):
-        return DualMatrix(s[:, :, cols].reshape(n, -1), i[:, :, cols].reshape(n, -1))
+        # One run's cut is a view with a wider row stride.  Several runs' is
+        # copied C-ordered: a reshaped view would step over the gaps between
+        # runs, and the fit multiplies every part.
+        parts = (s[:, :, cols], i[:, :, cols])
+        if runs > 1:
+            parts = map(np.ascontiguousarray, parts)
+        return DualMatrix._owned(*(part.reshape(n, -1) for part in parts))
 
     return SnapshotPair(cut(slice(None, -1)), cut(slice(1, None)))
 
@@ -232,13 +245,19 @@ class FitStage:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Both stages combined into a validated dual transition matrix."""
+    """Both stages combined into a validated dual transition matrix.
+
+    iterations, converged, kkt_residual and gradient_norm are
+    (standard, infinitesimal) pairs of the stages' FitStage fields.
+    """
 
     p: DualMatrix
     objective_s: float
     objective_i: float
     iterations: tuple
     converged: tuple
+    kkt_residual: tuple
+    gradient_norm: tuple
     condition_estimate: float
     ill_conditioned: bool
 
@@ -248,6 +267,8 @@ class FitReport:
             "objective_i": self.objective_i,
             "iterations": list(self.iterations),
             "converged": list(self.converged),
+            "kkt_residual": list(self.kkt_residual),
+            "gradient_norm": list(self.gradient_norm),
             "condition_estimate": self.condition_estimate,
             "ill_conditioned": self.ill_conditioned,
         }
@@ -477,18 +498,25 @@ def fit_infinitesimal(
     P_s == 0, the zero support ``validate_dtpm`` checks.  Starts from the
     zero matrix, which is feasible.  gram is ``_gram(pair.x.s)``, when the
     caller already has it.  A non-finite entry of p_s raises ValueError.
+
+    R is formed in one n x T buffer, which then holds R * R for ||R||^2 and
+    is released before FISTA starts: the solve holds only n x n matrices
+    besides the pair.
     """
     p_s = np.asarray(p_s, dtype=float)
     if not np.isfinite(p_s).all():
         raise ValueError("P_s must contain only finite values")
     n = p_s.shape[0]
-    x_s, x_i = pair.x.s, pair.x.i
-    r = pair.y.i - p_s @ x_i
+    x_s = pair.x.s
+    r = p_s @ pair.x.i
+    np.subtract(pair.y.i, r, out=r)
+    rxt = r @ x_s.T
+    r_sq = float(np.sum(np.multiply(r, r, out=r)))
+    del r
     xxt, lipschitz = _gram(x_s) if gram is None else gram
     p0 = np.zeros((n, n))
     return _fista(
-        xxt, r @ x_s.T, float(np.sum(r * r)),
-        _column_projector(p_s == 0.0, 0.0), p0,
+        xxt, rxt, r_sq, _column_projector(p_s == 0.0, 0.0), p0,
         lipschitz, opts.tol, opts.max_iter,
     )
 
@@ -508,7 +536,7 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
     gram = _gram(pair.x.s)
     stage_s = fit_standard(pair.x.s, pair.y.s, opts, gram)
     stage_i = fit_infinitesimal(pair, stage_s.matrix, opts, gram)
-    p = DualMatrix(stage_s.matrix, stage_i.matrix)
+    p = DualMatrix._owned(stage_s.matrix, stage_i.matrix)
     validate_dtpm(p)
     cond = condition_estimate(gram[0])
     return FitReport(
@@ -517,6 +545,8 @@ def fit_dtpm(pair: SnapshotPair, opts: FitOptions = FitOptions()) -> FitReport:
         objective_i=stage_i.objective,
         iterations=(stage_s.iterations, stage_i.iterations),
         converged=(stage_s.converged, stage_i.converged),
+        kkt_residual=(stage_s.kkt_residual, stage_i.kkt_residual),
+        gradient_norm=(stage_s.gradient_norm, stage_i.gradient_norm),
         condition_estimate=cond,
         ill_conditioned=bool(cond > ILL_CONDITION_LIMIT),
     )

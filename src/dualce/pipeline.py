@@ -475,10 +475,12 @@ def stages(cfg: PipelineConfig):
         trajectories = simulate(chain, starts, cfg.t)
     yield "simulate", trajectories
     with _stage("fit"):
-        # No local holds the snapshots, so they are freed when the fit returns.
-        report = fit_dtpm(
-            build_snapshots(trajectories, runs=cfg.trajectories), cfg.fit_options()
-        )
+        # The fit reads only the snapshots: the trajectories are dropped once
+        # those are built, and the snapshots once the fit returns.
+        pair = build_snapshots(trajectories, runs=cfg.trajectories)
+        del trajectories
+        report = fit_dtpm(pair, cfg.fit_options())
+        del pair
     yield "fit", report
     with _stage("sweep"):
         # One decomposition of the fitted matrix serves the sweep and both
@@ -512,9 +514,15 @@ def stages(cfg: PipelineConfig):
 def analyze(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage in memory and return the assembled result.
 
-    result.m is the generated chain, or its standard part under drift.
+    result.m is the generated chain, or its standard part under drift.  The
+    trajectories are not kept: nothing after the fit reads them.
     """
-    out = dict(stages(cfg))
+    out = {}
+    for name, output in stages(cfg):
+        if name != "simulate":
+            out[name] = output
+        # The loop variable would hold the output through the next stage.
+        del output
     chain, report = out["generate"], out["fit"]
     m = chain.s if isinstance(chain, DualMatrix) else chain
     coarse, ei_micro, ei_macro = out["coarse-grain"]

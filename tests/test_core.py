@@ -244,6 +244,41 @@ def test_containers_share_algebra(cls, s, other):
     assert DualScalar(1, 0) == 1
 
 
+@pytest.mark.parametrize("cls, shape", [(DualVector, (4,)), (DualMatrix, (3, 4))],
+                         ids=["DualVector", "DualMatrix"])
+@pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
+def test_constructor_shares_no_memory(cls, shape, writable):
+    # The public constructor copies both parts, even a read-only array that
+    # its owner can make writable again.
+    s = np.arange(12.0)[: math.prod(shape)].reshape(shape)
+    i = -s
+    for part in (s, i):
+        part.setflags(write=writable)
+    x = cls(s, i)
+    for mine, theirs in ((x.s, s), (x.i, i)):
+        assert not np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable
+    s_before, i_before = s.copy(), i.copy()
+    for part in (s, i):
+        part.setflags(write=True)
+        part += 1.0
+    assert np.array_equal(x.s, s_before) and np.array_equal(x.i, i_before)
+
+
+def test_owned_parts_are_checked_and_not_copied():
+    s = np.arange(12.0).reshape(3, 4)
+    i = -s
+    x = DualMatrix._owned(s[:, 1:], i[:, :-1])
+    assert np.shares_memory(x.s, s) and np.shares_memory(x.i, i)
+    assert not x.s.flags.writeable and not x.i.flags.writeable
+    with pytest.raises(ValueError, match="only finite"):
+        DualMatrix._owned(np.array([[1.0, np.nan]]), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        DualMatrix._owned(s, i[:, 1:])
+    with pytest.raises(ValueError, match="two-dimensional"):
+        DualMatrix._owned(s[0], i[0])
+
+
 class TestSymSkew:
     def test_decomposition(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 """Snapshot construction, exact projections, and the two-stage fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dualce import (
     simulate,
     validate_dtpm,
 )
+from dualce.pipeline import PipelineConfig, stages
 from tests.conftest import random_tpm
 
 
@@ -265,6 +267,41 @@ class TestBuildSnapshots:
         for part in ("x", "y"):
             for a, b in zip(_parts(got, part), _parts(expected, part)):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("runs, length", [(1, 8), (4, 3), (4, 5)])
+    def test_real_runs_share_nothing_with_the_trajectory(self, runs, length):
+        # One run's X and Y are views of one private copy of the states and
+        # one of their differences.  Several runs are copied; at 3 states a
+        # run leaves one column per part, which a reshape could view instead.
+        # Every part has unit column stride for the fit's products.
+        traj = np.random.default_rng(6).random((3, runs * length))
+        expected = build_snapshots(traj.copy(), runs=runs)
+        pair = build_snapshots(traj, runs=runs)
+        if runs == 1:
+            assert np.shares_memory(pair.x.s, pair.y.s)
+            assert np.shares_memory(pair.x.i, pair.y.i)
+        for part in (*_parts(pair, "x"), *_parts(pair, "y")):
+            assert not np.shares_memory(part, traj)
+            assert not part.flags.writeable and part.strides[1] == part.itemsize
+        traj[:] = 0.0
+        for side in ("x", "y"):
+            for a, b in zip(_parts(pair, side), _parts(expected, side)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_dual_run_is_not_copied(self):
+        # A DualMatrix's parts are immutable, so one run's snapshots are
+        # views of them; several runs copy each part once.
+        rng = np.random.default_rng(9)
+        traj = DualMatrix(rng.random((3, 12)), rng.random((3, 12)))
+        pair = build_snapshots(traj)
+        for side in ("x", "y"):
+            for part, whole in zip(_parts(pair, side), (traj.s, traj.i)):
+                assert np.shares_memory(part, whole)
+                assert part.strides[1] == part.itemsize
+        runs = build_snapshots(traj, runs=3)
+        for side in ("x", "y"):
+            for part, whole in zip(_parts(runs, side), (traj.s, traj.i)):
+                assert not np.shares_memory(part, whole)
 
     @pytest.mark.parametrize(
         "width, runs",
@@ -870,6 +907,40 @@ class TestFitDtpm:
         assert report.objective_s >= 0 and report.objective_i >= 0
         assert len(report.iterations) == 2 and len(report.converged) == 2
         assert report.condition_estimate >= 1.0
+        for stage, converged in enumerate(report.converged):
+            kkt, grad = report.kkt_residual[stage], report.gradient_norm[stage]
+            assert kkt >= 0.0 and grad >= 0.0
+            if converged:
+                assert kkt <= fitting.KKT_FACTOR * (1.0 + grad)
+        d = report.to_dict()
+        assert d["kkt_residual"] == list(report.kkt_residual)
+        assert d["gradient_norm"] == list(report.gradient_norm)
+
+    def test_report_carries_each_stage_diagnostics(self):
+        m = random_tpm(np.random.default_rng(12), 6)
+        pair = build_snapshots(simulate(m, np.full(6, 1.0 / 6), 40))
+        report = fit_dtpm(pair)
+        stage_s = fit_standard(pair.x.s, pair.y.s)
+        stage_i = fit_infinitesimal(pair, stage_s.matrix)
+        assert report.kkt_residual == (stage_s.kkt_residual, stage_i.kkt_residual)
+        assert report.gradient_norm == (stage_s.gradient_norm, stage_i.gradient_norm)
+
+    def test_fit_holds_each_snapshot_once(self):
+        # Default seed 0's 85-state trajectory.  Four separate snapshot parts
+        # and an infinitesimal residual kept through the solve peaked at
+        # 2.75 MB; one copy of the states, one of their differences and a
+        # residual freed before FISTA peak at about 1.74 MB.
+        for name, traj in stages(PipelineConfig()):
+            if name == "simulate":
+                break
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fit_dtpm(build_snapshots(traj))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_infinitesimal_respects_sign_mask(self, small_run):
         p = small_run.p

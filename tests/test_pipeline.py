@@ -1,8 +1,10 @@
 """Norm sweep, class-count detection, coarse-graining, artifacts, CLI."""
 
+import gc
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +525,27 @@ class TestAnalyze:
                 n = out.p.shape[0]
                 monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert calls == [(n, n)]
+
+    def test_trajectories_dropped_before_the_fit(self, tiny_config, monkeypatch):
+        # Nothing after build_snapshots reads the simulated runs, so neither
+        # stages nor analyze keeps them through the fit.
+        alive = []
+        simulate, fit_dtpm = pipeline.simulate, pipeline.fit_dtpm
+
+        def recording_simulate(*args):
+            traj = simulate(*args)
+            alive.append(weakref.ref(traj))
+            return traj
+
+        def checking_fit(*args):
+            gc.collect()
+            alive.append(alive[0]() is not None)
+            return fit_dtpm(*args)
+
+        monkeypatch.setattr(pipeline, "simulate", recording_simulate)
+        monkeypatch.setattr(pipeline, "fit_dtpm", checking_fit)
+        analyze(tiny_config)
+        assert alive[1:] == [False]
 
     def test_drift_is_recovered(self, tiny_config):
         cfg = PipelineConfig.from_dict(

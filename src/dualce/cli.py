@@ -97,19 +97,21 @@ def main(argv=None) -> int:
         print(f"error: bad configuration: {err}", file=sys.stderr)
         return 2
 
-    # Run the stages up to this subcommand's own; --out is made only once
-    # they have all succeeded.
+    # Run the stages up to this subcommand's own, keeping only its output
+    # and the detection; --out is made only once they have all succeeded.
     try:
         if args.command == "pipeline":
             result = analyze(cfg)
             detection = result.detection
         else:
-            done = {}
+            detection = None
             for name, output in stages(cfg):
-                done[name] = output
+                if name == "detect":
+                    detection = output
                 if name == args.command:
                     break
-            detection = done.get("detect")
+                # The loop variable would hold the output through the next stage.
+                del output
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             paths = write_artifacts(result, out, args.format)
         else:
-            paths = WRITERS[args.command](out, done[args.command], args.format)
+            paths = WRITERS[args.command](out, output, args.format)
     except OSError as err:
         print(f"error in {args.command}: {err}", file=sys.stderr)
         return 1

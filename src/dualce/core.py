@@ -139,7 +139,8 @@ class DualScalar:
     __ge__ = _ordered(operator.ge)
 
     def __hash__(self):
-        return hash(self._key())
+        # With no infinitesimal part it equals, so hashes as, its standard part.
+        return hash(self._s) if self._i == 0.0 else hash(self._key())
 
 
 def compare(a: DualScalar, b: DualScalar) -> int:

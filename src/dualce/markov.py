@@ -291,7 +291,9 @@ def simulate(m, x1: np.ndarray, t: int):
     for step in range(1, t + 2):
         np.matmul(m_s, drift[step - 1], out=drift[step])
         drift[step] += m_i @ states[step - 1]
-    return DualMatrix(side_by_side(states), side_by_side(drift))
+    # One run's reshape is an F-ordered view: C-order it for the fit's products.
+    parts = (np.ascontiguousarray(side_by_side(a)) for a in (states, drift))
+    return DualMatrix._owned(*parts)
 
 
 def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:

@@ -214,22 +214,11 @@ def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoarseGraining:
-    """Hard assignment of micro states to k macro states."""
+    """Hard assignment of micro states to k = len(upsilon) macro states."""
 
     upsilon: np.ndarray  # k x k reduced TPM
     labels: np.ndarray
-    method: str
-    k: int
     kmeans_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "kmeans_seed": self.kmeans_seed,
-            "labels": self.labels.tolist(),
-            "upsilon": matrix_to_dict(self.upsilon),
-        }
 
 
 def coarse_grain(
@@ -293,7 +282,7 @@ def coarse_grain(
     raw = phi.T @ p.s @ phi
     upsilon = raw / raw.sum(axis=0, keepdims=True)
     validate_tpm(upsilon)
-    return CoarseGraining(upsilon, labels, method, k, seed_used)
+    return CoarseGraining(upsilon, labels, seed_used)
 
 
 def _plain(value):
@@ -316,6 +305,7 @@ def _same_kind(value, default) -> bool:
 
 # Lower bounds of the numeric settings that are not the dumbbell's own.
 _MINIMUM = {
+    "seed": 0,
     "t": 1,
     "trajectories": 1,
     "fit_max_iter": 1,
@@ -419,15 +409,20 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """What the stages made, once each; chain is the TPM, or the DTPM under drift."""
+
     config: PipelineConfig
-    m: np.ndarray
-    p: DualMatrix
+    chain: np.ndarray | DualMatrix
     report: FitReport
     sweep: SweepTable
     detection: DetectionResult
     coarse: dict  # method -> CoarseGraining
     ei_micro: float
     ei_macro: dict  # method -> float
+
+    @property
+    def p(self) -> DualMatrix:
+        return self.report.p
 
 
 def random_initial_states(n: int, seed: int, count: int) -> np.ndarray:
@@ -514,8 +509,8 @@ def stages(cfg: PipelineConfig):
 def analyze(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage in memory and return the assembled result.
 
-    result.m is the generated chain, or its standard part under drift.  The
-    trajectories are not kept: nothing after the fit reads them.
+    The result holds every stage's output but the trajectories: nothing
+    after the fit reads them.
     """
     out = {}
     for name, output in stages(cfg):
@@ -523,12 +518,9 @@ def analyze(cfg: PipelineConfig) -> PipelineResult:
             out[name] = output
         # The loop variable would hold the output through the next stage.
         del output
-    chain, report = out["generate"], out["fit"]
-    m = chain.s if isinstance(chain, DualMatrix) else chain
-    coarse, ei_micro, ei_macro = out["coarse-grain"]
     return PipelineResult(
-        cfg, m, report.p, report, out["sweep"], out["detect"], coarse, ei_micro,
-        ei_macro,
+        cfg, out["generate"], out["fit"], out["sweep"], out["detect"],
+        *out["coarse-grain"],
     )
 
 
@@ -592,7 +584,11 @@ def _write_coarse(out: Path, output: tuple, fmt: str) -> list:
     coarse, ei_micro, ei_macro = output
     payload = {
         method: {
-            **cg.to_dict(),
+            "method": method,
+            "k": len(cg.upsilon),
+            "kmeans_seed": cg.kmeans_seed,
+            "labels": cg.labels.tolist(),
+            "upsilon": matrix_to_dict(cg.upsilon),
             "ei_macro": ei_macro[method],
             "ei_micro": ei_micro,
             "emergent": bool(ei_macro[method] > ei_micro),
@@ -614,27 +610,18 @@ WRITERS = {
 }
 
 
-def manifest_payload(result: PipelineResult) -> dict:
-    """Everything needed to reproduce the run; deliberately no timestamps."""
-    cfg = result.config
+def manifest_payload(cfg: PipelineConfig) -> dict:
+    """What a run needs to be reproduced and no other artifact holds: the
+    config echo, its child seeds, the tolerances that are not config keys,
+    and the versions; deliberately no timestamps."""
     return {
         "config": cfg.to_dict(),
         "child_seeds": cfg.child_seeds(),
-        "tolerances": {
-            "rank_tol": RANK_TOL,
-            "group_tol": cfg.group_tol,
-            "stochastic_tol": STOCHASTIC_TOL,
-            "fit_tol": cfg.fit_tol,
-        },
+        "tolerances": {"rank_tol": RANK_TOL, "stochastic_tol": STOCHASTIC_TOL},
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
-        },
-        "fit": result.report.to_dict(),
-        "ei": {
-            "micro": result.ei_micro,
-            "macro": dict(sorted(result.ei_macro.items())),
         },
     }
 
@@ -653,21 +640,21 @@ def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
     _check_fmt(fmt)
     result = analyze(cfg)
     write_artifacts(result, out_dir, fmt)
-    return manifest_payload(result)
+    return manifest_payload(cfg)
 
 
 def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> list:
     """Write the artifact set of an analyzed run into out_dir.
 
-    The files of generate (from result.m, so never generator_drift.*), fit,
-    sweep, detect and coarse-grain, each through its writer in WRITERS, then
-    manifest.json.  Returns the paths written.
+    The files of generate, fit, sweep, detect and coarse-grain, each
+    through its writer in WRITERS, so each the bytes its subcommand writes,
+    then manifest.json.  Returns the paths written.
     """
     _check_fmt(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {
-        "generate": result.m,
+        "generate": result.chain,
         "fit": result.report,
         "sweep": result.sweep,
         "detect": result.detection,
@@ -676,4 +663,4 @@ def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> list:
     paths = []
     for name, output in outputs.items():
         paths += WRITERS[name](out, output, fmt)
-    return [*paths, _write_json(out / "manifest.json", manifest_payload(result))]
+    return [*paths, _write_json(out / "manifest.json", manifest_payload(result.config))]

@@ -92,6 +92,13 @@ class TestDualScalar:
     def test_hash_consistent_with_eq(self):
         assert hash(DualScalar(1, 2)) == hash(DualScalar(1.0, 2.0))
         assert DualScalar(3.0, 0.0) == 3.0
+        # a dual number equal to a plain number hashes as that number
+        for plain in (1.0, 1, np.float64(1.0)):
+            assert DualScalar(1.0) == plain and hash(DualScalar(1.0)) == hash(plain)
+            assert DualScalar(1.0) in {plain}
+        assert DualScalar(1.0, -0.0) == DualScalar(1.0) == 1.0
+        assert hash(DualScalar(1.0, -0.0)) == hash(DualScalar(1.0)) == hash(1.0)
+        assert DualScalar(1.0, 2.0) != 1.0
 
     def test_abs(self):
         assert dual_abs(DualScalar(-2, 5)) == DualScalar(2, -5)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,32 @@ class TestSimulateStacked:
             got = stacked if part is None else getattr(stacked, part)
             want = [q if part is None else getattr(q, part) for q in singles]
             assert got.tobytes() == np.hstack(want).tobytes()
+
+    def test_dual_runs_copied_once(self):
+        # The drifting default dumbbell, 100 runs of 5 steps: each part is
+        # copied out of its state buffer once, peaking at about 1.97 MB; a
+        # second copy of both parts in the DualMatrix constructor peaked at
+        # 2.86 MB.
+        chain = dumbbell_dtpm(DumbbellConfig())
+        starts = np.random.default_rng(0).dirichlet(np.ones(chain.shape[0]), size=100).T
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            simulate(chain, starts, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_400_000
+
+    @pytest.mark.parametrize("runs", [1, 100])
+    def test_dual_parts_c_ordered(self, runs):
+        # One run's side-by-side reshape is an F-ordered view of the state
+        # buffer, and the fit multiplies a dual run's parts as they are.
+        chain = dumbbell_dtpm(DumbbellConfig(far_weight=2, near_weight=2, bar=1))
+        starts = np.full((chain.shape[0], runs), 1.0 / chain.shape[0])
+        traj = simulate(chain, starts, 5)
+        for part in (traj.s, traj.i):
+            assert part.flags.c_contiguous and not part.flags.writeable
 
     def test_validates_the_chain_once(self, monkeypatch):
         calls = []

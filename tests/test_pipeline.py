@@ -457,7 +457,7 @@ class TestConfig:
          {"fit_tol": float("inf")}, {"group_tol": -1e-12},
          {"group_tol": float("nan")}, {"far_weight": 0},
          {"coupling_density": 1.5}, {"coupling_scale": -1.0},
-         {"fit_tol": 10**400}],
+         {"fit_tol": 10**400}, {"seed": -1}],
     )
     def test_out_of_range_values_rejected(self, entry):
         with pytest.raises(ValueError, match=next(iter(entry))):
@@ -498,12 +498,36 @@ class TestConfig:
             assert got.tobytes() == expected.tobytes()
 
 
+def held_at_fit(monkeypatch, run) -> list:
+    """For each fit_dtpm call during run(), whether the simulated runs were
+    still referenced when it started."""
+    alive = []
+    simulate, fit_dtpm = pipeline.simulate, pipeline.fit_dtpm
+
+    def recording_simulate(*args):
+        traj = simulate(*args)
+        alive.append(weakref.ref(traj))
+        return traj
+
+    def checking_fit(*args):
+        gc.collect()
+        alive.append(alive[0]() is not None)
+        return fit_dtpm(*args)
+
+    monkeypatch.setattr(pipeline, "simulate", recording_simulate)
+    monkeypatch.setattr(pipeline, "fit_dtpm", checking_fit)
+    run()
+    return alive[1:]
+
+
 class TestAnalyze:
     def test_tiny_run_completes(self, fitted, tiny_config):
         res = fitted
         n = 2 * (2 + 2) + 1
-        assert res.m.shape == (n, n)
+        assert res.chain.shape == (n, n)
         assert res.p.shape == (n, n)
+        # the fitted matrix is held once, by the report
+        assert res.p is res.report.p
         shape = (len(tiny_config.p_list), res.sweep.rank)
         sweep = res.sweep
         assert sweep.infinitesimal.shape == sweep.delta_gamma.shape == shape
@@ -529,23 +553,7 @@ class TestAnalyze:
     def test_trajectories_dropped_before_the_fit(self, tiny_config, monkeypatch):
         # Nothing after build_snapshots reads the simulated runs, so neither
         # stages nor analyze keeps them through the fit.
-        alive = []
-        simulate, fit_dtpm = pipeline.simulate, pipeline.fit_dtpm
-
-        def recording_simulate(*args):
-            traj = simulate(*args)
-            alive.append(weakref.ref(traj))
-            return traj
-
-        def checking_fit(*args):
-            gc.collect()
-            alive.append(alive[0]() is not None)
-            return fit_dtpm(*args)
-
-        monkeypatch.setattr(pipeline, "simulate", recording_simulate)
-        monkeypatch.setattr(pipeline, "fit_dtpm", checking_fit)
-        analyze(tiny_config)
-        assert alive[1:] == [False]
+        assert held_at_fit(monkeypatch, lambda: analyze(tiny_config)) == [False]
 
     def test_drift_is_recovered(self, tiny_config):
         cfg = PipelineConfig.from_dict(
@@ -553,7 +561,9 @@ class TestAnalyze:
         )
         res = analyze(cfg)
         exact = dumbbell_dtpm(cfg.dumbbell())
-        assert np.array_equal(res.m, exact.s)
+        # the result holds the generated DTPM, both parts
+        assert np.array_equal(res.chain.s, exact.s)
+        assert np.array_equal(res.chain.i, exact.i)
         assert np.linalg.norm(res.p.s - exact.s) <= 1e-3
         assert np.linalg.norm(res.p.i - exact.i) <= 1e-3 * np.linalg.norm(exact.i)
 
@@ -602,8 +612,11 @@ class TestArtifacts:
         assert rank_rows % len(tiny_config.p_list) == 0
         detection = json.loads((tmp_path / "detection.json").read_text())
         assert {"k_star", "per_p", "unanimous"} <= set(detection)
+        # the manifest holds only what no other artifact does
+        assert set(manifest) == {"config", "child_seeds", "tolerances", "versions"}
+        assert set(manifest["tolerances"]) == {"rank_tol", "stochastic_tol"}
         assert manifest["config"]["seed"] == tiny_config.seed
-        assert "macro" in manifest["ei"]
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
     def test_json_format(self, tiny_config, tmp_path):
         run_pipeline(tiny_config, tmp_path, fmt="json")
@@ -633,7 +646,8 @@ class TestArtifacts:
 
 
 # The files each subcommand writes ("*" is the --format suffix), and those
-# it adds when the chain drifts.
+# it adds when the chain drifts.  `pipeline` writes the files of every stage
+# but simulate, and manifest.json.
 SUBCOMMAND_FILES = {
     "generate": ({"generator.*"}, {"generator_drift.*"}),
     "simulate": ({"trajectory.*"}, {"trajectory_infinitesimal.*"}),
@@ -641,12 +655,12 @@ SUBCOMMAND_FILES = {
     "sweep": ({"sweep.csv"}, set()),
     "detect": ({"detection.json"}, set()),
     "coarse-grain": ({"coarse.json"}, set()),
-    "pipeline": (
-        {"generator.*", "p_standard.*", "p_infinitesimal.*", "fit.json",
-         "sweep.csv", "detection.json", "coarse.json", "manifest.json"},
-        set(),
-    ),
 }
+_STAGE_FILES = [files for sub, files in SUBCOMMAND_FILES.items() if sub != "simulate"]
+SUBCOMMAND_FILES["pipeline"] = (
+    set().union(*(files for files, _ in _STAGE_FILES)) | {"manifest.json"},
+    set().union(*(drift for _, drift in _STAGE_FILES)),
+)
 
 
 @pytest.fixture(scope="class")
@@ -768,6 +782,14 @@ class TestCli:
         assert "stage 'fit' failed: no fit today" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["fit", "sweep"])
+    def test_trajectories_dropped_before_the_fit(self, tmp_path, monkeypatch, sub):
+        # A subcommand keeps only the output it writes and the detection, so
+        # the simulated runs are gone once the snapshots are built.
+        argv = [sub, "--config", str(self.config_file(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        assert held_at_fit(monkeypatch, lambda: main(argv)) == [False]
+
     def test_subcommand_runs_no_later_stage(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("sweep ran")
@@ -795,14 +817,17 @@ class TestCli:
          ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
          ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
          ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, []),
-         ({"zero_threshold": 1e-13}, [])],
+         ({"zero_threshold": 1e-13}, []), ({"seed": -1}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"far_weight": 2, "bar": 1, **entry}))
         out = tmp_path / "out"
         assert main([sub, "--config", str(path), "--out", str(out), *flags]) == 2
-        assert "bad configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad configuration" in err
+        # the message names the offending key
+        assert all(key in err for key in entry)
         assert not out.exists()
 
 

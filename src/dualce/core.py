@@ -18,6 +18,7 @@ and they may be views with a wider row stride.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -28,13 +29,6 @@ CONDITION_LIMIT = 1e12
 ORTHOGONAL_TOL = 1e-10
 
 _LN2 = math.log(2.0)
-
-
-def _check_finite_scalar(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _as_finite_array(a, name: str, copy: bool) -> np.ndarray:
@@ -66,8 +60,9 @@ class DualScalar:
     __slots__ = ("_s", "_i")
 
     def __init__(self, s: float, i: float = 0.0):
-        object.__setattr__(self, "_s", _check_finite_scalar(s, "standard part"))
-        object.__setattr__(self, "_i", _check_finite_scalar(i, "infinitesimal part"))
+        finite = (-math.inf, math.inf, "()")
+        object.__setattr__(self, "_s", check_real(s, "standard part", *finite))
+        object.__setattr__(self, "_i", check_real(i, "infinitesimal part", *finite))
 
     @property
     def s(self) -> float:
@@ -170,9 +165,7 @@ def dual_pow(a: DualScalar, p: float) -> DualScalar:
     Raises ValueError for a_s < 0 (fractional powers of negative bases leave
     the reals).
     """
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = check_real(p, "p", 1.0, math.inf, "[]")
     if a.s < 0.0:
         raise ValueError("dual_pow requires a nonnegative standard part")
     if a.s == 0.0:
@@ -184,9 +177,7 @@ def dual_pow(a: DualScalar, p: float) -> DualScalar:
 
 def dual_root(a: DualScalar, p: float) -> DualScalar:
     """Dual p-th root for a_s > 0: a_s**(1/p) + (1/p) a_s**(1/p-1) a_i eps."""
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = check_real(p, "p", 1.0, math.inf, "[]")
     if a.s <= 0.0:
         raise ValueError("dual_root requires a positive standard part")
     inv = 1.0 / p
@@ -355,6 +346,20 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> None:
     if value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {span}, got {value}")
+
+
+def check_real(value, name: str, low: float, high=math.inf, bounds="[)") -> float:
+    """value as a float; raises ValueError naming the argument unless value is
+    a real number (a Python or numpy int or float; a bool is not one) between
+    low and high, each end closed or open as bounds says: "[)", "[]" or "()"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    above = value >= low if bounds[0] == "[" else value > low
+    below = value <= high if bounds[1] == "]" else value < high
+    if not (above and below):
+        span = f"{bounds[0]}{low:g}, {high:g}{bounds[1]}"
+        raise ValueError(f"{name} must be in {span}, got {value}")
+    return float(value)
 
 
 def dm_inverse(a: DualMatrix) -> DualMatrix:

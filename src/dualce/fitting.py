@@ -27,13 +27,12 @@ Iterates and stopping are those of projecting at every test.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DualMatrix, check_integer
+from .core import DualMatrix, check_integer, check_real
 from .markov import validate_dtpm
 
 ILL_CONDITION_LIMIT = 1e10
@@ -212,23 +211,15 @@ _FIT_MINIMUM = {"tol": 0.0, "max_iter": 1}
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver settings; construction raises ValueError for a tol that is
-    not a number, a max_iter that is not an integer (a bool is neither), or a
-    value out of range (a NaN or negative tol would switch the stopping test
-    off)."""
+    """Solver settings.  A NaN or negative tol would switch the stopping test
+    off, so construction rejects it, as it does a max_iter below 1."""
 
     tol: float = 1e-10
     max_iter: int = 20000
 
     def __post_init__(self):
         check_integer(self.max_iter, "FitOptions.max_iter", _FIT_MINIMUM["max_iter"])
-        low = _FIT_MINIMUM["tol"]
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"FitOptions.tol must be a number, got {self.tol!r}")
-        if not low <= self.tol < math.inf:
-            raise ValueError(
-                f"FitOptions.tol must be finite and >= {low}, got {self.tol!r}"
-            )
+        check_real(self.tol, "FitOptions.tol", _FIT_MINIMUM["tol"])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .core import check_real
+
 DEFAULT_T_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6)
 
 
@@ -42,15 +44,14 @@ def fd_directional(
     """Estimate the one-sided directional derivative of f at x along u.
 
     x and u may be floats or numpy arrays of the same shape; f maps that
-    point type to a float.  t_schedule must be strictly decreasing, with
-    every step in (0, inf).  Evaluation failures of f propagate to the
-    caller.
+    point type to a float.  t_schedule must be nonempty and strictly
+    decreasing, with every step in (0, inf), and rtol in [0, inf).
+    Evaluation failures of f propagate to the caller.
     """
-    ts = [float(t) for t in t_schedule]
+    ts = [check_real(t, "t_schedule entry", 0.0, math.inf, "()") for t in t_schedule]
+    rtol = check_real(rtol, "rtol", 0.0)
     if not ts:
         raise ValueError("t_schedule must be nonempty")
-    if not all(0.0 < t < math.inf for t in ts):
-        raise ValueError(f"t_schedule entries must be positive and finite, got {ts}")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_schedule must be strictly decreasing")
 

@@ -16,12 +16,11 @@ layout `fitting.build_snapshots` splits with its `runs` argument.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, check_integer, check_square
+from .core import DualMatrix, DualScalar, check_integer, check_real, check_square
 from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
@@ -157,11 +156,7 @@ class DumbbellConfig:
     Defaults give the 85-node benchmark (25 + 15 + 5 + 15 + 25).  Couplings
     exist only between adjacent blocks; coupling_density is the fraction of
     cross-block entries made nonzero and coupling_scale bounds their raw
-    magnitude before column normalization.  A block size that is not an
-    integer >= 1 (a bool is not one) raises ValueError, as do a seed that is
-    not an integer >= 0 and a coupling that is not a real number (a bool is
-    not one) or is out of range.
-    """
+    magnitude before column normalization."""
 
     far_weight: int = 25
     near_weight: int = 15
@@ -173,14 +168,8 @@ class DumbbellConfig:
     def __post_init__(self):
         for name, low in (("far_weight", 1), ("near_weight", 1), ("bar", 1), ("seed", 0)):
             check_integer(getattr(self, name), name, low)
-        for name in ("coupling_density", "coupling_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 <= self.coupling_density <= 1.0:
-            raise ValueError("coupling_density must be in [0, 1]")
-        if not 0.0 < self.coupling_scale < math.inf:
-            raise ValueError("coupling_scale must be finite and positive")
+        check_real(self.coupling_density, "coupling_density", 0.0, 1.0, "[]")
+        check_real(self.coupling_scale, "coupling_scale", 0.0, math.inf, "()")
 
     @property
     def block_sizes(self) -> tuple:
@@ -310,9 +299,7 @@ def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:
     check_square(p, "delta_gamma")
     n = p.shape[0]
     check_integer(k, "k", 1, n)
-    p_exp = float(p_exp)
-    if not 1.0 <= p_exp < 2.0:
-        raise ValueError(f"p must be in [1, 2), got {p_exp}")
+    p_exp = check_real(p_exp, "p_exp", 1.0, 2.0)
     sigma = p.s if isinstance(p, Decomposition) else np.linalg.svd(p, compute_uv=False)
     powered = sigma**p_exp
     return float(np.sum(powered[:k]) / k - np.sum(powered) / n)

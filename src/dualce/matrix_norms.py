@@ -17,12 +17,18 @@ row/column meaning and are never transposed.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, DualVector, check_integer, check_square
+from .core import (
+    DualMatrix,
+    DualScalar,
+    DualVector,
+    check_integer,
+    check_real,
+    check_square,
+)
 from .svd import Decomposition, decomposed
 from .vector_norms import dual_vector_norm
 
@@ -51,9 +57,7 @@ def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScala
     of the block containing sigma_k, M = sym(U2^T A_i V2), and t counts the
     block positions at or before k.  p = 1 is the Ky Fan k-norm.
     """
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"ky_fan_pk_norm requires 1 <= p < inf, got {p}")
+    p = check_real(p, "p", 1.0)
     check_integer(k, "k", 1, min(a.shape))
     d = decomposed(a)
     if p > 1.0 and 0 < d.rank < k:
@@ -91,9 +95,7 @@ def schatten_norm(a: DualMatrix | Decomposition, p: float) -> DualScalar:
     ||A_s||_{S_p}^(p-1), with the compact factors of A_s; p = 1 is the
     nuclear norm, which adds the complement term ||U_c^T A_i V_c||_*.
     """
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"schatten_norm requires 1 <= p < inf, got {p}")
+    p = check_real(p, "p", 1.0)
     return dual_vector_norm(decomposed(a).sigma, p)
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DualMatrix, check_integer, check_square
+from .core import DualMatrix, check_integer, check_real, check_square
 from .fitting import FitOptions, FitReport, build_snapshots, fit_dtpm
 from .markov import (
     DumbbellConfig,
@@ -72,13 +72,14 @@ class SweepTable:
 
 
 def _check_p_list(p_list) -> tuple:
-    """p_list as a tuple of floats; raises unless it is nonempty and in [1, 2)."""
-    p_list = tuple(float(q) for q in p_list)
+    """p_list as a nonempty tuple of distinct floats in [1, 2); raises if not,
+    since a repeated p would count twice in detect_k's vote."""
+    p_list = tuple(check_real(q, "p_list entry", 1.0, 2.0) for q in p_list)
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    for q in p_list:
-        if not 1.0 <= q < 2.0:
-            raise ValueError(f"sweep p values must lie in [1, 2), got {q}")
+    for j, q in enumerate(p_list):
+        if q in p_list[:j]:
+            raise ValueError(f"p_list repeats {q}")
     return p_list
 
 

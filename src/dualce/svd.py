@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualVector, sym
+from .core import DualMatrix, DualVector, check_real, sym
 
 RANK_TOL = 1e-12
 GROUP_TOL = 1e-8
@@ -85,8 +85,7 @@ def group_singular_values(
 ) -> tuple[tuple[int, int], ...]:
     """Half-open (start, stop) blocks of s, chaining consecutive singular
     values whose gap is <= group_tol * s[0]."""
-    if not 0.0 <= group_tol < np.inf:
-        raise ValueError(f"group_tol must be finite and nonnegative, got {group_tol}")
+    group_tol = check_real(group_tol, "group_tol", 0.0)
     if len(s) == 0:
         return ()
     cuts = (np.flatnonzero(s[:-1] - s[1:] > group_tol * s[0]) + 1).tolist()

@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
-from .core import DualScalar, DualVector
+from .core import DualScalar, DualVector, check_real
 
 
 def quantize(a: np.ndarray, tol: float) -> np.ndarray:
-    """Zero out entries with magnitude strictly below tol."""
+    """Zero out entries with magnitude strictly below tol, 0 <= tol < inf."""
+    tol = check_real(tol, "tol", 0.0)
     arr = np.asarray(a, dtype=float)
     return np.where(np.abs(arr) < tol, 0.0, arr)
 
@@ -26,13 +27,6 @@ def _real_norm(v: np.ndarray, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0
     return float(np.linalg.norm(v, ord=p))
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    return p
 
 
 def dual_vector_norm(x: DualVector, p: float) -> DualScalar:
@@ -47,7 +41,7 @@ def dual_vector_norm(x: DualVector, p: float) -> DualScalar:
 
     A vector with x_s = 0 returns ||x_i||_p eps.
     """
-    p = _check_p(p)
+    p = check_real(p, "p", 1.0, math.inf, "[]")
     xs, xi = x.s, x.i
     if not xs.any():
         return DualScalar(0.0, _real_norm(xi, p))

@@ -29,11 +29,15 @@ from dualce import (
     dual_log2,
     dual_pow,
     dual_root,
+    fd_directional,
     kmeans,
     ky_fan_pk_norm,
+    quantize,
+    schatten_norm,
     skew,
     sym,
 )
+from dualce.core import check_real
 from dualce.pipeline import random_initial_states
 from tests.conftest import assert_dual_close, dm_random_orthogonal, random_dtpm
 
@@ -46,7 +50,9 @@ class TestDualScalar:
         assert a.s == 2.0 and a.i == -3.0
         assert DualScalar(1.5).i == 0.0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), True, "1.5", None]
+    )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             DualScalar(bad)
@@ -117,8 +123,8 @@ class TestDualScalar:
     def test_pow_and_root_reject_bad_p(self):
         a = DualScalar(1.7, -0.4)
         for fn in (dual_pow, dual_root):
-            for bad in (0.5, -1.0, math.nan):
-                with pytest.raises(ValueError, match="p must be >= 1"):
+            for bad in (0.5, -1.0, math.nan, True, "1.5", None):
+                with pytest.raises(ValueError, match="^p must be"):
                     fn(a, bad)
 
     def test_log2(self):
@@ -427,3 +433,55 @@ def test_seed_check_names_seed(site, value):
 @pytest.mark.parametrize("site", sorted(SEED_SITES))
 def test_seed_check_accepts_numpy_integer(site):
     SEED_SITES[site](np.uint32(7))
+
+
+@pytest.mark.parametrize(
+    "bounds, inside", [("[)", (0.0, 0.5)), ("[]", (0.0, 0.5, 1.0)), ("()", (0.5,))]
+)
+def test_check_real_bounds(bounds, inside):
+    span = re.escape(f"x must be in {bounds[0]}0, 1{bounds[1]}")
+    for value in (-0.5, 0.0, 0.5, 1.0, 1.5, math.nan):
+        if value in inside:
+            assert check_real(value, "x", 0.0, 1.0, bounds) == value
+        else:
+            with pytest.raises(ValueError, match=span):
+                check_real(value, "x", 0.0, 1.0, bounds)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None, np.array(0.5), 1j])
+def test_check_real_rejects_non_reals(value):
+    with pytest.raises(ValueError, match="^x must be a real number"):
+        check_real(value, "x", 0.0)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2), 2, 0.5])
+def test_check_real_returns_a_float(value):
+    out = check_real(value, "x", 0.0)
+    assert type(out) is float and out == float(value)
+
+
+# Real-valued arguments checked with core.check_real that no other test
+# range-checks: (argument name, call).
+REAL_SITES = {
+    "ky_fan_pk_norm p": ("p", lambda v: ky_fan_pk_norm(_P4, 2, v)),
+    "schatten_norm p": ("p", lambda v: schatten_norm(_P4, v)),
+    "quantize tol": ("tol", lambda v: quantize(_P4.s, v)),
+    "fd_directional rtol": ("rtol", lambda v: fd_directional(abs, 1.0, 1.0, rtol=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+@pytest.mark.parametrize("value", [True, "1.5", None, -1.0, math.inf, math.nan])
+def test_real_check_names_argument(site, value):
+    # Unchecked, True ran as 1 and "1.5" as 1.5 in both norms, and a NaN
+    # quantize tol zeroed nothing.
+    name, call = REAL_SITES[site]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+@pytest.mark.parametrize("value", [np.float32(1.5), np.int64(2)])
+def test_real_check_accepts_numpy_scalars(site, value):
+    _, call = REAL_SITES[site]
+    np.testing.assert_equal(call(value), call(float(value)))

@@ -42,8 +42,9 @@ def test_schedule_validation():
         fd_directional(abs, 1.0, 1.0, t_schedule=(1e-3, 1e-2))
     with pytest.raises(ValueError):
         fd_directional(abs, 1.0, 1.0, t_schedule=(1e-3, 0.0))
-    for bad in ((float("nan"),), (float("inf"), 1e-3), (1e-3, float("nan"))):
-        with pytest.raises(ValueError, match="positive and finite"):
+    for bad in ((float("nan"),), (float("inf"), 1e-3), (1e-3, float("nan")),
+                (True,), ("1e-3",), (None,)):
+        with pytest.raises(ValueError, match="^t_schedule entry must be"):
             fd_directional(abs, 1.0, 1.0, t_schedule=bad)
 
 

@@ -288,6 +288,11 @@ class TestDumbbell:
         with pytest.raises(ValueError, match=field):
             DumbbellConfig(**{field: value})
 
+    @pytest.mark.parametrize("density", [0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)])
+    def test_coupling_density_edges_accepted(self, density):
+        cfg = DumbbellConfig(far_weight=2, near_weight=2, bar=1, coupling_density=density)
+        validate_tpm(dumbbell_tpm(cfg))
+
     def test_coupling_accepts_real_numbers(self):
         cfg = DumbbellConfig(coupling_density=1, coupling_scale=np.float64(0.5))
         assert (cfg.coupling_density, cfg.coupling_scale) == (1, 0.5)
@@ -474,6 +479,9 @@ class TestDeltaGamma:
             delta_gamma(m, 4, 1.5)
         with pytest.raises(ValueError):
             delta_gamma(m, 2, 2.5)
+        for bad in (True, "1.5", None):
+            with pytest.raises(ValueError, match="^p_exp must be"):
+                delta_gamma(m, 2, bad)
 
 
 class TestSerialization:

@@ -163,6 +163,9 @@ class TestNormSweep:
             norm_sweep(p, ())
         with pytest.raises(ValueError):
             norm_sweep(p, (2.5,))
+        for bad in ((1.3, 1.3), (True,), ("1.5",), (None,)):
+            with pytest.raises(ValueError, match="p_list"):
+                norm_sweep(p, bad)
         with pytest.raises(ValueError):
             norm_sweep(DualMatrix(np.zeros((3, 3)), np.eye(3)), (1.5,))
 
@@ -418,7 +421,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys: \\['zero_threshold'\\]"):
             PipelineConfig.from_dict({"zero_threshold": 1e-13})
 
-    @pytest.mark.parametrize("p_list", [(), (2.5,), (1.3, 0.5), (float("nan"),)])
+    @pytest.mark.parametrize(
+        "p_list", [(), (2.5,), (1.3, 0.5), (float("nan"),), (1.3, 1.3)]
+    )
     def test_bad_p_list_rejected(self, p_list):
         with pytest.raises(ValueError):
             PipelineConfig(p_list=p_list)
@@ -817,7 +822,8 @@ class TestCli:
          ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
          ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
          ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, []),
-         ({"zero_threshold": 1e-13}, []), ({"seed": -1}, [])],
+         ({"zero_threshold": 1e-13}, []), ({"seed": -1}, []),
+         ({}, ["--p-list", "1.3,1.3"])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

@@ -142,7 +142,7 @@ class TestGrouping:
     def test_empty(self):
         assert group_singular_values(np.array([]), 1e-8) == ()
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, "1e-8", None])
     def test_bad_tolerance_rejected(self, tol):
         # a NaN threshold would merge every singular value into one block
         with pytest.raises(ValueError, match="group_tol"):

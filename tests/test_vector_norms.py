@@ -16,7 +16,8 @@ from dualce import (
     fd_directional,
     quantize,
 )
-from dualce.vector_norms import _check_p, _real_norm
+from dualce.core import check_real
+from dualce.vector_norms import _real_norm
 from tests.conftest import assert_dual_close, fd_check, random_dual_vector
 
 P_VALUES = [1.0, 1.3, 2.0, 3.5, math.inf]
@@ -73,7 +74,7 @@ def dual_vector_norm_elementwise(x, p):
     leaves the domain of t**p, so no value is assigned.  A vector with
     x_s = 0 falls back to ||x_i||_p eps.
     """
-    p = _check_p(p)
+    p = check_real(p, "p", 1.0, math.inf, "[]")
     if len(x) == 0:
         return DualScalar(0.0, 0.0)
 
@@ -111,9 +112,16 @@ def test_rejects_bad_p():
     # NaN fails p < 1 as well as p >= 1; the check must still name p
     x = DualVector([1.0], [0.0])
     for norm in (dual_vector_norm, dual_vector_norm_elementwise):
-        for bad in (0.5, 0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="p must satisfy 1 <= p <= inf"):
+        for bad in (0.5, 0.0, -1.0, math.nan, True, "1.5", None):
+            with pytest.raises(ValueError, match="^p must be"):
                 norm(x, bad)
+
+
+@pytest.mark.parametrize("p", [np.float32(1.5), np.int64(2), math.inf])
+def test_accepts_real_p_of_any_kind(p):
+    # a numpy scalar p gives the norm at the float it holds
+    x = DualVector([3.0, -4.0, 0.0], [1.0, 2.0, -5.0])
+    assert dual_vector_norm(x, p) == dual_vector_norm(x, float(p))
 
 
 class TestAxioms:

@@ -1,7 +1,8 @@
 """Command-line interface for the causal-emergence pipeline.
 
-Every subcommand runs `pipeline.stages` on the resolved configuration
-(config file defaults, overridden by flags) up to its own stage, so running
+Every subcommand runs the stages with `pipeline.run_stages` on the resolved
+configuration (config file defaults, overridden by flags) up to its own
+stage, keeping only that stage's output and the detection, so running
 `sweep` does not require having run `fit` first.  It then writes that
 stage's files with its writer in `pipeline.WRITERS`; `pipeline` runs
 `analyze` and writes the full artifact set with `write_artifacts`.  Either
@@ -20,7 +21,7 @@ from .pipeline import (
     PipelineConfig,
     StageError,
     analyze,
-    stages,
+    run_stages,
     write_artifacts,
 )
 
@@ -102,16 +103,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "pipeline":
             result = analyze(cfg)
-            detection = result.detection
+            outputs = result.outputs
         else:
-            detection = None
-            for name, output in stages(cfg):
-                if name == "detect":
-                    detection = output
-                if name == args.command:
-                    break
-                # The loop variable would hold the output through the next stage.
-                del output
+            outputs = run_stages(cfg, args.command, {args.command, "detect"})
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -122,10 +116,11 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             paths = write_artifacts(result, out, args.format)
         else:
-            paths = WRITERS[args.command](out, output, args.format)
+            paths = WRITERS[args.command](out, outputs[args.command], args.format)
     except OSError as err:
         print(f"error in {args.command}: {err}", file=sys.stderr)
         return 1
+    detection = outputs.get("detect")
     k_star = "" if detection is None else f"k_star={detection.k_star}, "
     names = ", ".join(path.name for path in paths)
     print(f"{args.command} complete: {k_star}wrote {names} to {out}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class DualScalar:
     def _coerce(other) -> "DualScalar | None":
         if isinstance(other, DualScalar):
             return other
+        if isinstance(other, bool):  # refused, as DualScalar(True) is
+            return None
         if isinstance(other, (int, float, np.integer, np.floating)):
             return DualScalar(float(other), 0.0)
         return None
@@ -337,23 +340,27 @@ def check_square(a, name: str) -> None:
         raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
 
 
-def check_integer(value, name: str, low: int, high: int | None = None) -> None:
-    """Raise ValueError naming the argument unless value is an integer (a
-    Python or numpy int; a bool is not one) in low..high, or >= low with no
-    high."""
+def check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int; raises ValueError naming the argument unless value is
+    an integer (a Python or numpy int; a bool is not one) in low..high, or
+    >= low with no high."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {span}, got {value}")
+    return int(value)
 
 
 def check_real(value, name: str, low: float, high=math.inf, bounds="[)") -> float:
     """value as a float; raises ValueError naming the argument unless value is
     a real number (a Python or numpy int or float; a bool is not one) between
-    low and high, each end closed or open as bounds says: "[)", "[]" or "()"."""
+    low and high, each end closed or open as bounds says: "[)", "[]" or "()".
+    A Python int past the float range counts as the infinity of its sign."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        value = math.inf if value > 0 else -math.inf
     above = value >= low if bounds[0] == "[" else value > low
     below = value <= high if bounds[1] == "]" else value < high
     if not (above and below):

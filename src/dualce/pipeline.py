@@ -4,8 +4,9 @@ Stages: generate the dumbbell benchmark, simulate trajectories, fit the dual
 transition matrix, sweep the dual Ky Fan norms over (k, p), detect the
 optimal class count from the infinitesimal parts, and coarse-grain by
 clustering singular-vector projections of the columns.  `stages` runs them
-in order as pure functions of the configuration; `analyze` and every CLI
-subcommand iterate it, so later stages re-derive earlier ones from the seed
+in order as pure functions of the configuration, and `run_stages` runs them
+up to a named one, keeping the outputs asked for; `analyze` and every CLI
+subcommand call it, so later stages re-derive earlier ones from the seed
 instead of reading intermediate files.  `WRITERS` holds the one function
 that writes each stage's files, for `write_artifacts` and the CLI alike.
 
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,15 +73,18 @@ class SweepTable:
         return self.standard.shape[1]
 
 
-def _check_p_list(p_list) -> tuple:
-    """p_list as a nonempty tuple of distinct floats in [1, 2); raises if not,
-    since a repeated p would count twice in detect_k's vote."""
-    p_list = tuple(check_real(q, "p_list entry", 1.0, 2.0) for q in p_list)
+def _check_p_list(p_list, name: str = "p_list") -> tuple:
+    """p_list as a nonempty tuple of distinct floats in [1, 2); raises
+    ValueError naming it if not, since a repeated p would count twice in
+    detect_k's vote."""
+    if not isinstance(p_list, Sequence):
+        raise ValueError(f"{name} must be a sequence, got {p_list!r}")
+    p_list = tuple(check_real(q, f"{name} entry", 1.0, 2.0) for q in p_list)
     if not p_list:
-        raise ValueError("p_list must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     for j, q in enumerate(p_list):
         if q in p_list[:j]:
-            raise ValueError(f"p_list repeats {q}")
+            raise ValueError(f"{name} repeats {q}")
     return p_list
 
 
@@ -286,24 +291,6 @@ def coarse_grain(
     return CoarseGraining(upsilon, labels, seed_used)
 
 
-def _plain(value):
-    """value with numpy scalars as the Python numbers they hold and a list
-    as a tuple."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_plain(q) for q in value)
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _same_kind(value, default) -> bool:
-    """Whether a plain config value has the type of the field's default; an
-    int may stand for a float, and a tuple of numbers for p_list."""
-    if isinstance(default, tuple):
-        return isinstance(value, tuple) and all(_same_kind(q, 1.0) for q in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float) else int)
-
-
 # Lower bounds of the numeric settings that are not the dumbbell's own.
 _MINIMUM = {
     "seed": 0,
@@ -330,13 +317,12 @@ class PipelineConfig:
     trajectories > 1 fits the stacked snapshots of that many runs of t
     steps, each from its own random start.
 
-    Construction raises ValueError for a value of the wrong type (each field
-    takes the type of its default, where a numpy scalar counts as the
-    Python number it holds and an int may stand for a float) or out of
-    range: the dumbbell fields through DumbbellConfig, the others against
-    _MINIMUM.  Numpy scalars are stored as the Python numbers they hold, a
-    float field as a float (so coupling_scale=1 writes 1.0, as 1.0 does; an
-    int past the float range is out of range) and p_list as a tuple of floats.
+    Construction checks each field by the type of its default, naming the
+    config key in a ValueError: int fields through check_integer, float
+    fields through check_real, drift as a Python or numpy bool, p_list
+    through _check_p_list; lower bounds are _MINIMUM's, the dumbbell fields'
+    ranges DumbbellConfig's.  The checked value is stored, so a float field
+    given 1 holds 1.0 and p_list is a tuple of floats.
     """
 
     far_weight: int = 25
@@ -357,24 +343,19 @@ class PipelineConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = _plain(getattr(self, field.name))
-            if not _same_kind(value, field.default):
-                kind = type(field.default).__name__
-                raise ValueError(
-                    f"config key {field.name!r} must be {kind}, got {value!r}"
-                )
-            if isinstance(field.default, float):
-                if abs(value) > sys.float_info.max:  # an int past the float range
-                    value = math.inf if value > 0 else -math.inf
-                value = float(value)
+            value, key = getattr(self, field.name), f"config key {field.name!r}"
+            low = _MINIMUM.get(field.name, -math.inf)
+            if isinstance(field.default, bool):
+                if not isinstance(value, (bool, np.bool_)):
+                    raise ValueError(f"{key} must be a bool, got {value!r}")
+                value = bool(value)
+            elif isinstance(field.default, int):
+                value = check_integer(value, key, low)
+            elif isinstance(field.default, float):
+                value = check_real(value, key, low)
+            else:
+                value = _check_p_list(value, key)
             object.__setattr__(self, field.name, value)
-        object.__setattr__(self, "p_list", _check_p_list(self.p_list))
-        for name, low in _MINIMUM.items():
-            value = getattr(self, name)
-            if not low <= value < math.inf:
-                raise ValueError(
-                    f"config key {name!r} must be finite and >= {low}, got {value!r}"
-                )
         self.dumbbell()
 
     def child_seeds(self) -> dict:
@@ -410,20 +391,22 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """What the stages made, once each; chain is the TPM, or the DTPM under drift."""
+    """What the stages made, once each: outputs maps every stage name but
+    simulate to what `stages` yields for it, and the properties read it."""
 
     config: PipelineConfig
-    chain: np.ndarray | DualMatrix
-    report: FitReport
-    sweep: SweepTable
-    detection: DetectionResult
-    coarse: dict  # method -> CoarseGraining
-    ei_micro: float
-    ei_macro: dict  # method -> float
+    outputs: dict
 
-    @property
-    def p(self) -> DualMatrix:
-        return self.report.p
+    # chain is the TPM, or the DTPM under drift; coarse and ei_macro map each
+    # method to its CoarseGraining and its macro EI.
+    chain = property(lambda self: self.outputs["generate"])
+    report = property(lambda self: self.outputs["fit"])
+    p = property(lambda self: self.report.p)
+    sweep = property(lambda self: self.outputs["sweep"])
+    detection = property(lambda self: self.outputs["detect"])
+    coarse = property(lambda self: self.outputs["coarse-grain"][0])
+    ei_micro = property(lambda self: self.outputs["coarse-grain"][1])
+    ei_macro = property(lambda self: self.outputs["coarse-grain"][2])
 
 
 def random_initial_states(n: int, seed: int, count: int) -> np.ndarray:
@@ -444,8 +427,6 @@ class StageError(RuntimeError):
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as err:
         raise StageError(f"stage '{name}' failed: {err}") from err
 
@@ -507,22 +488,26 @@ def stages(cfg: PipelineConfig):
     yield "coarse-grain", (coarse, ei_micro, ei_macro)
 
 
-def analyze(cfg: PipelineConfig) -> PipelineResult:
-    """Run every stage in memory and return the assembled result.
-
-    The result holds every stage's output but the trajectories: nothing
-    after the fit reads them.
-    """
-    out = {}
+def run_stages(cfg: PipelineConfig, last: str, keep) -> dict:
+    """Run the stages up to and including last; return {name: output} for
+    the stage names in keep, in stage order.  No other output outlives the
+    next stage, so an unkept output is not held through the fit."""
+    outputs = {}
     for name, output in stages(cfg):
-        if name != "simulate":
-            out[name] = output
+        if name in keep:
+            outputs[name] = output
+        if name == last:
+            break
         # The loop variable would hold the output through the next stage.
         del output
-    return PipelineResult(
-        cfg, out["generate"], out["fit"], out["sweep"], out["detect"],
-        *out["coarse-grain"],
-    )
+    return outputs
+
+
+def analyze(cfg: PipelineConfig) -> PipelineResult:
+    """Run every stage in memory and return the result, which holds every
+    stage's output but the trajectories: nothing after the fit reads them."""
+    kept = WRITERS.keys() - {"simulate"}
+    return PipelineResult(cfg, run_stages(cfg, "coarse-grain", kept))
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -639,29 +624,21 @@ def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
     runs.
     """
     _check_fmt(fmt)
-    result = analyze(cfg)
-    write_artifacts(result, out_dir, fmt)
+    write_artifacts(analyze(cfg), out_dir, fmt)
     return manifest_payload(cfg)
 
 
 def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> list:
     """Write the artifact set of an analyzed run into out_dir.
 
-    The files of generate, fit, sweep, detect and coarse-grain, each
-    through its writer in WRITERS, so each the bytes its subcommand writes,
-    then manifest.json.  Returns the paths written.
+    The files of each stage in result.outputs, through its writer in
+    WRITERS, so each the bytes its subcommand writes, then manifest.json.
+    Returns the paths written.
     """
     _check_fmt(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "generate": result.chain,
-        "fit": result.report,
-        "sweep": result.sweep,
-        "detect": result.detection,
-        "coarse-grain": (result.coarse, result.ei_micro, result.ei_macro),
-    }
     paths = []
-    for name, output in outputs.items():
+    for name, output in result.outputs.items():
         paths += WRITERS[name](out, output, fmt)
     return [*paths, _write_json(out / "manifest.json", manifest_payload(result.config))]

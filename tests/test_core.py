@@ -51,7 +51,9 @@ class TestDualScalar:
         assert DualScalar(1.5).i == 0.0
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), -float("inf"), True, "1.5", None]
+        "bad",
+        [float("nan"), float("inf"), -float("inf"), True, "1.5", None,
+         pytest.param(10**400, id="10**400")],
     )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
@@ -86,6 +88,21 @@ class TestDualScalar:
         assert (1 - a) == DualScalar(-1.0, -1.0)
         assert -a == DualScalar(-2.0, -1.0)
         assert +a is a
+
+    def test_refuses_bool_operand(self):
+        # DualScalar(True) is refused, so a bool is no operand either: True
+        # added as 1.0 and DualScalar(1.0) == True held.
+        a = DualScalar(1.0)
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((a, True), (True, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        m = DualMatrix(np.eye(2))
+        for left, right in ((m, True), (True, m)):
+            with pytest.raises(TypeError):
+                left * right
+        assert not a == True and a != False
+        assert a == 1 and a == np.int64(1) and a == np.float32(1.0)
 
     def test_order_is_lexicographic(self):
         assert DualScalar(1, 5) < DualScalar(1, 7)
@@ -471,10 +488,14 @@ REAL_SITES = {
 
 
 @pytest.mark.parametrize("site", sorted(REAL_SITES))
-@pytest.mark.parametrize("value", [True, "1.5", None, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "value",
+    [True, "1.5", None, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400")],
+)
 def test_real_check_names_argument(site, value):
     # Unchecked, True ran as 1 and "1.5" as 1.5 in both norms, and a NaN
-    # quantize tol zeroed nothing.
+    # quantize tol zeroed nothing.  An int past the float range counts as
+    # inf; float() of it raised OverflowError.
     name, call = REAL_SITES[site]
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(value)

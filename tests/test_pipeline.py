@@ -445,10 +445,14 @@ class TestConfig:
             PipelineConfig(**entry)
 
     def test_plain_values_stored(self):
-        cfg = PipelineConfig(p_list=[1.3], seed=np.int64(3), fit_tol=np.float32(0.5))
-        plain = PipelineConfig(p_list=(1.3,), seed=3, fit_tol=0.5)
+        cfg = PipelineConfig(
+            p_list=[1.3], seed=np.int64(3), fit_tol=np.float32(0.5),
+            drift=np.bool_(True), t=np.int64(5),
+        )
+        plain = PipelineConfig(p_list=(1.3,), seed=3, fit_tol=0.5, drift=True, t=5)
         assert cfg == plain and hash(cfg) == hash(plain)
         assert type(cfg.seed) is int and type(cfg.fit_tol) is float
+        assert type(cfg.drift) is bool and type(cfg.t) is int
         # An int for a float field is stored as a float, so equal configs
         # write the same config echo.
         as_int, as_float = PipelineConfig(coupling_scale=1), PipelineConfig(coupling_scale=1.0)
@@ -539,6 +543,21 @@ class TestAnalyze:
         assert 1 <= res.detection.k_star <= res.sweep.rank
         assert set(res.coarse) == {WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL}
         assert res.ei_micro >= 0.0
+
+    def test_outputs_held_once_by_stage_name(self, fitted, tiny_config):
+        # Every stage but simulate, in stage order, and each property reads
+        # its own stage's output.
+        stage_names = [name for name, _ in pipeline.stages(tiny_config)]
+        assert list(pipeline.WRITERS) == stage_names
+        assert list(fitted.outputs) == [n for n in stage_names if n != "simulate"]
+        out = fitted.outputs
+        assert fitted.chain is out["generate"]
+        assert fitted.report is out["fit"] and fitted.p is fitted.report.p
+        assert fitted.sweep is out["sweep"]
+        assert fitted.detection is out["detect"]
+        coarse, ei_micro, ei_macro = out["coarse-grain"]
+        assert fitted.coarse is coarse and fitted.ei_macro is ei_macro
+        assert fitted.ei_micro is ei_micro
 
     def test_decomposes_once_after_the_fit(self, tiny_config, monkeypatch):
         # the sweep and both coarse-grainings share one SVD of the fitted P

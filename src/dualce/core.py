@@ -44,12 +44,20 @@ def _as_finite_array(a, name: str, copy: bool) -> np.ndarray:
     return arr
 
 
+def _coerced(method):
+    """An operator method given its scalar operand as a DualScalar
+    (DualScalar._coerce); NotImplemented for any other operand."""
+    def wrapper(self, other):
+        o = DualScalar._coerce(other)
+        return NotImplemented if o is None else method(self, o)
+
+    return wrapper
+
+
 def _ordered(op):
-    """DualScalar comparison: coerce the other operand, then op on the _key()s."""
-    def method(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    """DualScalar comparison: op on the _key()s of the coerced operands."""
+    @_coerced
+    def method(self, o):
         return op(self._key(), o._key())
 
     return method
@@ -91,30 +99,22 @@ class DualScalar:
 
     # arithmetic with eps**2 = 0
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return DualScalar(self._s + o._s, self._i + o._i)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return DualScalar(self._s - o._s, self._i - o._i)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return DualScalar(self._s * o._s, self._s * o._i + self._i * o._s)
 
     __rmul__ = __mul__
@@ -258,10 +258,8 @@ class _DualArray:
             return NotImplemented
         return type(self)(self._s - other._s, self._i - other._i)
 
+    @_coerced
     def __mul__(self, c):
-        c = DualScalar._coerce(c)
-        if c is None:
-            return NotImplemented
         return type(self)(c.s * self._s, c.s * self._i + c.i * self._s)
 
     __rmul__ = __mul__

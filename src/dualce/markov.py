@@ -20,14 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualScalar, check_integer, check_real, check_square
+from .core import _LN2, DualMatrix, DualScalar, check_integer, check_real, check_square
 from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
 # is_dynamically_reversible's bound on |P_s - permutation| and on |P_i|.
 REVERSIBILITY_TOL = 1e-9
-
-_LN2 = math.log(2.0)
+# DumbbellConfig's bounds, which PipelineConfig checks its copies against:
+# check_integer's lower bound on each block size and check_real's interval
+# arguments for each coupling.
+DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
+DUMBBELL_INTERVALS = {
+    "coupling_density": (0.0, 1.0, "[]"),
+    "coupling_scale": (0.0, math.inf, "()"),
+}
 
 
 def validate_tpm(p: np.ndarray) -> np.ndarray:
@@ -166,10 +172,10 @@ class DumbbellConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("far_weight", 1), ("near_weight", 1), ("bar", 1), ("seed", 0)):
+        for name, low in {**DUMBBELL_MINIMUM, "seed": 0}.items():
             check_integer(getattr(self, name), name, low)
-        check_real(self.coupling_density, "coupling_density", 0.0, 1.0, "[]")
-        check_real(self.coupling_scale, "coupling_scale", 0.0, math.inf, "()")
+        for name, interval in DUMBBELL_INTERVALS.items():
+            check_real(getattr(self, name), name, *interval)
 
     @property
     def block_sizes(self) -> tuple:
@@ -318,18 +324,10 @@ def matrix_from_dict(d: dict) -> np.ndarray:
 
 def write_matrix_csv(path, m: np.ndarray) -> None:
     """One matrix per file, 17 significant digits so values round-trip."""
-    m = np.asarray(m, dtype=float)
+    m = np.atleast_2d(np.asarray(m, dtype=float))
     with open(path, "w", newline="") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join("%.17g" % v for v in row.tolist()))
-            fh.write("\n")
+        np.savetxt(fh, m, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=float)
+    return np.loadtxt(path, delimiter=",", ndmin=2)

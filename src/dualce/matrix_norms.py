@@ -29,7 +29,7 @@ from .core import (
     check_real,
     check_square,
 )
-from .svd import Decomposition, decomposed
+from .svd import Decomposition, decompose
 from .vector_norms import dual_vector_norm
 
 
@@ -59,7 +59,7 @@ def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScala
     """
     p = check_real(p, "p", 1.0)
     check_integer(k, "k", 1, min(a.shape))
-    d = decomposed(a)
+    d = decompose(a)
     if p > 1.0 and 0 < d.rank < k:
         warnings.warn(
             f"Ky Fan ({k},{p}) norm at sigma_{k} = 0: block term vanishes",
@@ -96,7 +96,7 @@ def schatten_norm(a: DualMatrix | Decomposition, p: float) -> DualScalar:
     nuclear norm, which adds the complement term ||U_c^T A_i V_c||_*.
     """
     p = check_real(p, "p", 1.0)
-    return dual_vector_norm(decomposed(a).sigma, p)
+    return dual_vector_norm(decompose(a).sigma, p)
 
 
 def nuclear_norm(a: DualMatrix | Decomposition) -> DualScalar:

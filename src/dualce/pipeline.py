@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -33,8 +32,10 @@ import numpy as np
 
 from . import __version__
 from .core import DualMatrix, check_integer, check_real, check_square
-from .fitting import FitOptions, FitReport, build_snapshots, fit_dtpm
+from .fitting import FIT_MINIMUM, FitOptions, FitReport, build_snapshots, fit_dtpm
 from .markov import (
+    DUMBBELL_INTERVALS,
+    DUMBBELL_MINIMUM,
     DumbbellConfig,
     STOCHASTIC_TOL,
     dumbbell_dtpm,
@@ -49,7 +50,7 @@ from .markov import (
 # but perfbench/spans.py looks both names up here to count their calls.
 from .markov import delta_gamma  # noqa: F401
 from .matrix_norms import ky_fan_pk_norm  # noqa: F401
-from .svd import GROUP_TOL, RANK_TOL, Decomposition, cdsvd, decompose, decomposed
+from .svd import GROUP_TOL, RANK_TOL, Decomposition, cdsvd, decompose
 
 WITH_INFINITESIMAL = "with_infinitesimal"
 WITHOUT_INFINITESIMAL = "without_infinitesimal"
@@ -107,7 +108,7 @@ def norm_sweep(
     """
     p_list = _check_p_list(p_list)
     check_square(p, "norm_sweep")
-    d = decomposed(p, group_tol)
+    d = decompose(p, group_tol)
     if d.rank == 0:
         raise ValueError("norm sweep needs a nonzero standard part")
     sigma = d.sigma[: d.rank]
@@ -254,7 +255,7 @@ def coarse_grain(
     check_integer(max_iter, "max_iter", 1)
     check_integer(retries, "retries", 0)
     check_square(p, "coarse_grain")
-    d = decomposed(p, group_tol)
+    d = decompose(p, group_tol)
     p = d.matrix
     n = p.shape[0]
     result = cdsvd(d)
@@ -268,17 +269,13 @@ def coarse_grain(
         bottom = np.zeros_like(top)
     q = np.vstack([top, bottom])
 
-    labels = None
-    seed_used = seed
-    last_err = None
-    for attempt in range(retries + 1):
-        seed_used = seed + attempt
+    for seed_used in range(seed, seed + retries + 1):
         try:
             labels = kmeans(q.T, k, seed_used, max_iter=max_iter)
             break
         except EmptyClusterError as err:
             last_err = err
-    if labels is None:
+    else:
         raise RuntimeError(
             f"k-means produced an empty cluster in {retries + 1} attempts"
         ) from last_err
@@ -291,16 +288,19 @@ def coarse_grain(
     return CoarseGraining(upsilon, labels, seed_used)
 
 
-# Lower bounds of the numeric settings that are not the dumbbell's own.
-_MINIMUM = {
-    "seed": 0,
-    "t": 1,
-    "trajectories": 1,
-    "fit_max_iter": 1,
-    "kmeans_max_iter": 1,
-    "kmeans_retries": 0,
-    "fit_tol": 0.0,
-    "group_tol": 0.0,
+# The bound arguments of each numeric setting's check: (low,) or check_real's
+# interval.  The dumbbell's and the fit's are read from their owners.
+_BOUNDS = {
+    **{name: (low,) for name, low in DUMBBELL_MINIMUM.items()},
+    **DUMBBELL_INTERVALS,
+    "seed": (0,),
+    "t": (1,),
+    "trajectories": (1,),
+    "fit_max_iter": (FIT_MINIMUM["max_iter"],),
+    "kmeans_max_iter": (1,),
+    "kmeans_retries": (0,),
+    "fit_tol": (FIT_MINIMUM["tol"],),
+    "group_tol": (0.0,),
 }
 
 
@@ -320,9 +320,9 @@ class PipelineConfig:
     Construction checks each field by the type of its default, naming the
     config key in a ValueError: int fields through check_integer, float
     fields through check_real, drift as a Python or numpy bool, p_list
-    through _check_p_list; lower bounds are _MINIMUM's, the dumbbell fields'
-    ranges DumbbellConfig's.  The checked value is stored, so a float field
-    given 1 holds 1.0 and p_list is a tuple of floats.
+    through _check_p_list, each number within its _BOUNDS.  The checked
+    value is stored, so a float field given 1 holds 1.0 and p_list is a
+    tuple of floats.
     """
 
     far_weight: int = 25
@@ -344,19 +344,17 @@ class PipelineConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value, key = getattr(self, field.name), f"config key {field.name!r}"
-            low = _MINIMUM.get(field.name, -math.inf)
             if isinstance(field.default, bool):
                 if not isinstance(value, (bool, np.bool_)):
                     raise ValueError(f"{key} must be a bool, got {value!r}")
                 value = bool(value)
             elif isinstance(field.default, int):
-                value = check_integer(value, key, low)
+                value = check_integer(value, key, *_BOUNDS[field.name])
             elif isinstance(field.default, float):
-                value = check_real(value, key, low)
+                value = check_real(value, key, *_BOUNDS[field.name])
             else:
                 value = _check_p_list(value, key)
             object.__setattr__(self, field.name, value)
-        self.dumbbell()
 
     def child_seeds(self) -> dict:
         ss = np.random.SeedSequence(self.seed)

@@ -101,8 +101,13 @@ def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(flip, -u, u), np.where(flip, -v, v)
 
 
-def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
-    """The one full SVD of A_s (of A^T when m < n) and the dual singular values."""
+def decompose(
+    a: DualMatrix | Decomposition, group_tol: float = GROUP_TOL
+) -> Decomposition:
+    """The one full SVD of A_s (of A^T when m < n) and the dual singular
+    values; a Decomposition is returned as it was built, whatever group_tol."""
+    if isinstance(a, Decomposition):
+        return a
     t = a.T if a.shape[0] < a.shape[1] else a
     u, s, vt = np.linalg.svd(t.s, full_matrices=True)
     v = vt.T
@@ -127,13 +132,6 @@ def decompose(a: DualMatrix, group_tol: float = GROUP_TOL) -> Decomposition:
         np.concatenate([s[:rank], np.zeros(n - rank)]), np.concatenate([s_i, corner])
     )
     return Decomposition(a, u, s, v, rank, blocks, sigma)
-
-
-def decomposed(
-    a: DualMatrix | Decomposition, group_tol: float = GROUP_TOL
-) -> Decomposition:
-    """a itself if it is a Decomposition, else decompose(a, group_tol)."""
-    return a if isinstance(a, Decomposition) else decompose(a, group_tol)
 
 
 def _coupling_generators(
@@ -169,7 +167,7 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
     back.  A zero standard part yields empty factors and residual
     ||A_i||_F.
     """
-    d = decomposed(a)
+    d = decompose(a)
     wide = d.shape[0] < d.shape[1]
     a_i = d.matrix.i.T if wide else d.matrix.i
     m, n = a_i.shape

@@ -751,7 +751,7 @@ class TestFitOptions:
         from dualce import pipeline
 
         for key, field in (("fit_tol", "tol"), ("fit_max_iter", "max_iter")):
-            assert pipeline._MINIMUM[key] == fitting._FIT_MINIMUM[field]
+            assert pipeline._BOUNDS[key] == (fitting.FIT_MINIMUM[field],)
 
 
 class TestFitStandard:

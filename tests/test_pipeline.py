@@ -33,6 +33,7 @@ from dualce import (
 )
 from dualce import pipeline
 from dualce.cli import main
+from dualce.markov import matrix_from_dict, read_matrix_csv
 from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
 from tests.conftest import (
     matrix_with_sigmas,
@@ -397,6 +398,47 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
             coarse_grain(p, 2, retries=-1)
 
+    @staticmethod
+    def _failing_kmeans(monkeypatch, failures):
+        """Patch pipeline.kmeans to raise EmptyClusterError on its first
+        failures calls; return the seeds it is called with and the errors
+        it raised."""
+        seeds, errors = [], []
+
+        def flaky(points, k, seed, max_iter=300):
+            seeds.append(seed)
+            if len(seeds) <= failures:
+                errors.append(EmptyClusterError(f"empty at seed {seed}"))
+                raise errors[-1]
+            return kmeans(points, k, seed, max_iter=max_iter)
+
+        monkeypatch.setattr(pipeline, "kmeans", flaky)
+        return seeds, errors
+
+    @pytest.mark.parametrize("failures", [0, 1, 3])
+    def test_retries_with_the_next_seeds(self, monkeypatch, failures):
+        p = random_dtpm(np.random.default_rng(15), 6)
+        seeds, _ = self._failing_kmeans(monkeypatch, failures)
+        cg = coarse_grain(p, 2, seed=7, retries=3)
+        assert seeds == list(range(7, 7 + failures + 1))
+        assert cg.kmeans_seed == 7 + failures
+
+    def test_every_attempt_failing_raises_from_the_last(self, monkeypatch):
+        p = random_dtpm(np.random.default_rng(15), 6)
+        seeds, errors = self._failing_kmeans(monkeypatch, 10)
+        with pytest.raises(RuntimeError, match="in 3 attempts") as info:
+            coarse_grain(p, 2, seed=4, retries=2)
+        assert seeds == [4, 5, 6]
+        assert info.value.__cause__ is errors[-1]
+
+    def test_zero_retries_tries_once(self, monkeypatch):
+        p = random_dtpm(np.random.default_rng(15), 6)
+        seeds, errors = self._failing_kmeans(monkeypatch, 1)
+        with pytest.raises(RuntimeError, match="in 1 attempts") as info:
+            coarse_grain(p, 2, seed=9, retries=0)
+        assert seeds == [9]
+        assert info.value.__cause__ is errors[0]
+
 
 class TestConfig:
     def test_child_seeds_are_distinct_and_stable(self):
@@ -459,6 +501,14 @@ class TestConfig:
         assert as_int == as_float and hash(as_int) == hash(as_float)
         assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
 
+    # The interval each numeric key is refused with, its owner's.
+    SPANS = {
+        "t": ">= 1", "trajectories": ">= 1", "fit_max_iter": ">= 1",
+        "kmeans_max_iter": ">= 1", "kmeans_retries": ">= 0", "seed": ">= 0",
+        "far_weight": ">= 1", "fit_tol": r"in \[0, inf\)", "group_tol": r"in \[0, inf\)",
+        "coupling_density": r"in \[0, 1\]", "coupling_scale": r"in \(0, inf\)",
+    }
+
     @pytest.mark.parametrize(
         "entry",
         [{"t": 0}, {"trajectories": -1}, {"fit_max_iter": 0},
@@ -466,10 +516,14 @@ class TestConfig:
          {"fit_tol": float("inf")}, {"group_tol": -1e-12},
          {"group_tol": float("nan")}, {"far_weight": 0},
          {"coupling_density": 1.5}, {"coupling_scale": -1.0},
-         {"fit_tol": 10**400}, {"seed": -1}],
+         {"fit_tol": 10**400}, {"seed": -1},
+         # A non-finite coupling gets the dumbbell's interval, not a type-only one.
+         {"coupling_scale": float("inf")}, {"coupling_density": float("nan")}],
     )
     def test_out_of_range_values_rejected(self, entry):
-        with pytest.raises(ValueError, match=next(iter(entry))):
+        key = next(iter(entry))
+        span = self.SPANS[key]
+        with pytest.raises(ValueError, match=f"config key '{key}' must be {span}, got"):
             PipelineConfig(**entry)
 
     def test_range_edges_accepted(self):
@@ -757,6 +811,20 @@ class TestCli:
                          "--out", str(tmp_path / sub)]) == 0
         for path in sorted((tmp_path / "x").iterdir()):
             assert path.read_bytes() == (tmp_path / "y" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["real", "drift"])
+    def test_csv_and_json_hold_the_same_matrices(self, pipeline_run, drift):
+        # Every matrix the csv run writes reads back with the bits the json
+        # run stores, so the csv text keeps all 17 significant digits.
+        csv_files = sorted(pipeline_run("csv", drift)[1].glob("*.csv"))
+        matrices = [path for path in csv_files if path.name != "sweep.csv"]
+        assert len(matrices) == (4 if drift else 3)
+        json_run = pipeline_run("json", drift)[1]
+        for path in matrices:
+            stored = json.loads((json_run / f"{path.stem}.json").read_text())
+            got, expected = read_matrix_csv(path), matrix_from_dict(stored)
+            assert got.shape == expected.shape, path.name
+            assert got.tobytes() == expected.tobytes(), path.name
 
     @pytest.mark.parametrize(
         "sub, fmt, drift",

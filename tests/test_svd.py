@@ -151,6 +151,14 @@ class TestGrouping:
             group_singular_values(np.array([]), tol)
 
 
+def test_decomposition_is_returned_as_built():
+    # A Decomposition is not decomposed again, whatever group_tol is passed.
+    rng = np.random.default_rng(11)
+    d = decompose(matrix_with_sigmas(rng, 5, 5, [3.0, 2.0, 2.0, 1.0, 0.5]))
+    assert decompose(d) is d
+    assert decompose(d, group_tol=0.5) is d
+
+
 def test_determinism():
     rng = np.random.default_rng(9)
     a = random_dual_matrix(rng, 6, 5)

@@ -22,6 +22,11 @@ bound first on the SCREEN_COLUMNS columns that carried the largest terms at
 the last full evaluation; the bound over every column runs only when the
 screen does not rule out a pass, and the projection only when neither does.
 Iterates and stopping are those of projecting at every test.
+
+A solve ends converged at the first passing test, or unconverged at the
+iteration cap or at a held iterate (its restart step rejected too, so every
+later iteration would repeat it); either way ``FitStage``'s residuals are
+||G|| and ||g|| at the matrix it returns.
 """
 
 from __future__ import annotations
@@ -362,11 +367,12 @@ def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
 
     Stopping rule: once the objective decrease falls under tol * max(1, obj),
     the iterate is tested for the first-order condition
-    ||G|| <= KKT_FACTOR (1 + ||g||), G the gradient mapping; the first pass
-    stops the solve, or max_iter does.  A test that ``_bound_fails`` decides
-    fails without projecting.  kkt_residual and gradient_norm report the
-    last test, or the final iterate if no test ran; if the last test was
-    decided by a bound, its mapping is projected once at the end.
+    ||G|| <= KKT_FACTOR (1 + ||g||), G the gradient mapping.  A test that
+    ``_bound_fails`` decides fails without projecting.  The solve has two
+    exits.  The first passing test returns its iterate, converged.  Otherwise
+    the loop ends after max_iter iterations, or after the failed test of a
+    held iterate, and returns the last iterate unconverged.  Either way
+    kkt_residual and gradient_norm are ||G|| and ||g|| at the returned matrix.
     """
     project, free = columns
     buf = np.empty_like(p0)
@@ -390,28 +396,26 @@ def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
     momentum = np.empty_like(p0)
     v = np.empty_like(p0)
     t = 1.0
-    iterations = 0
-    converged = False
-    kkt = math.inf
-    grad_norm = math.inf
-    unprojected = None  # (p, g) of the last test, when a bound decided it
     screen = None
 
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):
         np.matmul(z, xxt, out=v)
         v -= yxt
         v *= step
         cand = project(np.subtract(z, v, out=v))
         obj_cand, cxx = objective(cand)
+        held = False
         if obj_cand > obj:
             # Momentum overshoot: restart from the best point.  A plain
             # step with step <= 1/L cannot increase the objective beyond
-            # float noise; if noise still wins, hold the iterate.
+            # float noise; if noise still wins, hold the iterate.  Every
+            # later iteration would repeat the same two rejected steps, so
+            # the solve ends after the held iterate's stopping test.
             t = 1.0
             cand = project(p - step * (pxx - yxt))
             obj_cand, cxx = objective(cand)
-            if obj_cand > obj:
+            held = obj_cand > obj
+            if held:
                 cand, obj_cand, cxx = p, obj, pxx
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         np.subtract(cand, p, out=momentum)
@@ -426,22 +430,15 @@ def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
             grad_norm = float(np.linalg.norm(g))
             limit = KKT_FACTOR * (1.0 + grad_norm)
             fails, screen = _bound_fails(p, g, step, free, limit, screen)
-            if fails:
-                unprojected = (p, g)
-            else:
-                unprojected = None
+            if not fails:
                 kkt = mapping_norm(p, g)
                 if kkt <= limit:
-                    converged = True
-                    break
+                    return FitStage(p, obj, iterations, True, kkt, grad_norm)
+        if held:
+            break
 
-    if unprojected is not None:
-        kkt = mapping_norm(*unprojected)
-    elif not math.isfinite(kkt):
-        g = pxx - yxt
-        kkt, grad_norm = mapping_norm(p, g), float(np.linalg.norm(g))
-
-    return FitStage(p, obj, iterations, converged, kkt, grad_norm)
+    g = pxx - yxt
+    return FitStage(p, obj, iterations, False, mapping_norm(p, g), float(np.linalg.norm(g)))
 
 
 def _gram(x_s: np.ndarray):

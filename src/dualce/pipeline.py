@@ -325,11 +325,11 @@ class PipelineConfig:
     tuple of floats.
     """
 
-    far_weight: int = 25
-    near_weight: int = 15
-    bar: int = 5
-    coupling_density: float = 0.1
-    coupling_scale: float = 0.05
+    far_weight: int = DumbbellConfig.far_weight
+    near_weight: int = DumbbellConfig.near_weight
+    bar: int = DumbbellConfig.bar
+    coupling_density: float = DumbbellConfig.coupling_density
+    coupling_scale: float = DumbbellConfig.coupling_scale
     t: int = 500
     p_list: tuple = (1.3, 1.6, 1.9)
     group_tol: float = GROUP_TOL

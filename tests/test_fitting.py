@@ -78,20 +78,18 @@ def reference_fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
     p = z = p0
     t = 1.0
     obj = objective(p)
-    iterations = 0
-    converged = False
-    kkt = grad_norm = math.inf
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):
         cand = project(z - step * gradient(z))
         obj_cand = objective(cand)
+        held = False
         if obj_cand > obj:
             restarts += 1
             z = p
             t = 1.0
             cand = project(z - step * gradient(z))
             obj_cand = objective(cand)
-            if obj_cand > obj:
+            held = obj_cand > obj
+            if held:
                 cand = p
                 obj_cand = obj
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -105,14 +103,14 @@ def reference_fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
             kkt = float(np.linalg.norm(mapped))
             grad_norm = float(np.linalg.norm(g))
             if kkt <= fitting.KKT_FACTOR * (1.0 + grad_norm):
-                converged = True
-                break
-    if not math.isfinite(kkt):
-        g = gradient(p)
-        mapped = (p - project(p - step * g)) / step
-        kkt = float(np.linalg.norm(mapped))
-        grad_norm = float(np.linalg.norm(g))
-    return fitting.FitStage(p, obj, iterations, converged, kkt, grad_norm), restarts
+                return fitting.FitStage(p, obj, iterations, True, kkt, grad_norm), restarts
+        if held:
+            break
+    g = gradient(p)
+    mapped = (p - project(p - step * g)) / step
+    kkt = float(np.linalg.norm(mapped))
+    grad_norm = float(np.linalg.norm(g))
+    return fitting.FitStage(p, obj, iterations, False, kkt, grad_norm), restarts
 
 
 def assert_bits_equal(a, b):
@@ -674,6 +672,27 @@ class TestStoppingCost:
         assert 0 < len(full) < len(tests)
         assert len(projections) - sum(report.iterations) <= 10
 
+    @pytest.mark.parametrize("max_iter", [50, 5000])
+    def test_held_iterate_ends_the_solve(self, max_iter):
+        """A projector whose every output is worse than the start rejects
+        both the momentum and the restart step, so the start is held.  Every
+        later iteration would repeat the first, so the solve ends after it,
+        unconverged, however large the budget."""
+        rng = np.random.default_rng(20)
+        x = rng.dirichlet(np.ones(4), size=10).T
+        y = random_tpm(rng, 4) @ x
+        q = np.eye(4)[[1, 2, 3, 0]]
+        p0 = np.full((4, 4), 0.25)
+        assert np.linalg.norm(y - q @ x) > np.linalg.norm(y - p0 @ x)
+        columns = fitting._ColumnSet(lambda v: q.copy(), np.zeros((4, 4), dtype=bool))
+        xxt = x @ x.T
+        stage = fitting._fista(
+            xxt, y @ x.T, float(np.sum(y * y)), columns, p0,
+            fitting._spectral_norm_psd(xxt), 1e-10, max_iter,
+        )
+        assert_bits_equal(stage.matrix, p0)
+        assert not stage.converged and stage.iterations == 1
+
 
 def bound_cases():
     """(p, g, step, columns) with p feasible for columns: random points of
@@ -795,6 +814,26 @@ class TestFitStandard:
             for n in (10, 50, 200, 1000)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+    def test_capped_fit_reports_the_returned_matrix(self):
+        """Capped short of convergence, the stage's residuals are those of
+        the matrix it returns, recomputed here, not of the last iterate that
+        ran a stopping test: this cap's last iteration ran none."""
+        for name, traj in stages(PipelineConfig(far_weight=4, near_weight=3, bar=2, t=80, seed=3)):
+            if name == "simulate":
+                break
+        pair = build_snapshots(traj)
+        x, y = pair.x.s, pair.y.s
+        n = x.shape[0]
+        stage = fit_standard(x, y, FitOptions(max_iter=2936))
+        assert not stage.converged and stage.iterations == 2936
+        xxt = x @ x.T
+        step = 1.0 / (fitting._spectral_norm_psd(xxt) * (1.0 + 1e-9))
+        simplex = fitting._column_projector(np.ones((n, n), dtype=bool), 1.0)
+        p = stage.matrix
+        g = p @ xxt - y @ x.T
+        assert stage.kkt_residual == float(np.linalg.norm((p - simplex.project(p - step * g)) / step))
+        assert stage.gradient_norm == float(np.linalg.norm(g))
 
     @pytest.mark.parametrize("which", ["x", "y"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

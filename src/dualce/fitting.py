@@ -16,12 +16,9 @@ with adaptive restart) solves them without external solver dependencies.
 FISTA stops when the objective stalls and the gradient mapping
 G(P) = (P - proj(P - step g)) / step passes the first-order test
 ||G|| <= KKT_FACTOR (1 + ||g||).  Most such tests fail, so each is first
-tried against a closed-form lower bound on ||G|| that costs no projection
-(``_kkt_terms``, a sum of per-column terms).  A column screen tries the
-bound first on the SCREEN_COLUMNS columns that carried the largest terms at
-the last full evaluation; the bound over every column runs only when the
-screen does not rule out a pass, and the projection only when neither does.
-Iterates and stopping are those of projecting at every test.
+tried against a closed-form lower bound on ||G|| (``_kkt_lower_bound``),
+and FISTA projects only when that bound cannot rule out a pass: iterates
+and stopping are those of projecting at every test.
 
 A solve ends converged at the first passing test, or unconverged at the
 iteration cap or at a held iterate (its restart step rejected too, so every
@@ -53,8 +50,6 @@ KKT_FACTOR = 1e-6
 # within 0.1% of the norm on most failing tests, so a larger margin would
 # only project more often.
 KKT_BOUND_MARGIN = 1e-3
-# Columns whose bound terms ``_bound_fails`` tries before all of them.
-SCREEN_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -245,6 +240,7 @@ class FitReport:
 
     iterations, converged, kkt_residual and gradient_norm are
     (standard, infinitesimal) pairs of the stages' FitStage fields.
+    to_dict gives condition_estimate, math.inf for a singular Gram, as None.
     """
 
     p: DualMatrix
@@ -258,6 +254,7 @@ class FitReport:
     ill_conditioned: bool
 
     def to_dict(self) -> dict:
+        cond = self.condition_estimate
         return {
             "objective_s": self.objective_s,
             "objective_i": self.objective_i,
@@ -265,7 +262,7 @@ class FitReport:
             "converged": list(self.converged),
             "kkt_residual": list(self.kkt_residual),
             "gradient_norm": list(self.gradient_norm),
-            "condition_estimate": self.condition_estimate,
+            "condition_estimate": cond if math.isfinite(cond) else None,
             "ill_conditioned": self.ill_conditioned,
         }
 
@@ -293,9 +290,9 @@ def _spectral_norm_psd(m: np.ndarray, iters: int = 200, rtol: float = 1e-12) -> 
     return lam
 
 
-def _kkt_terms(p, g, step, free) -> np.ndarray:
-    """Per-column lower bounds on ||G_col(p)||^2, G(p) = (p - proj(p - step g)) / step,
-    at a feasible p.
+def _kkt_lower_bound(p, g, step, free) -> float:
+    """Lower bound on ||G(p)||, G(p) = (p - proj(p - step g)) / step, at a
+    feasible p.
 
     Column by column the set is {u: sum(u) = b, u_j >= 0 where not free},
     and p is in it.  With a = step g, the projection q of p - a has
@@ -305,9 +302,8 @@ def _kkt_terms(p, g, step, free) -> np.ndarray:
     constrained, so tau <= -min(a).  Every row of
     cert = free | (p > a - min(a)) thus has (p - q)_j = a_j + tau, and
     minimizing over tau bounds column j's share of ||G||^2 below by
-    sum_cert (g_j - mean_cert g)^2.  G is separable by columns, so the terms
-    of any set of columns sum to a lower bound on ||G||^2.  No sort and no
-    prefix sum.
+    sum_cert (g_j - mean_cert g)^2.  G is separable by columns, so these
+    terms sum to a lower bound on ||G||^2.  No sort and no prefix sum.
     """
     h = g - np.minimum.reduce(g, axis=0)
     h *= step
@@ -320,41 +316,13 @@ def _kkt_terms(p, g, step, free) -> np.ndarray:
     dev = g - mean
     dev *= w
     dev *= dev
-    return ones @ dev
+    return math.sqrt(float((ones @ dev).sum()))
 
 
-def _kkt_lower_bound(p, g, step, free) -> float:
-    """Lower bound on ||G(p)|| from every column's ``_kkt_terms``."""
-    return math.sqrt(float(_kkt_terms(p, g, step, free).sum()))
-
-
-def _bound_fails(p, g, step, free, limit, screen):
-    """Whether a lower bound on ||G(p)|| fails the test ||G(p)|| <= limit,
-    so the test needs no projection; returns (fails, screen).
-
-    A bound fails the test when it clears (1 + KKT_BOUND_MARGIN) limit.  The
-    bound over the columns in screen, the at most SCREEN_COLUMNS whose terms
-    exceeded all others at the last full evaluation, is tried first; the
-    bound over every column runs only when that screen does not decide, and
-    refreshes it.  screen is None before the first full evaluation, for a
-    matrix of at most SCREEN_COLUMNS columns, and after a full evaluation
-    whose largest SCREEN_COLUMNS terms alone did not clear the threshold:
-    such a screen would most likely fail the next test too, and cost a
-    bound for nothing.  The cut is read off a sort, as the projection
-    sorts: ``np.argsort`` pages in a kernel of its own, 0.26 MB of peak RSS
-    in an 85-state fit.
-    """
-    threshold = (1.0 + KKT_BOUND_MARGIN) * limit
-    if screen is not None:
-        if _kkt_lower_bound(p[:, screen], g[:, screen], step, free[:, screen]) > threshold:
-            return True, screen
-    terms = _kkt_terms(p, g, step, free)
-    screen = None
-    if len(terms) > SCREEN_COLUMNS:
-        ranked = np.sort(terms)
-        if math.sqrt(float(ranked[-SCREEN_COLUMNS:].sum())) > threshold:
-            screen = np.flatnonzero(terms > ranked[-SCREEN_COLUMNS - 1])
-    return math.sqrt(float(terms.sum())) > threshold, screen
+def _bound_fails(p, g, step, free, limit) -> bool:
+    """Whether the lower bound on ||G(p)|| fails the test ||G(p)|| <= limit,
+    so the test needs no projection: it clears (1 + KKT_BOUND_MARGIN) limit."""
+    return _kkt_lower_bound(p, g, step, free) > (1.0 + KKT_BOUND_MARGIN) * limit
 
 
 def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
@@ -396,7 +364,6 @@ def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
     momentum = np.empty_like(p0)
     v = np.empty_like(p0)
     t = 1.0
-    screen = None
 
     for iterations in range(1, max_iter + 1):
         np.matmul(z, xxt, out=v)
@@ -429,8 +396,7 @@ def _fista(xxt, yxt, y_sq, columns: _ColumnSet, p0, lipschitz, tol, max_iter):
             g = pxx - yxt
             grad_norm = float(np.linalg.norm(g))
             limit = KKT_FACTOR * (1.0 + grad_norm)
-            fails, screen = _bound_fails(p, g, step, free, limit, screen)
-            if not fails:
+            if not _bound_fails(p, g, step, free, limit):
                 kkt = mapping_norm(p, g)
                 if kkt <= limit:
                     return FitStage(p, obj, iterations, True, kkt, grad_norm)

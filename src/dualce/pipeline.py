@@ -510,7 +510,7 @@ def analyze(cfg: PipelineConfig) -> PipelineResult:
 
 def _write_json(path: Path, payload: dict) -> Path:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 

@@ -482,7 +482,7 @@ class TestProjectorsMatchReference:
 def solver_instances():
     """Small snapshot pairs by name; "restart" is one whose momentum
     overshoots in both stages, "zero-gram" one with lipschitz == 0, and
-    "drift-31" a drifting dumbbell with more columns than the screen."""
+    "drift-31" a 31-state drifting dumbbell."""
     rng = np.random.default_rng(16)
 
     def pair_of(x_s, y_s, x_i):
@@ -499,8 +499,8 @@ def solver_instances():
     wide = pair_of(x, y, 0.1 * rng.standard_normal((6, 4)))
     # X_s = 0: the Gram and the Lipschitz constant are zero.
     zero = pair_of(np.zeros((4, 5)), rng.dirichlet(np.ones(4), size=5).T, rng.standard_normal((4, 5)))
-    # n = 31, more than SCREEN_COLUMNS: P_s has 7 to 21 zeros per column, so
-    # the P_i columns mix free and masked entries in varying counts.
+    # n = 31: P_s has 7 to 21 zeros per column, so the P_i columns mix free
+    # and masked entries in varying counts.
     cfg = DumbbellConfig(far_weight=8, near_weight=5, bar=5)
     drift = build_snapshots(simulate(dumbbell_dtpm(cfg), np.full(cfg.n, 1.0 / cfg.n), 60))
     return {
@@ -535,24 +535,25 @@ def reference_infinitesimal(pair, p_s, opts):
 
 @pytest.fixture
 def bound_decisions(monkeypatch):
-    """One entry per stopping test: True when a bound (screened or full)
-    failed it unprojected."""
+    """One entry per stopping test: True when the bound failed it
+    unprojected."""
     decided = []
     real = fitting._bound_fails
 
     def recording(*args):
-        fails, screen = real(*args)
+        fails = real(*args)
         decided.append(fails)
-        return fails, screen
+        return fails
 
     monkeypatch.setattr(fitting, "_bound_fails", recording)
     return decided
 
 
+SOLVER_NAMES = ("rich", "restart", "wide-null", "zero-gram", "drift-31")
 SOLVER_CASES = [
     pytest.param(name, tol, id=name if tol == 1e-12 else f"{name}-tol{tol:g}")
     for tol in (1e-12, 1e-10)
-    for name in ("rich", "restart", "wide-null", "zero-gram", "drift-31")
+    for name in SOLVER_NAMES
 ]
 
 
@@ -614,11 +615,12 @@ class TestSolverMatchesReference:
 
 
 class TestStoppingCost:
-    def test_failing_stop_tests_do_not_project(self, monkeypatch):
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_failing_stop_tests_do_not_project(self, name, monkeypatch):
         """fit_dtpm projects once per iteration, plus once per restart and
-        per projected stopping test.  On this instance the two stages
-        restart 4 times and test about 1,550 times; 2 tests pass, and the
-        bound decides all but a few of the rest."""
+        per projected stopping test.  The two stages test from 0
+        ("zero-gram") to about 1,550 ("restart") times, and the bound
+        decides all but a few of the failing tests."""
         calls = []
 
         def counting(factory):
@@ -636,41 +638,9 @@ class TestStoppingCost:
         monkeypatch.setattr(
             fitting, "_column_projector", counting(fitting._column_projector)
         )
-        report = fit_dtpm(solver_instances()["restart"])
+        report = fit_dtpm(solver_instances()[name])
         assert report.converged == (True, True)
         assert len(calls) - sum(report.iterations) <= 10
-
-    def test_column_screen_spares_full_bounds(self, monkeypatch):
-        """On this instance (n = 11) the screen of SCREEN_COLUMNS columns
-        decides most failing tests, so the bound over every column runs on
-        fewer tests than fire, and the projection count does not grow."""
-        pair = solver_instances()["restart"]
-        n = pair.x.shape[0]
-        assert n > fitting.SCREEN_COLUMNS
-        tests, full, projections = [], [], []
-        real_fails, real_terms = fitting._bound_fails, fitting._kkt_terms
-        real_projector = fitting._column_projector
-
-        def fails(*args):
-            tests.append(1)
-            return real_fails(*args)
-
-        def terms(p, g, step, free):
-            if p.shape[1] == n:
-                full.append(1)
-            return real_terms(p, g, step, free)
-
-        def projector(*args):
-            columns = real_projector(*args)
-            return columns._replace(project=lambda v: projections.append(1) or columns.project(v))
-
-        monkeypatch.setattr(fitting, "_bound_fails", fails)
-        monkeypatch.setattr(fitting, "_kkt_terms", terms)
-        monkeypatch.setattr(fitting, "_column_projector", projector)
-        report = fit_dtpm(pair)
-        assert report.converged == (True, True)
-        assert 0 < len(full) < len(tests)
-        assert len(projections) - sum(report.iterations) <= 10
 
     @pytest.mark.parametrize("max_iter", [50, 5000])
     def test_held_iterate_ends_the_solve(self, max_iter):
@@ -734,8 +704,8 @@ class TestKktLowerBound:
             assert bound <= exact + slack
 
     def test_column_subset_bound_never_exceeds_the_mapping_norm(self):
-        """The terms of any set of columns bound that set's share of ||G||,
-        which is what the column screen relies on."""
+        """The bound over any set of columns bounds that set's share of
+        ||G||: G is separable by columns."""
         eps = np.finfo(float).eps
         rng = np.random.default_rng(19)
         for p, g, step, columns in bound_cases():

@@ -703,6 +703,20 @@ class TestArtifacts:
         with pytest.raises(ValueError):
             run_pipeline(tiny_config, tmp_path, fmt="xml")
 
+    def test_json_artifacts_are_strict_json(self, tmp_path):
+        """The default run's Gram is singular, so fit.json reports its
+        condition estimate, and no file may hold Infinity or NaN."""
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        run_pipeline(PipelineConfig(), tmp_path, fmt="json")
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == 7
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
+        assert json.loads((tmp_path / "fit.json").read_text())["condition_estimate"] is None
+
     def test_bad_format_rejected_before_analysis(self, tiny_config, tmp_path,
                                                  monkeypatch):
         def never(cfg):

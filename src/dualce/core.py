@@ -161,14 +161,14 @@ def dual_abs(a: DualScalar) -> DualScalar:
 
 
 def dual_pow(a: DualScalar, p: float) -> DualScalar:
-    """Dual power (a_s + a_i eps)**p for real p >= 1.
+    """Dual power (a_s + a_i eps)**p for finite real p >= 1.
 
     Defined for a_s > 0 as a_s**p + p a_s**(p-1) a_i eps, and at a_s = 0 by
     the limit branches: the result is a_i eps when p == 1 and 0 when p > 1.
     Raises ValueError for a_s < 0 (fractional powers of negative bases leave
     the reals).
     """
-    p = check_real(p, "p", 1.0, math.inf, "[]")
+    p = check_real(p, "p", 1.0)
     if a.s < 0.0:
         raise ValueError("dual_pow requires a nonnegative standard part")
     if a.s == 0.0:

@@ -77,8 +77,8 @@ class SweepTable:
 def _check_p_list(p_list, name: str = "p_list") -> tuple:
     """p_list as a nonempty tuple of distinct floats in [1, 2); raises
     ValueError naming it if not, since a repeated p would count twice in
-    detect_k's vote."""
-    if not isinstance(p_list, Sequence):
+    detect_k's vote.  A str is refused as a whole, not read char by char."""
+    if isinstance(p_list, str) or not isinstance(p_list, Sequence):
         raise ValueError(f"{name} must be a sequence, got {p_list!r}")
     p_list = tuple(check_real(q, f"{name} entry", 1.0, 2.0) for q in p_list)
     if not p_list:
@@ -130,7 +130,11 @@ def norm_sweep(
 class DetectionResult:
     k_star: int
     per_p: tuple  # (p, argmax_k, degenerate) triples
-    unanimous: bool
+
+    @property
+    def unanimous(self) -> bool:
+        """Whether every p gives the same argmax k."""
+        return len({k for _, k, _ in self.per_p}) == 1
 
     def to_dict(self) -> dict:
         return {
@@ -158,8 +162,7 @@ def detect_k(table: SweepTable) -> DetectionResult:
     counts = Counter(k for _, k, _ in per_p)
     top = max(counts.values())
     k_star = min(k for k, c in counts.items() if c == top)
-    unanimous = len(counts) == 1
-    return DetectionResult(k_star, per_p, unanimous)
+    return DetectionResult(k_star, per_p)
 
 
 class EmptyClusterError(RuntimeError):

@@ -143,6 +143,10 @@ class TestDualScalar:
             for bad in (0.5, -1.0, math.nan, True, "1.5", None):
                 with pytest.raises(ValueError, match="^p must be"):
                     fn(a, bad)
+        # dual_root(a, inf) = 1 + 0 eps is the limit; dual_pow has none.
+        for a_s in (0.0, 0.5, 2.0):
+            with pytest.raises(ValueError, match=r"^p must be in \[1, inf\), got inf$"):
+                dual_pow(DualScalar(a_s, -0.4), math.inf)
 
     def test_log2(self):
         v = dual_log2(DualScalar(2.0, 1.0))

@@ -573,11 +573,8 @@ class TestSolverMatchesReference:
         assert_stages_bit_equal(stage_s, ref_s)
         assert_stages_bit_equal(fit_infinitesimal(pair, stage_s.matrix, opts), ref_i)
         report = fit_dtpm(pair, opts)
-        assert_bits_equal(report.p.s, ref_s.matrix)
-        assert_bits_equal(report.p.i, ref_i.matrix)
-        assert report.iterations == (ref_s.iterations, ref_i.iterations)
-        assert report.converged == (ref_s.converged, ref_i.converged)
-        assert_bits_equal([report.objective_s, report.objective_i], [ref_s.objective, ref_i.objective])
+        assert_stages_bit_equal(report.standard, ref_s)
+        assert_stages_bit_equal(report.infinitesimal, ref_i)
         if tol == 1e-10 and name != "zero-gram":
             assert any(bound_decisions)
 
@@ -639,7 +636,7 @@ class TestStoppingCost:
             fitting, "_column_projector", counting(fitting._column_projector)
         )
         report = fit_dtpm(solver_instances()[name])
-        assert report.converged == (True, True)
+        assert report.standard.converged and report.infinitesimal.converged
         assert len(calls) - sum(report.iterations) <= 10
 
     @pytest.mark.parametrize("max_iter", [50, 5000])
@@ -913,17 +910,14 @@ class TestFitDtpm:
     def test_report_is_coherent(self, small_run):
         report = small_run
         validate_dtpm(report.p)
-        assert report.objective_s >= 0 and report.objective_i >= 0
-        assert len(report.iterations) == 2 and len(report.converged) == 2
+        assert report.p.s is report.standard.matrix
+        assert report.p.i is report.infinitesimal.matrix
         assert report.condition_estimate >= 1.0
-        for stage, converged in enumerate(report.converged):
-            kkt, grad = report.kkt_residual[stage], report.gradient_norm[stage]
-            assert kkt >= 0.0 and grad >= 0.0
-            if converged:
-                assert kkt <= fitting.KKT_FACTOR * (1.0 + grad)
-        d = report.to_dict()
-        assert d["kkt_residual"] == list(report.kkt_residual)
-        assert d["gradient_norm"] == list(report.gradient_norm)
+        for stage in (report.standard, report.infinitesimal):
+            assert stage.objective >= 0.0
+            assert stage.kkt_residual >= 0.0 and stage.gradient_norm >= 0.0
+            if stage.converged:
+                assert stage.kkt_residual <= fitting.KKT_FACTOR * (1.0 + stage.gradient_norm)
 
     def test_report_carries_each_stage_diagnostics(self):
         m = random_tpm(np.random.default_rng(12), 6)
@@ -931,8 +925,14 @@ class TestFitDtpm:
         report = fit_dtpm(pair)
         stage_s = fit_standard(pair.x.s, pair.y.s)
         stage_i = fit_infinitesimal(pair, stage_s.matrix)
-        assert report.kkt_residual == (stage_s.kkt_residual, stage_i.kkt_residual)
-        assert report.gradient_norm == (stage_s.gradient_norm, stage_i.gradient_norm)
+        assert_stages_bit_equal(report.standard, stage_s)
+        assert_stages_bit_equal(report.infinitesimal, stage_i)
+        assert report.iterations == (stage_s.iterations, stage_i.iterations)
+        d = report.to_dict()
+        stages = (report.standard, report.infinitesimal)
+        assert [d["objective_s"], d["objective_i"]] == [st.objective for st in stages]
+        for key in ("iterations", "converged", "kkt_residual", "gradient_norm"):
+            assert d[key] == [getattr(st, key) for st in stages]
 
     def test_fit_holds_each_snapshot_once(self):
         # Default seed 0's 85-state trajectory.  Four separate snapshot parts
@@ -962,5 +962,5 @@ class TestFitDtpm:
         m = np.full((4, 4), 0.25)
         pair = build_snapshots(simulate(m, np.array([1.0, 0, 0, 0]), 50))
         report = fit_dtpm(pair)
-        assert report.ill_conditioned
-        assert report.condition_estimate > 1e10
+        assert report.condition_estimate > fitting.ILL_CONDITION_LIMIT
+        assert report.to_dict()["ill_conditioned"] is True

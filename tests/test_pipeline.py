@@ -31,7 +31,7 @@ from dualce import (
     schatten_norm,
     validate_tpm,
 )
-from dualce import pipeline
+from dualce import fitting, pipeline
 from dualce.cli import main
 from dualce.markov import matrix_from_dict, read_matrix_csv
 from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
@@ -470,6 +470,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(p_list=p_list)
 
+    def test_string_p_list_rejected(self):
+        # A str is a Sequence, so each character would be read as an entry.
+        with pytest.raises(
+            ValueError, match="^config key 'p_list' must be a sequence, got '1.3,1.6'$"
+        ):
+            PipelineConfig.from_dict({"p_list": "1.3,1.6"})
+
     @pytest.mark.parametrize(
         "entry",
         [{"t": "5"}, {"drift": "yes"}, {"seed": 1.5}, {"trajectories": True},
@@ -703,19 +710,48 @@ class TestArtifacts:
         with pytest.raises(ValueError):
             run_pipeline(tiny_config, tmp_path, fmt="xml")
 
-    def test_json_artifacts_are_strict_json(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def default_json_run(self, tmp_path_factory):
+        """The default config's analysis and the directory of its json artifacts."""
+        out = tmp_path_factory.mktemp("default-json")
+        result = analyze(PipelineConfig())
+        pipeline.write_artifacts(result, out, fmt="json")
+        return result, out
+
+    def test_json_artifacts_are_strict_json(self, default_json_run):
         """The default run's Gram is singular, so fit.json reports its
         condition estimate, and no file may hold Infinity or NaN."""
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        run_pipeline(PipelineConfig(), tmp_path, fmt="json")
-        paths = sorted(tmp_path.glob("*.json"))
+        _, out = default_json_run
+        paths = sorted(out.glob("*.json"))
         assert len(paths) == 7
         for path in paths:
             json.loads(path.read_text(), parse_constant=reject)
-        assert json.loads((tmp_path / "fit.json").read_text())["condition_estimate"] is None
+        assert json.loads((out / "fit.json").read_text())["condition_estimate"] is None
+
+    def test_fit_and_detection_json_read_their_records(self, default_json_run):
+        """fit.json pairs each diagnostic of the two FitStage records as
+        [standard, infinitesimal]; detection.json's unanimous is read off
+        per_p."""
+        result, out = default_json_run
+        fit = json.loads((out / "fit.json").read_text())
+        assert set(fit) == {
+            "objective_s", "objective_i", "iterations", "converged",
+            "kkt_residual", "gradient_norm", "condition_estimate", "ill_conditioned",
+        }
+        stages = (result.report.standard, result.report.infinitesimal)
+        assert [fit["objective_s"], fit["objective_i"]] == [st.objective for st in stages]
+        for key in ("iterations", "converged", "kkt_residual", "gradient_norm"):
+            assert fit[key] == [getattr(st, key) for st in stages]
+        cond = result.report.condition_estimate
+        assert fit["ill_conditioned"] is (cond > fitting.ILL_CONDITION_LIMIT)
+        detection = json.loads((out / "detection.json").read_text())
+        votes = {entry["k"] for entry in detection["per_p"]}
+        assert detection["unanimous"] is (len(votes) == 1)
+        assert detection["unanimous"] is result.detection.unanimous
 
     def test_bad_format_rejected_before_analysis(self, tiny_config, tmp_path,
                                                  monkeypatch):

@@ -1,12 +1,12 @@
 """Command-line interface for the causal-emergence pipeline.
 
-Every subcommand runs the stages with `pipeline.run_stages` on the resolved
-configuration (config file defaults, overridden by flags) up to its own
-stage, keeping only that stage's output and the detection, so running
-`sweep` does not require having run `fit` first.  It then writes that
-stage's files with its writer in `pipeline.WRITERS`; `pipeline` runs
-`analyze` and writes the full artifact set with `write_artifacts`.  Either
-way one line names the files written, with k_star once detect has run.
+Every subcommand runs `pipeline.analyze` on the resolved configuration
+(config file defaults, overridden by flags) up to its own stage, so running
+`sweep` does not require having run `fit` first; `pipeline` runs every
+stage.  It then writes its stage's files with that stage's writer in
+`pipeline.WRITERS`, or for `pipeline` the full artifact set with
+`write_artifacts`, and prints one line naming the files written, with
+k_star once detect has run.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .pipeline import (
-    WRITERS,
-    PipelineConfig,
-    StageError,
-    analyze,
-    run_stages,
-    write_artifacts,
-)
+from .pipeline import WRITERS, PipelineConfig, StageError, analyze, write_artifacts
 
 
 def _parse_p_list(text: str):
@@ -98,32 +91,29 @@ def main(argv=None) -> int:
         print(f"error: bad configuration: {err}", file=sys.stderr)
         return 2
 
-    # Run the stages up to this subcommand's own, keeping only its output
-    # and the detection; --out is made only once they have all succeeded.
+    # Run the stages up to this subcommand's own; --out is made only once
+    # they have all succeeded.
+    command = args.command
     try:
-        if args.command == "pipeline":
-            result = analyze(cfg)
-            outputs = result.outputs
-        else:
-            outputs = run_stages(cfg, args.command, {args.command, "detect"})
+        result = analyze(cfg, "coarse-grain" if command == "pipeline" else command)
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    out = args.out
+    out, outputs = args.out, result.outputs
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "pipeline":
+        if command == "pipeline":
             paths = write_artifacts(result, out, args.format)
         else:
-            paths = WRITERS[args.command](out, outputs[args.command], args.format)
+            paths = WRITERS[command](out, outputs[command], args.format)
     except OSError as err:
-        print(f"error in {args.command}: {err}", file=sys.stderr)
+        print(f"error in {command}: {err}", file=sys.stderr)
         return 1
     detection = outputs.get("detect")
     k_star = "" if detection is None else f"k_star={detection.k_star}, "
     names = ", ".join(path.name for path in paths)
-    print(f"{args.command} complete: {k_star}wrote {names} to {out}")
+    print(f"{command} complete: {k_star}wrote {names} to {out}")
     return 0
 
 

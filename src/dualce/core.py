@@ -302,23 +302,15 @@ class DualMatrix(_DualArray):
         return DualMatrix(self._s.T, self._i.T)
 
     def __matmul__(self, other):
-        if isinstance(other, DualVector):
-            if self.shape[1] != len(other):
-                raise ValueError(
-                    f"inner dimensions mismatch: {self.shape} @ ({len(other)},)"
-                )
-            return DualVector(
-                self._s @ other.s,
-                self._s @ other.i + self._i @ other.s,
-            )
-        if not isinstance(other, DualMatrix):
+        if not isinstance(other, (DualVector, DualMatrix)):
             return NotImplemented
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"inner dimensions mismatch: {self.shape} @ {other.shape}")
+        shape = other.s.shape
+        if self.shape[1] != shape[0]:
+            raise ValueError(f"inner dimensions mismatch: {self.shape} @ {shape}")
         # (A_s B_s) + (A_s B_i + A_i B_s) eps; the A_i B_i term carries eps**2.
-        return DualMatrix(
-            self._s @ other._s,
-            self._s @ other._i + self._i @ other._s,
+        return type(other)(
+            self._s @ other.s,
+            self._s @ other.i + self._i @ other.s,
         )
 
 

@@ -11,7 +11,7 @@ infinity-norms are lexicographic maxima of dual column / row 1-norms.
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
 when A_s is exactly zero.  Inputs with m < n are decomposed through their
-transpose for the unitarily invariant kinds; operator norms keep their
+transpose for the unitarily invariant kinds; operator norms retain their
 row/column meaning and are never transposed.
 """
 
@@ -111,23 +111,19 @@ def nuclear_norm(a: DualMatrix | Decomposition) -> DualScalar:
 
 
 def frobenius_norm(a: DualMatrix) -> DualScalar:
-    """Dual-valued Frobenius norm: ||A_s||_F + <A_s, A_i> / ||A_s||_F eps."""
-    if not a.s.any():
-        return DualScalar(0.0, float(np.linalg.norm(a.i)))
-    value = float(np.linalg.norm(a.s))
-    return DualScalar(value, _inner(a.s, a.i) / value)
+    """Dual-valued Frobenius norm, the dual 2-norm of the entries:
+    ||A_s||_F + <A_s, A_i> / ||A_s||_F eps."""
+    return dual_vector_norm(DualVector(a.s.ravel(), a.i.ravel()), 2.0)
 
 
 def operator_one_norm(a: DualMatrix) -> DualScalar:
     """Max dual 1-norm over columns (lexicographic max of dual numbers)."""
-    best = None
-    for j in range(a.shape[1]):
-        cand = dual_vector_norm(DualVector(a.s[:, j], a.i[:, j]), 1.0)
-        if best is None or cand > best:
-            best = cand
-    if best is None:
+    if a.shape[1] == 0:
         raise ValueError("operator norm of an empty matrix")
-    return best
+    return max(
+        dual_vector_norm(DualVector(a.s[:, j], a.i[:, j]), 1.0)
+        for j in range(a.shape[1])
+    )
 
 
 def operator_inf_norm(a: DualMatrix) -> DualScalar:

@@ -4,11 +4,12 @@ Stages: generate the dumbbell benchmark, simulate trajectories, fit the dual
 transition matrix, sweep the dual Ky Fan norms over (k, p), detect the
 optimal class count from the infinitesimal parts, and coarse-grain by
 clustering singular-vector projections of the columns.  `stages` runs them
-in order as pure functions of the configuration, and `run_stages` runs them
-up to a named one, keeping the outputs asked for; `analyze` and every CLI
-subcommand call it, so later stages re-derive earlier ones from the seed
-instead of reading intermediate files.  `WRITERS` holds the one function
-that writes each stage's files, for `write_artifacts` and the CLI alike.
+in order as pure functions of the configuration, and `analyze(cfg, last)`
+runs them up to a named one and holds their outputs; `run_pipeline` and
+every CLI subcommand call it, so later stages re-derive earlier ones from
+the seed instead of reading intermediate files.  `WRITERS` holds the one
+function that writes each stage's files, for `write_artifacts` and the CLI
+alike.
 
 All artifacts are written with stable ordering and 17-significant-digit
 floats; two runs with the same configuration produce byte-identical files
@@ -128,8 +129,14 @@ def norm_sweep(
 
 @dataclass(frozen=True)
 class DetectionResult:
-    k_star: int
     per_p: tuple  # (p, argmax_k, degenerate) triples
+
+    @property
+    def k_star(self) -> int:
+        """The most common per-p argmax, smallest k winning equal counts."""
+        counts = Counter(k for _, k, _ in self.per_p)
+        top = max(counts.values())
+        return min(k for k, c in counts.items() if c == top)
 
     @property
     def unanimous(self) -> bool:
@@ -152,17 +159,12 @@ def detect_k(table: SweepTable) -> DetectionResult:
     Each p reads its own row of table.infinitesimal.  Ties go to the
     smallest k.  A p whose row is constant (a permutation input gives all
     zeros) is flagged degenerate; its argmax is still the tie-broken
-    smallest k.  k_star is the most common per-p argmax, smallest k winning
-    equal counts.
+    smallest k.  The result's k_star is the mode of the per-p argmaxes.
     """
     rows = table.infinitesimal
     k_best = (np.argmax(rows, axis=1) + 1).tolist()
     degenerate = (rows.max(axis=1) == rows.min(axis=1)).tolist()
-    per_p = tuple(zip(table.p_list, k_best, degenerate))
-    counts = Counter(k for _, k, _ in per_p)
-    top = max(counts.values())
-    k_star = min(k for k, c in counts.items() if c == top)
-    return DetectionResult(k_star, per_p)
+    return DetectionResult(tuple(zip(table.p_list, k_best, degenerate)))
 
 
 class EmptyClusterError(RuntimeError):
@@ -392,8 +394,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """What the stages made, once each: outputs maps every stage name but
-    simulate to what `stages` yields for it, and the properties read it."""
+    """What the stages made, once each: outputs maps each stage name that
+    `analyze` ran, but simulate unless it ran last, to what `stages` yields
+    for it, and the properties read it.  A result of the first stages only
+    lacks the later keys, and their properties raise KeyError."""
 
     config: PipelineConfig
     outputs: dict
@@ -489,26 +493,23 @@ def stages(cfg: PipelineConfig):
     yield "coarse-grain", (coarse, ei_micro, ei_macro)
 
 
-def run_stages(cfg: PipelineConfig, last: str, keep) -> dict:
-    """Run the stages up to and including last; return {name: output} for
-    the stage names in keep, in stage order.  No other output outlives the
-    next stage, so an unkept output is not held through the fit."""
+def analyze(cfg: PipelineConfig, last: str = "coarse-grain") -> PipelineResult:
+    """Run the stages up to and including last in memory and return the
+    result, which holds each one's output but the trajectories unless last
+    is simulate: nothing after the fit reads them, so they are dropped
+    before it.  A last that is not a stage name raises ValueError before
+    any stage runs."""
+    if last not in WRITERS:
+        raise ValueError(f"unknown stage {last!r}; expected one of {list(WRITERS)}")
     outputs = {}
     for name, output in stages(cfg):
-        if name in keep:
+        if name != "simulate" or name == last:
             outputs[name] = output
         if name == last:
             break
         # The loop variable would hold the output through the next stage.
         del output
-    return outputs
-
-
-def analyze(cfg: PipelineConfig) -> PipelineResult:
-    """Run every stage in memory and return the result, which holds every
-    stage's output but the trajectories: nothing after the fit reads them."""
-    kept = WRITERS.keys() - {"simulate"}
-    return PipelineResult(cfg, run_stages(cfg, "coarse-grain", kept))
+    return PipelineResult(cfg, outputs)
 
 
 def _write_json(path: Path, payload: dict) -> Path:

@@ -165,6 +165,65 @@ def fd_check(closed, estimate, tol=None):
     )
 
 
+def assert_bits_equal(a, b):
+    """Equal as stored doubles, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def nearest(points, v):
+    """The row of points closest to v in the Euclidean norm."""
+    return points[int(np.argmin(((points - v) ** 2).sum(axis=1)))]
+
+
+def simplex_grid(dim, step=1e-3):
+    """All points of the probability simplex (dims 2 and 3) with coordinates
+    on a step grid."""
+    units = int(round(1.0 / step))
+    if dim == 2:
+        first = np.arange(units + 1) * step
+        return np.column_stack([first, 1.0 - first])
+    if dim != 3:
+        raise ValueError("simplex_grid supports dims 2 and 3")
+    pts = []
+    for a in range(units + 1):
+        b = np.arange(units + 1 - a)
+        block = np.empty((b.size, 3))
+        block[:, 0] = a * step
+        block[:, 1] = b * step
+        block[:, 2] = 1.0 - block[:, 0] - block[:, 1]
+        pts.append(block)
+    return np.vstack(pts)
+
+
+def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
+    """Two-pass grid minimizer over {sum z = 0, z[mask] >= 0}.
+
+    The free coordinates are the first d - 1; the last one closes the sum.
+    The objective is strongly convex, so refining inside a window around
+    the coarse argmin cannot miss the optimum.
+    """
+    v = np.asarray(v, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    d = v.size
+
+    def best_on(axes):
+        grids = np.meshgrid(*axes, indexing="ij")
+        free = np.stack([g.ravel() for g in grids], axis=-1)
+        last = -free.sum(axis=1, keepdims=True)
+        pts = np.hstack([free, last])
+        if mask.any():
+            pts = pts[(pts[:, mask] >= -1e-12).all(axis=1)]
+        return nearest(pts, v)
+
+    rough = best_on([np.arange(-half, half + coarse / 2, coarse)] * (d - 1))
+    axes = [
+        np.arange(c - 3 * coarse, c + 3 * coarse + fine / 2, fine) for c in rough[:-1]
+    ]
+    return best_on(axes)
+
+
 @pytest.fixture(scope="session")
 def tiny_config():
     from dualce import PipelineConfig

@@ -55,14 +55,17 @@ from dualce import (
 )
 from tests.conftest import (
     dm_random_orthogonal,
+    grid_zero_sum_oracle,
     inverse_is_dtpm,
     matrix_with_sigmas,
+    nearest,
     permutation_with_drift,
     random_dtpm,
     random_dual_matrix,
     random_permutation_matrix,
     random_tpm,
     reference_ky_fan,
+    simplex_grid,
 )
 
 
@@ -443,60 +446,17 @@ def test_schatten_extremes():
 # projections agree with brute-force grid minimization
 
 
-def _simplex_grid(dim, step):
-    """All points of the probability simplex with coordinates on a step grid."""
-    units = int(round(1.0 / step))
-    if dim == 2:
-        first = np.arange(units + 1) * step
-        return np.column_stack([first, 1.0 - first])
-    pts = []
-    for a in range(units + 1):
-        b = np.arange(units + 1 - a)
-        block = np.empty((b.size, 3))
-        block[:, 0] = a * step
-        block[:, 1] = b * step
-        block[:, 2] = 1.0 - block[:, 0] - block[:, 1]
-        pts.append(block)
-    return np.vstack(pts)
-
-
-def _grid_zero_sum(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
-    """Two-pass grid minimizer over {sum z = 0, z[mask] >= 0}.
-
-    The objective is strongly convex, so refining inside a window around
-    the coarse argmin cannot miss the optimum.
-    """
-    d = v.size
-
-    def best_on(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        free = np.stack([g.ravel() for g in grids], axis=-1)
-        last = -free.sum(axis=1, keepdims=True)
-        pts = np.hstack([free, last])
-        if mask.any():
-            keep = (pts[:, mask] >= -1e-12).all(axis=1)
-            pts = pts[keep]
-        dist = ((pts - v) ** 2).sum(axis=1)
-        return pts[int(np.argmin(dist))]
-
-    rough = best_on([np.arange(-half, half + coarse / 2, coarse)] * (d - 1))
-    axes = [
-        np.arange(c - 3 * coarse, c + 3 * coarse + fine / 2, fine) for c in rough[:-1]
-    ]
-    return best_on(axes)
-
-
 def test_projection_grid_oracles():
     rng = np.random.default_rng(606)
     inputs = 100
     worst_sx = 0.0
     worst_feas = 0.0
     for dim in (2, 3):
-        grid = _simplex_grid(dim, 1e-3)
+        grid = simplex_grid(dim, 1e-3)
         for _ in range(inputs):
             v = rng.normal(scale=1.5, size=dim)
             got = project_simplex(v)
-            oracle = grid[int(np.argmin(((grid - v) ** 2).sum(axis=1)))]
+            oracle = nearest(grid, v)
             worst_sx = max(worst_sx, float(np.max(np.abs(got - oracle))))
             worst_feas = max(
                 worst_feas,
@@ -512,7 +472,7 @@ def test_projection_grid_oracles():
             if trial % 10 == 0:
                 mask[:] = False
             got = project_zero_sum_masked(v, mask)
-            oracle = _grid_zero_sum(v, mask)
+            oracle = grid_zero_sum_oracle(v, mask)
             worst_zs = max(worst_zs, float(np.max(np.abs(got - oracle))))
             feas = abs(got.sum())
             if mask.any():

@@ -24,7 +24,13 @@ from dualce import (
     validate_dtpm,
 )
 from dualce.pipeline import PipelineConfig, stages
-from tests.conftest import random_tpm
+from tests.conftest import (
+    assert_bits_equal,
+    grid_zero_sum_oracle,
+    nearest,
+    random_tpm,
+    simplex_grid,
+)
 
 
 def reference_zero_sum_columns(v, mask):
@@ -113,66 +119,10 @@ def reference_fista(xxt, yxt, y_sq, project, p0, lipschitz, tol, max_iter):
     return fitting.FitStage(p, obj, iterations, False, kkt, grad_norm), restarts
 
 
-def assert_bits_equal(a, b):
-    """Equal as stored doubles, so -0.0 and 0.0 differ."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-
-
 def assert_stages_bit_equal(a, b):
     assert_bits_equal(a.matrix, b.matrix)
     for field in ("objective", "iterations", "converged", "kkt_residual", "gradient_norm"):
         assert_bits_equal(getattr(a, field), getattr(b, field))
-
-
-def grid_simplex_oracle(v, step=1e-3):
-    """Brute-force nearest simplex point on a dense grid (dims 2 and 3)."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 2:
-        u1 = np.arange(0.0, 1.0 + step, step)
-        pts = np.stack([u1, 1.0 - u1], axis=1)
-    elif v.size == 3:
-        u1 = np.arange(0.0, 1.0 + step, step)
-        g1, g2 = np.meshgrid(u1, u1, indexing="ij")
-        keep = g1 + g2 <= 1.0 + 1e-12
-        pts = np.stack([g1[keep], g2[keep], 1.0 - g1[keep] - g2[keep]], axis=1)
-    else:
-        raise ValueError("oracle supports dims 2 and 3")
-    d2 = np.sum((pts - v[None, :]) ** 2, axis=1)
-    return pts[int(np.argmin(d2))]
-
-
-def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
-    """Brute-force nearest zero-sum point with masked nonnegativity.
-
-    Free coordinates are the first d-1; the last one closes the sum.  The
-    objective is convex, so the fine pass only needs a window around the
-    coarse argmin wider than the coarse resolution.
-    """
-    v = np.asarray(v, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-
-    def best_on(grids):
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        pts = np.concatenate([pts, -pts.sum(axis=1, keepdims=True)], axis=1)
-        feasible = np.ones(len(pts), dtype=bool)
-        for j in np.flatnonzero(mask):
-            feasible &= pts[:, j] >= -1e-12
-        pts = pts[feasible]
-        d2 = np.sum((pts - v[None, :]) ** 2, axis=1)
-        return pts[int(np.argmin(d2))]
-
-    d = v.size
-    axes = [np.arange(-half, half + coarse, coarse) for _ in range(d - 1)]
-    rough = best_on(axes)
-    window = 3.0 * coarse
-    axes = [
-        np.arange(rough[j] - window, rough[j] + window + fine, fine)
-        for j in range(d - 1)
-    ]
-    return best_on(axes)
 
 
 def stack_snapshots(pairs) -> SnapshotPair:
@@ -350,10 +300,11 @@ class TestProjectSimplex:
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(1)
         for dim in (2, 3):
+            grid = simplex_grid(dim)
             for _ in range(25):
                 v = rng.uniform(-2, 2, size=dim)
                 u = project_simplex(v)
-                o = grid_simplex_oracle(v)
+                o = nearest(grid, v)
                 assert np.max(np.abs(u - o)) <= 1.5e-3
 
     def test_nonexpansive(self):

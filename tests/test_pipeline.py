@@ -12,6 +12,7 @@ import pytest
 
 import dualce
 from dualce import (
+    DetectionResult,
     DualMatrix,
     PipelineConfig,
     SweepTable,
@@ -221,6 +222,13 @@ class TestDetectK:
     def test_equal_votes_take_smallest(self):
         table = make_table([[0, 1], [1, 0]], [1.3, 1.6])
         assert detect_k(table).k_star == 1
+
+    def test_record_derives_k_star_from_its_votes(self):
+        # A built record reads k_star from per_p alone, so it cannot
+        # disagree with its own votes.
+        votes = DetectionResult(((1.3, 2, False), (1.6, 3, False), (1.9, 3, False)))
+        assert votes.k_star == 3
+        assert DetectionResult(((1.3, 2, False), (1.6, 3, False))).k_star == 2
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(6)
@@ -652,6 +660,30 @@ class TestAnalyze:
         assert np.linalg.norm(res.p.s - exact.s) <= 1e-3
         assert np.linalg.norm(res.p.i - exact.i) <= 1e-3 * np.linalg.norm(exact.i)
 
+    def test_fit_runs_and_holds_the_first_stages(self, tiny_config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sweep ran")
+
+        monkeypatch.setattr(pipeline, "norm_sweep", broken)
+        res = analyze(tiny_config, "fit")
+        assert list(res.outputs) == ["generate", "fit"]
+        assert res.p is res.report.p
+
+    def test_simulate_last_holds_the_trajectories(self, tiny_config):
+        res = analyze(tiny_config, "simulate")
+        assert list(res.outputs) == ["generate", "simulate"]
+        # one run of t steps: t + 2 columns
+        n = res.chain.shape[0]
+        assert res.outputs["simulate"].shape == (n, tiny_config.t + 2)
+
+    def test_unknown_last_stage_runs_nothing(self, tiny_config, monkeypatch):
+        def broken(cfg):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(pipeline, "dumbbell_tpm", broken)
+        with pytest.raises(ValueError, match="'sweeep'"):
+            analyze(tiny_config, "sweeep")
+
     def test_stage_attribution(self, monkeypatch):
         def broken(cfg):
             raise ValueError("no chain today")
@@ -926,8 +958,8 @@ class TestCli:
 
     @pytest.mark.parametrize("sub", ["fit", "sweep"])
     def test_trajectories_dropped_before_the_fit(self, tmp_path, monkeypatch, sub):
-        # A subcommand keeps only the output it writes and the detection, so
-        # the simulated runs are gone once the snapshots are built.
+        # A subcommand holds no trajectories past its own stage, so the
+        # simulated runs are gone once the snapshots are built.
         argv = [sub, "--config", str(self.config_file(tmp_path)),
                 "--out", str(tmp_path / "out")]
         assert held_at_fit(monkeypatch, lambda: main(argv)) == [False]

@@ -12,7 +12,11 @@ from dualce import (
     sym,
 )
 from dualce.svd import _coupling_generators, _signfix_columns
-from tests.conftest import matrix_with_sigmas, random_dual_matrix
+from tests.conftest import (
+    assert_bits_equal,
+    matrix_with_sigmas,
+    random_dual_matrix,
+)
 
 
 def reconstruction_error(a, res):
@@ -190,11 +194,6 @@ def signfix_by_columns(u, v):
     return u, v
 
 
-def assert_same_bits(got, expect):
-    # tobytes tells -0.0 from 0.0, which array_equal does not
-    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
-
-
 class TestSignfix:
     def test_random_shapes_match_column_loop(self):
         rng = np.random.default_rng(12)
@@ -203,7 +202,7 @@ class TestSignfix:
             u = rng.standard_normal((m, r))
             v = rng.standard_normal((n, r))
             for got, expect in zip(_signfix_columns(u, v), signfix_by_columns(u, v)):
-                assert_same_bits(got, expect)
+                assert_bits_equal(got, expect)
 
     def test_ties_and_negative_zero(self):
         # columns: |max| tied, negative first (flips); tied, positive first
@@ -217,8 +216,8 @@ class TestSignfix:
         v = np.arange(10.0).reshape(2, 5) - 4.0
         got_u, got_v = _signfix_columns(u, v)
         expect_u, expect_v = signfix_by_columns(u, v)
-        assert_same_bits(got_u, expect_u)
-        assert_same_bits(got_v, expect_v)
+        assert_bits_equal(got_u, expect_u)
+        assert_bits_equal(got_v, expect_v)
         assert np.array_equal(np.signbit(got_u[1]), [False, False, False, False, False])
         assert np.array_equal(np.signbit(got_u[0]), [True, False, True, False, True])
 

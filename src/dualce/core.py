@@ -376,11 +376,12 @@ def dm_inverse(a: DualMatrix) -> DualMatrix:
 
 
 def dm_is_orthogonal(a: DualMatrix) -> bool:
-    """True when A_s is orthogonal and A_s^T A_i is skew-symmetric, to
-    ORTHOGONAL_TOL in the Frobenius norm."""
+    """True when A^T A = I in dual arithmetic, to ORTHOGONAL_TOL in the
+    Frobenius norm: G = A^T A has ||G_s - I|| and ||G_i|| / 2, the norm of
+    sym(A_s^T A_i), each within it."""
     m, n = a.shape
     if m != n:
         return False
-    eye_err = np.linalg.norm(a.s.T @ a.s - np.eye(n))
-    skew_err = np.linalg.norm(sym(a.s.T @ a.i))
-    return eye_err <= ORTHOGONAL_TOL and skew_err <= ORTHOGONAL_TOL
+    g = a.T @ a
+    eye_err = np.linalg.norm(g.s - np.eye(n))
+    return eye_err <= ORTHOGONAL_TOL and 0.5 * np.linalg.norm(g.i) <= ORTHOGONAL_TOL

@@ -78,8 +78,11 @@ class SweepTable:
 def _check_p_list(p_list, name: str = "p_list") -> tuple:
     """p_list as a nonempty tuple of distinct floats in [1, 2); raises
     ValueError naming it if not, since a repeated p would count twice in
-    detect_k's vote.  A str is refused as a whole, not read char by char."""
-    if isinstance(p_list, str) or not isinstance(p_list, Sequence):
+    detect_k's vote.  A 1-D ndarray counts as the list of its entries; a
+    str or bytes is refused as a whole, not read char by char."""
+    if isinstance(p_list, np.ndarray) and p_list.ndim == 1:
+        p_list = p_list.tolist()
+    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Sequence):
         raise ValueError(f"{name} must be a sequence, got {p_list!r}")
     p_list = tuple(check_real(q, f"{name} entry", 1.0, 2.0) for q in p_list)
     if not p_list:
@@ -244,10 +247,10 @@ def coarse_grain(
 ) -> CoarseGraining:
     """Cluster the columns of the singular-projection matrix into k classes.
 
-    With the infinitesimal method the clustered matrix stacks
-    U_s(:,1:k)^T P_s over U_s(:,1:k)^T P_i + U_i(:,1:k)^T P_s; without it,
-    the same top block over zeros.  The zero padding keeps the two methods
-    seed-for-seed identical whenever P_i = O.  The reduced matrix is
+    The clustered matrix is the dual projection U(:,1:k)^T P: with the
+    infinitesimal method its standard part stacked over its infinitesimal
+    part; without it, the same top block over zeros.  The zero padding
+    keeps the two methods seed-for-seed identical whenever P_i = O.  The reduced matrix is
     Phi^T P_s Phi with columns renormalized, which is exactly stochastic
     because column sums equal the (positive) cluster sizes.  The singular
     vectors come from cdsvd of p's decomposition: a Decomposition is used as
@@ -265,14 +268,9 @@ def coarse_grain(
     n = p.shape[0]
     result = cdsvd(d)
     check_integer(k, "k", 1, len(result.S))
-    u_s = result.U.s[:, :k]
-    u_i = result.U.i[:, :k]
-    top = u_s.T @ p.s
-    if method == WITH_INFINITESIMAL:
-        bottom = u_s.T @ p.i + u_i.T @ p.s
-    else:
-        bottom = np.zeros_like(top)
-    q = np.vstack([top, bottom])
+    proj = DualMatrix(result.U.s[:, :k], result.U.i[:, :k]).T @ p
+    bottom = proj.i if method == WITH_INFINITESIMAL else np.zeros_like(proj.s)
+    q = np.vstack([proj.s, bottom])
 
     for seed_used in range(seed, seed + retries + 1):
         try:
@@ -339,8 +337,8 @@ class PipelineConfig:
     p_list: tuple = (1.3, 1.6, 1.9)
     group_tol: float = GROUP_TOL
     seed: int = 0
-    fit_tol: float = 1e-10
-    fit_max_iter: int = 20000
+    fit_tol: float = FitOptions.tol
+    fit_max_iter: int = FitOptions.max_iter
     kmeans_max_iter: int = 300
     kmeans_retries: int = 5
     drift: bool = False

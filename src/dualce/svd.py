@@ -191,11 +191,9 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
         u_i = u @ omega_u + (a_i @ v - u @ b) / s[None, :]
         v_i = v @ omega_v + (a_i.T @ u - v @ b.T) / s[None, :]
 
-        recon = (
-            u_i @ (s[:, None] * v.T) + u @ np.diag(s_i) @ v.T + u @ (s[:, None] * v_i.T)
-        )
-        residual = float(np.linalg.norm(a_i - recon))
         res_u, res_v = DualMatrix(u, u_i), DualMatrix(v, v_i)
+        recon = res_u @ DualMatrix(np.diag(s), np.diag(s_i)) @ res_v.T
+        residual = float(np.linalg.norm(a_i - recon.i))
     if wide:
         res_u, res_v = res_v, res_u
     return CdsvdResult(res_u, sigma, res_v, residual)

@@ -29,6 +29,7 @@ from dualce import (
     coarse_grain,
     compare,
     decompose,
+    detect_k,
     dual_abs,
     dual_det,
     dual_effective_information,
@@ -44,6 +45,7 @@ from dualce import (
     is_dynamically_reversible,
     ky_fan_norm,
     ky_fan_pk_norm,
+    norm_sweep,
     nuclear_norm,
     operator_inf_norm,
     operator_one_norm,
@@ -520,7 +522,8 @@ def test_benchmark_detection_majority():
     opt-in drifting generator: the dumbbell chain M drifting toward its
     five-class chain (`dumbbell_dtpm`), simulated in dual arithmetic from
     100 random starts of 5 steps each, then fit, sweep and detect. The
-    check passes only if the fit recovers a drift whose peak is at k = 5.
+    check passes only if the fit recovers a drift whose peak is at k = 5,
+    and each seed's per-p argmaxes are those of its own generator's DTPM.
 
     PAPER.md gives only the abstract, so it does not say which drift the
     paper's dumbbell DTPM carried; the drift toward the five-class chain is
@@ -536,6 +539,10 @@ def test_benchmark_detection_majority():
         result = analyze(cfg)
         flagged = [q for q, _, degenerate in result.detection.per_p if degenerate]
         assert not flagged, f"seed {seed}: no drift signal at p = {flagged}"
+        fitted = [k for _, k, _ in result.detection.per_p]
+        truth = detect_k(norm_sweep(decompose(result.chain, cfg.group_tol), cfg.p_list))
+        generator = [k for _, k, _ in truth.per_p]
+        assert fitted == generator, f"seed {seed}: fit {fitted}, generator {generator}"
         drift = dumbbell_dtpm(cfg.dumbbell()).i
         errors.append(np.linalg.norm(result.p.i - drift) / np.linalg.norm(drift))
         k_stars.append(result.detection.k_star)

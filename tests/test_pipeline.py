@@ -14,11 +14,13 @@ import dualce
 from dualce import (
     DetectionResult,
     DualMatrix,
+    FitOptions,
     PipelineConfig,
     SweepTable,
     WITH_INFINITESIMAL,
     WITHOUT_INFINITESIMAL,
     analyze,
+    cdsvd,
     coarse_grain,
     decompose,
     delta_gamma,
@@ -37,6 +39,7 @@ from dualce.cli import main
 from dualce.markov import matrix_from_dict, read_matrix_csv
 from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
 from tests.conftest import (
+    assert_bits_equal,
     matrix_with_sigmas,
     random_dtpm,
     random_permutation_matrix,
@@ -170,6 +173,18 @@ class TestNormSweep:
                 norm_sweep(p, bad)
         with pytest.raises(ValueError):
             norm_sweep(DualMatrix(np.zeros((3, 3)), np.eye(3)), (1.5,))
+        for bad in (np.array(1.5), np.array([[1.3, 1.6]]), b"\x01", "1.5"):
+            with pytest.raises(ValueError, match="^p_list must be a sequence, got "):
+                norm_sweep(p, bad)
+
+    def test_array_p_list_reads_as_its_entries(self):
+        p = random_dtpm(np.random.default_rng(3), 4)
+        table = norm_sweep(p, np.array([1.3, 1.6]))
+        listed = norm_sweep(p, (1.3, 1.6))
+        assert table.p_list == (1.3, 1.6)
+        assert all(type(q) is float for q in table.p_list)
+        assert_bits_equal(table.infinitesimal, listed.infinitesimal)
+        assert_bits_equal(table.standard, listed.standard)
 
 
 def make_table(per_p_infinitesimals, p_list):
@@ -448,6 +463,40 @@ class TestCoarseGrain:
         assert info.value.__cause__ is errors[0]
 
 
+class TestProjectionReference:
+    """coarse_grain clusters the columns of the dual projection U_k^T P, and
+    hands k-means the same doubles as the hand-written product rule it
+    replaced: the default fit, and the ensemble fit of seed 8, whose k*
+    (76 at one BLAS thread) loads nearly every singular vector."""
+
+    @pytest.mark.parametrize(
+        "cfg", [PipelineConfig(), PipelineConfig(trajectories=100, t=5, seed=8)],
+        ids=["default", "ensemble-seed8"],
+    )
+    def test_clustered_points_are_the_reference_projection(self, monkeypatch, cfg):
+        result = analyze(cfg, "detect")
+        d = decompose(result.p, cfg.group_tol)
+        k = result.detection.k_star
+        u = cdsvd(d).U
+        u_s, u_i, p = u.s[:, :k], u.i[:, :k], d.matrix
+        top = u_s.T @ p.s
+        expected = {
+            WITH_INFINITESIMAL: np.vstack([top, u_s.T @ p.i + u_i.T @ p.s]),
+            WITHOUT_INFINITESIMAL: np.vstack([top, np.zeros_like(top)]),
+        }
+        captured = []
+
+        def recording(points, *args, **kwargs):
+            captured.append(np.array(points))
+            return kmeans(points, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "kmeans", recording)
+        for method, reference in expected.items():
+            captured.clear()
+            coarse_grain(d, k, method=method, seed=cfg.child_seeds()["kmeans"])
+            assert_bits_equal(captured[0], reference.T)
+
+
 class TestConfig:
     def test_child_seeds_are_distinct_and_stable(self):
         cfg = PipelineConfig(seed=3)
@@ -476,6 +525,23 @@ class TestConfig:
     )
     def test_bad_p_list_rejected(self, p_list):
         with pytest.raises(ValueError):
+            PipelineConfig(p_list=p_list)
+
+    def test_fit_defaults_are_fit_options_defaults(self):
+        assert PipelineConfig().fit_options() == FitOptions()
+
+    def test_array_p_list_stored_as_float_tuple(self):
+        cfg = PipelineConfig(p_list=np.array([1.3, 1.6]))
+        assert cfg == PipelineConfig(p_list=(1.3, 1.6))
+        assert all(type(q) is float for q in cfg.p_list)
+        assert cfg.to_dict()["p_list"] == [1.3, 1.6]
+
+    @pytest.mark.parametrize(
+        "p_list", [np.array(1.3), np.array([[1.3, 1.6]]), b"\x01"],
+        ids=["0-d", "2-d", "bytes"],
+    )
+    def test_non_list_p_list_rejected(self, p_list):
+        with pytest.raises(ValueError, match="^config key 'p_list' must be a sequence, got "):
             PipelineConfig(p_list=p_list)
 
     def test_string_p_list_rejected(self):

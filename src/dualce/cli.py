@@ -62,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="relative gap for grouping repeated singular values",
         )
-        cmd.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="matrix output format",
-        )
     return parser
 
 
@@ -87,7 +81,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: bad configuration: {err}", file=sys.stderr)
         return 2
 
@@ -104,9 +98,9 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         if command == "pipeline":
-            paths = write_artifacts(result, out, args.format)
+            paths = write_artifacts(result, out)
         else:
-            paths = WRITERS[command](out, outputs[command], args.format)
+            paths = WRITERS[command](out, outputs[command])
     except OSError as err:
         print(f"error in {command}: {err}", file=sys.stderr)
         return 1

@@ -11,11 +11,11 @@ the seed instead of reading intermediate files.  `WRITERS` holds the one
 function that writes each stage's files, for `write_artifacts` and the CLI
 alike.
 
-All artifacts are written with stable ordering and 17-significant-digit
-floats; two runs with the same configuration produce byte-identical files
-at the same BLAS thread count.  Another thread count changes the fit's
-roundoff, and with it every artifact downstream of the fit, though not
-k_star on the default seeds.
+Matrices are written as CSV and the other records as JSON, all with stable
+ordering and 17-significant-digit floats; two runs with the same
+configuration produce byte-identical files at the same BLAS thread count.
+Another thread count changes the fit's roundoff, and with it every artifact
+downstream of the fit, though not k_star on the default seeds.
 """
 
 from __future__ import annotations
@@ -179,7 +179,12 @@ def _sq_dist(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sum((pts - center) ** 2, axis=1)
 
 
-def kmeans(points, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
+# The k-means defaults of kmeans, coarse_grain and PipelineConfig.
+KMEANS_MAX_ITER = 300
+KMEANS_RETRIES = 5
+
+
+def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER) -> np.ndarray:
     """k-means++ seeding plus Lloyd iterations to an assignment fixpoint.
 
     Deterministic for a given (points, k, seed).  Raises EmptyClusterError
@@ -241,8 +246,8 @@ def coarse_grain(
     k: int,
     method: str = WITH_INFINITESIMAL,
     seed: int = 0,
-    max_iter: int = 300,
-    retries: int = 5,
+    max_iter: int = KMEANS_MAX_ITER,
+    retries: int = KMEANS_RETRIES,
     group_tol: float = GROUP_TOL,
 ) -> CoarseGraining:
     """Cluster the columns of the singular-projection matrix into k classes.
@@ -339,8 +344,8 @@ class PipelineConfig:
     seed: int = 0
     fit_tol: float = FitOptions.tol
     fit_max_iter: int = FitOptions.max_iter
-    kmeans_max_iter: int = 300
-    kmeans_retries: int = 5
+    kmeans_max_iter: int = KMEANS_MAX_ITER
+    kmeans_retries: int = KMEANS_RETRIES
     drift: bool = False
     trajectories: int = 1
 
@@ -517,40 +522,33 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _write_matrix(out: Path, name: str, matrix: np.ndarray, fmt: str) -> Path:
-    if fmt == "csv":
-        path = out / f"{name}.csv"
-        write_matrix_csv(path, matrix)
-        return path
-    return _write_json(out / f"{name}.json", matrix_to_dict(matrix))
+def _write_parts(out: Path, name: str, name_i: str, matrix) -> list:
+    """name.csv from the matrix, or from its standard part if it is dual, and
+    then name_i.csv from its infinitesimal part."""
+    parts = [(name, matrix)]
+    if isinstance(matrix, DualMatrix):
+        parts = [(name, matrix.s), (name_i, matrix.i)]
+    paths = []
+    for stem, part in parts:
+        paths.append(out / f"{stem}.csv")
+        write_matrix_csv(paths[-1], part)
+    return paths
 
 
-def _write_parts(out: Path, name: str, name_i: str, matrix, fmt: str) -> list:
-    """name.* from the matrix, or from its standard part if it is dual, and
-    then name_i.* from its infinitesimal part."""
-    if not isinstance(matrix, DualMatrix):
-        return [_write_matrix(out, name, matrix, fmt)]
-    return [
-        _write_matrix(out, name, matrix.s, fmt),
-        _write_matrix(out, name_i, matrix.i, fmt),
-    ]
+def _write_generate(out: Path, chain) -> list:
+    return _write_parts(out, "generator", "generator_drift", chain)
 
 
-def _write_generate(out: Path, chain, fmt: str) -> list:
-    return _write_parts(out, "generator", "generator_drift", chain, fmt)
+def _write_simulate(out: Path, runs) -> list:
+    return _write_parts(out, "trajectory", "trajectory_infinitesimal", runs)
 
 
-def _write_simulate(out: Path, runs, fmt: str) -> list:
-    return _write_parts(out, "trajectory", "trajectory_infinitesimal", runs, fmt)
-
-
-def _write_fit(out: Path, report: FitReport, fmt: str) -> list:
-    parts = _write_parts(out, "p_standard", "p_infinitesimal", report.p, fmt)
+def _write_fit(out: Path, report: FitReport) -> list:
+    parts = _write_parts(out, "p_standard", "p_infinitesimal", report.p)
     return [*parts, _write_json(out / "fit.json", report.to_dict())]
 
 
-def _write_sweep(out: Path, table: SweepTable, fmt: str) -> list:
-    """sweep.csv in either format."""
+def _write_sweep(out: Path, table: SweepTable) -> list:
     path = out / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write("k,p,standard,infinitesimal,delta_gamma\n")
@@ -561,11 +559,11 @@ def _write_sweep(out: Path, table: SweepTable, fmt: str) -> list:
     return [path]
 
 
-def _write_detect(out: Path, detection: DetectionResult, fmt: str) -> list:
+def _write_detect(out: Path, detection: DetectionResult) -> list:
     return [_write_json(out / "detection.json", detection.to_dict())]
 
 
-def _write_coarse(out: Path, output: tuple, fmt: str) -> list:
+def _write_coarse(out: Path, output: tuple) -> list:
     """coarse.json: each method's coarse-graining and its EI comparison."""
     coarse, ei_micro, ei_macro = output
     payload = {
@@ -584,7 +582,7 @@ def _write_coarse(out: Path, output: tuple, fmt: str) -> list:
     return [_write_json(out / "coarse.json", payload)]
 
 
-# Stage name -> writer(out, output, fmt) of that stage's files, where output
+# Stage name -> writer(out, output) of that stage's files, where output
 # is what `stages` yields for it; each writer returns the paths it wrote.
 WRITERS = {
     "generate": _write_generate,
@@ -612,33 +610,23 @@ def manifest_payload(cfg: PipelineConfig) -> dict:
     }
 
 
-def _check_fmt(fmt: str) -> None:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-
-
-def run_pipeline(cfg: PipelineConfig, out_dir, fmt: str = "csv") -> dict:
-    """Run all stages and write the artifact set into out_dir.
-
-    Returns the manifest payload.  A bad fmt is rejected before any stage
-    runs.
-    """
-    _check_fmt(fmt)
-    write_artifacts(analyze(cfg), out_dir, fmt)
+def run_pipeline(cfg: PipelineConfig, out_dir) -> dict:
+    """Run all stages and write the artifact set into out_dir; return the
+    manifest payload."""
+    write_artifacts(analyze(cfg), out_dir)
     return manifest_payload(cfg)
 
 
-def write_artifacts(result: PipelineResult, out_dir, fmt: str = "csv") -> list:
+def write_artifacts(result: PipelineResult, out_dir) -> list:
     """Write the artifact set of an analyzed run into out_dir.
 
     The files of each stage in result.outputs, through its writer in
     WRITERS, so each the bytes its subcommand writes, then manifest.json.
     Returns the paths written.
     """
-    _check_fmt(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, output in result.outputs.items():
-        paths += WRITERS[name](out, output, fmt)
+        paths += WRITERS[name](out, output)
     return [*paths, _write_json(out / "manifest.json", manifest_payload(result.config))]

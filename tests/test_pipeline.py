@@ -2,6 +2,7 @@
 
 import gc
 import importlib.util
+import inspect
 import json
 import tracemalloc
 import weakref
@@ -36,7 +37,7 @@ from dualce import (
 )
 from dualce import fitting, pipeline
 from dualce.cli import main
-from dualce.markov import matrix_from_dict, read_matrix_csv
+from dualce.markov import read_matrix_csv
 from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
 from tests.conftest import (
     assert_bits_equal,
@@ -530,6 +531,13 @@ class TestConfig:
     def test_fit_defaults_are_fit_options_defaults(self):
         assert PipelineConfig().fit_options() == FitOptions()
 
+    def test_kmeans_defaults_are_coarse_grain_defaults(self):
+        cfg = PipelineConfig()
+        coarse = inspect.signature(coarse_grain).parameters
+        assert cfg.kmeans_max_iter == coarse["max_iter"].default
+        assert cfg.kmeans_retries == coarse["retries"].default
+        assert cfg.kmeans_max_iter == inspect.signature(kmeans).parameters["max_iter"].default
+
     def test_array_p_list_stored_as_float_tuple(self):
         cfg = PipelineConfig(p_list=np.array([1.3, 1.6]))
         assert cfg == PipelineConfig(p_list=(1.3, 1.6))
@@ -801,40 +809,33 @@ class TestArtifacts:
         assert manifest["config"]["seed"] == tiny_config.seed
         assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
-    def test_json_format(self, tiny_config, tmp_path):
-        run_pipeline(tiny_config, tmp_path, fmt="json")
-        assert (tmp_path / "generator.json").exists()
-        assert not (tmp_path / "generator.csv").exists()
-        with pytest.raises(ValueError):
-            run_pipeline(tiny_config, tmp_path, fmt="xml")
-
     @pytest.fixture(scope="class")
-    def default_json_run(self, tmp_path_factory):
-        """The default config's analysis and the directory of its json artifacts."""
-        out = tmp_path_factory.mktemp("default-json")
+    def default_run(self, tmp_path_factory):
+        """The default config's analysis and the directory of its artifacts."""
+        out = tmp_path_factory.mktemp("default")
         result = analyze(PipelineConfig())
-        pipeline.write_artifacts(result, out, fmt="json")
+        pipeline.write_artifacts(result, out)
         return result, out
 
-    def test_json_artifacts_are_strict_json(self, default_json_run):
+    def test_json_artifacts_are_strict_json(self, default_run):
         """The default run's Gram is singular, so fit.json reports its
         condition estimate, and no file may hold Infinity or NaN."""
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        _, out = default_json_run
+        _, out = default_run
         paths = sorted(out.glob("*.json"))
-        assert len(paths) == 7
+        assert len(paths) == 4
         for path in paths:
             json.loads(path.read_text(), parse_constant=reject)
         assert json.loads((out / "fit.json").read_text())["condition_estimate"] is None
 
-    def test_fit_and_detection_json_read_their_records(self, default_json_run):
+    def test_fit_and_detection_json_read_their_records(self, default_run):
         """fit.json pairs each diagnostic of the two FitStage records as
         [standard, infinitesimal]; detection.json's unanimous is read off
         per_p."""
-        result, out = default_json_run
+        result, out = default_run
         fit = json.loads((out / "fit.json").read_text())
         assert set(fit) == {
             "objective_s", "objective_i", "iterations", "converged",
@@ -851,17 +852,6 @@ class TestArtifacts:
         assert detection["unanimous"] is (len(votes) == 1)
         assert detection["unanimous"] is result.detection.unanimous
 
-    def test_bad_format_rejected_before_analysis(self, tiny_config, tmp_path,
-                                                 monkeypatch):
-        def never(cfg):
-            raise AssertionError("analyze ran")
-
-        monkeypatch.setattr(pipeline, "analyze", never)
-        out = tmp_path / "out"
-        with pytest.raises(ValueError, match="format"):
-            run_pipeline(tiny_config, out, fmt="xml")
-        assert not out.exists()
-
     def test_byte_identical_across_runs(self, tiny_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_pipeline(tiny_config, a)
@@ -871,13 +861,12 @@ class TestArtifacts:
             assert path.read_bytes() == twin.read_bytes(), path.name
 
 
-# The files each subcommand writes ("*" is the --format suffix), and those
-# it adds when the chain drifts.  `pipeline` writes the files of every stage
-# but simulate, and manifest.json.
+# The files each subcommand writes, and those it adds when the chain drifts.
+# `pipeline` writes the files of every stage but simulate, and manifest.json.
 SUBCOMMAND_FILES = {
-    "generate": ({"generator.*"}, {"generator_drift.*"}),
-    "simulate": ({"trajectory.*"}, {"trajectory_infinitesimal.*"}),
-    "fit": ({"p_standard.*", "p_infinitesimal.*", "fit.json"}, set()),
+    "generate": ({"generator.csv"}, {"generator_drift.csv"}),
+    "simulate": ({"trajectory.csv"}, {"trajectory_infinitesimal.csv"}),
+    "fit": ({"p_standard.csv", "p_infinitesimal.csv", "fit.json"}, set()),
     "sweep": ({"sweep.csv"}, set()),
     "detect": ({"detection.json"}, set()),
     "coarse-grain": ({"coarse.json"}, set()),
@@ -891,21 +880,21 @@ SUBCOMMAND_FILES["pipeline"] = (
 
 @pytest.fixture(scope="class")
 def pipeline_run(tmp_path_factory):
-    """(config file, `dualce pipeline` output) per (format, drift), run once."""
+    """(config file, `dualce pipeline` output) per drift, run once."""
     runs = {}
 
-    def run(fmt, drift):
-        if (fmt, drift) not in runs:
+    def run(drift):
+        if drift not in runs:
             root = tmp_path_factory.mktemp("pipeline")
             entry = {"far_weight": 2, "near_weight": 2, "bar": 1, "t": 50}
             if drift:
                 entry.update(t=5, drift=True, trajectories=3)
             cfg = root / "cfg.json"
             cfg.write_text(json.dumps(entry))
-            assert main(["pipeline", "--config", str(cfg), "--format", fmt,
+            assert main(["pipeline", "--config", str(cfg),
                          "--out", str(root / "all")]) == 0
-            runs[fmt, drift] = cfg, root / "all"
-        return runs[fmt, drift]
+            runs[drift] = cfg, root / "all"
+        return runs[drift]
 
     return run
 
@@ -961,48 +950,49 @@ class TestCli:
             assert path.read_bytes() == (tmp_path / "y" / path.name).read_bytes()
 
     @pytest.mark.parametrize("drift", [False, True], ids=["real", "drift"])
-    def test_csv_and_json_hold_the_same_matrices(self, pipeline_run, drift):
-        # Every matrix the csv run writes reads back with the bits the json
-        # run stores, so the csv text keeps all 17 significant digits.
-        csv_files = sorted(pipeline_run("csv", drift)[1].glob("*.csv"))
-        matrices = [path for path in csv_files if path.name != "sweep.csv"]
-        assert len(matrices) == (4 if drift else 3)
-        json_run = pipeline_run("json", drift)[1]
-        for path in matrices:
-            stored = json.loads((json_run / f"{path.stem}.json").read_text())
-            got, expected = read_matrix_csv(path), matrix_from_dict(stored)
-            assert got.shape == expected.shape, path.name
-            assert got.tobytes() == expected.tobytes(), path.name
+    def test_matrix_csv_reads_back_the_analyzed_bits(self, pipeline_run, drift):
+        # Every matrix file reads back with the bits analyze holds for the
+        # same config, so the csv text keeps all 17 significant digits.
+        cfg, everything = pipeline_run(drift)
+        result = analyze(PipelineConfig.from_dict(json.loads(cfg.read_text())))
+        chain, p = result.chain, result.p
+        expected = {"p_standard": p.s, "p_infinitesimal": p.i}
+        if drift:
+            expected.update(generator=chain.s, generator_drift=chain.i)
+        else:
+            expected.update(generator=chain)
+        written = {path.stem for path in everything.glob("*.csv")}
+        assert written == {*expected, "sweep"}
+        for stem, matrix in expected.items():
+            assert_bits_equal(read_matrix_csv(everything / f"{stem}.csv"), matrix)
 
     @pytest.mark.parametrize(
-        "sub, fmt, drift",
+        "sub, drift",
         [
-            pytest.param(sub, fmt, drift, id=f"{sub}-{fmt}" + "-drift" * drift)
+            pytest.param(sub, drift, id=f"{sub}-csv" + "-drift" * drift)
             for drift in (False, True)
             for sub in SUBCOMMAND_FILES
-            for fmt in ("csv", "json")
         ],
     )
     def test_subcommand_files_match_pipeline(
-        self, tmp_path, capsys, pipeline_run, sub, fmt, drift
+        self, tmp_path, capsys, pipeline_run, sub, drift
     ):
         # each subcommand writes exactly its stage's files, names them in
         # one line, and a file it shares with `pipeline` holds the same bytes
-        cfg, everything = pipeline_run(fmt, drift)
+        cfg, everything = pipeline_run(drift)
         capsys.readouterr()
         out = tmp_path / "one"
-        assert main([sub, "--config", str(cfg), "--format", fmt,
-                     "--out", str(out)]) == 0
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0
         files, drift_files = SUBCOMMAND_FILES[sub]
         expected = files | drift_files if drift else files
         written = {path.name for path in out.iterdir()}
-        assert written == {name.replace("*", fmt) for name in expected}
+        assert written == expected
         line = capsys.readouterr().out
         assert line.count("\n") == 1 and all(name in line for name in written)
         assert ("k_star=" in line) == (sub in ("detect", "coarse-grain", "pipeline"))
         for name in written & {path.name for path in everything.iterdir()}:
             assert (out / name).read_bytes() == (everything / name).read_bytes(), name
-        if sub == "simulate" and fmt == "csv":
+        if sub == "simulate":
             # 9 states; the runs sit side by side, t + 2 columns each
             shape = (9, 3 * 7) if drift else (9, 52)
             for name in written:

@@ -1,12 +1,12 @@
 """Command-line interface for the causal-emergence pipeline.
 
 Every subcommand runs `pipeline.analyze` on the resolved configuration
-(config file defaults, overridden by flags) up to its own stage, so running
-`sweep` does not require having run `fit` first; `pipeline` runs every
-stage.  It then writes its stage's files with that stage's writer in
-`pipeline.WRITERS`, or for `pipeline` the full artifact set with
-`write_artifacts`, and prints one line naming the files written, with
-k_star once detect has run.
+(the config file's settings, with --seed overriding its seed) up to its own
+stage, so running `sweep` does not require having run `fit` first;
+`pipeline` runs every stage.  It then writes its stage's files with that
+stage's writer in `pipeline.WRITERS`, or for `pipeline` the full artifact
+set with `write_artifacts`, and prints one line naming the files written,
+with k_star once detect has run.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import sys
 from pathlib import Path
 
 from .pipeline import WRITERS, PipelineConfig, StageError, analyze, write_artifacts
-
-
-def _parse_p_list(text: str):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad p-list {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,18 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--out", type=Path, default=Path("out"), help="output directory"
         )
-        cmd.add_argument(
-            "--p-list",
-            type=_parse_p_list,
-            default=None,
-            help="comma-separated p values in [1, 2), e.g. 1.3,1.6,1.9",
-        )
-        cmd.add_argument(
-            "--group-tol",
-            type=float,
-            default=None,
-            help="relative gap for grouping repeated singular values",
-        )
     return parser
 
 
@@ -72,8 +53,8 @@ def resolve_config(args) -> PipelineConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
-    overrides = {"seed": args.seed, "p_list": args.p_list, "group_tol": args.group_tol}
-    data.update((k, v) for k, v in overrides.items() if v is not None)
+    if args.seed is not None:
+        data["seed"] = args.seed
     return PipelineConfig.from_dict(data)
 
 

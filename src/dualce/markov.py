@@ -26,14 +26,9 @@ from .svd import Decomposition
 STOCHASTIC_TOL = 1e-12
 # is_dynamically_reversible's bound on |P_s - permutation| and on |P_i|.
 REVERSIBILITY_TOL = 1e-9
-# DumbbellConfig's bounds, which PipelineConfig checks its copies against:
-# check_integer's lower bound on each block size and check_real's interval
-# arguments for each coupling.
+# DumbbellConfig's lower bound on each block size, which PipelineConfig
+# checks its copies against.
 DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
-DUMBBELL_INTERVALS = {
-    "coupling_density": (0.0, 1.0, "[]"),
-    "coupling_scale": (0.0, math.inf, "()"),
-}
 
 
 def validate_tpm(p: np.ndarray) -> np.ndarray:
@@ -107,6 +102,13 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     (rowsum_s)_j > 0, all divided by n.  Entries outside these index sets
     contribute 0, matching the standard part's log convention.  A negative
     entry of P_s raises ValueError.
+
+    An entry with [P_s]_jk = 0 < [P_i]_jk = a also gives 0 in the first sum,
+    the value eps^2 = 0 gives, though there the one-sided Gateaux derivative
+    of EI along P_i is -inf: the entry adds t a log2(t a) / n to EI, so the
+    finite-difference quotients fall by log2(10) sum(a) / n per decade of t
+    and never converge.  Less those entries' a log2(t a) / n, they converge
+    to this infinitesimal part.
     """
     check_square(p, "dual_effective_information")
     p_s, p_i = p.s, p.i
@@ -174,8 +176,8 @@ class DumbbellConfig:
     def __post_init__(self):
         for name, low in {**DUMBBELL_MINIMUM, "seed": 0}.items():
             check_integer(getattr(self, name), name, low)
-        for name, interval in DUMBBELL_INTERVALS.items():
-            check_real(getattr(self, name), name, *interval)
+        check_real(self.coupling_density, "coupling_density", 0.0, 1.0, "[]")
+        check_real(self.coupling_scale, "coupling_scale", 0.0, math.inf, "()")
 
     @property
     def block_sizes(self) -> tuple:

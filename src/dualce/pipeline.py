@@ -11,8 +11,9 @@ the seed instead of reading intermediate files.  `WRITERS` holds the one
 function that writes each stage's files, for `write_artifacts` and the CLI
 alike.
 
-Matrices are written as CSV and the other records as JSON, all with stable
-ordering and 17-significant-digit floats; two runs with the same
+Matrices are written as CSV with 17-significant-digit floats and the other
+records as JSON with Python's shortest round-trip float repr, both with
+stable ordering, so every float reads back exactly; two runs with the same
 configuration produce byte-identical files at the same BLAS thread count.
 Another thread count changes the fit's roundoff, and with it every artifact
 downstream of the fit, though not k_star on the default seeds.
@@ -35,7 +36,6 @@ from . import __version__
 from .core import DualMatrix, check_integer, check_real, check_square
 from .fitting import FIT_MINIMUM, FitOptions, FitReport, build_snapshots, fit_dtpm
 from .markov import (
-    DUMBBELL_INTERVALS,
     DUMBBELL_MINIMUM,
     DumbbellConfig,
     STOCHASTIC_TOL,
@@ -179,7 +179,7 @@ def _sq_dist(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sum((pts - center) ** 2, axis=1)
 
 
-# The k-means defaults of kmeans, coarse_grain and PipelineConfig.
+# The k-means settings of every run: the defaults of kmeans and coarse_grain.
 KMEANS_MAX_ITER = 300
 KMEANS_RETRIES = 5
 
@@ -300,15 +300,11 @@ def coarse_grain(
 # interval.  The dumbbell's and the fit's are read from their owners.
 _BOUNDS = {
     **{name: (low,) for name, low in DUMBBELL_MINIMUM.items()},
-    **DUMBBELL_INTERVALS,
     "seed": (0,),
     "t": (1,),
     "trajectories": (1,),
     "fit_max_iter": (FIT_MINIMUM["max_iter"],),
-    "kmeans_max_iter": (1,),
-    "kmeans_retries": (0,),
     "fit_tol": (FIT_MINIMUM["tol"],),
-    "group_tol": (0.0,),
 }
 
 
@@ -323,7 +319,9 @@ class PipelineConfig:
     drift=True the simulated chain is the DTPM `dumbbell_dtpm`, the chain
     drifting toward its five-class chain, propagated in dual arithmetic.
     trajectories > 1 fits the stacked snapshots of that many runs of t
-    steps, each from its own random start.
+    steps, each from its own random start.  The dumbbell's couplings are
+    DumbbellConfig's defaults, the singular values are grouped at
+    svd.GROUP_TOL and k-means runs with KMEANS_MAX_ITER and KMEANS_RETRIES.
 
     Construction checks each field by the type of its default, naming the
     config key in a ValueError: int fields through check_integer, float
@@ -336,18 +334,20 @@ class PipelineConfig:
     far_weight: int = DumbbellConfig.far_weight
     near_weight: int = DumbbellConfig.near_weight
     bar: int = DumbbellConfig.bar
-    coupling_density: float = DumbbellConfig.coupling_density
-    coupling_scale: float = DumbbellConfig.coupling_scale
     t: int = 500
     p_list: tuple = (1.3, 1.6, 1.9)
-    group_tol: float = GROUP_TOL
     seed: int = 0
     fit_tol: float = FitOptions.tol
     fit_max_iter: int = FitOptions.max_iter
-    kmeans_max_iter: int = KMEANS_MAX_ITER
-    kmeans_retries: int = KMEANS_RETRIES
     drift: bool = False
     trajectories: int = 1
+
+    # Plain class attributes, not fields, so no config sets them.  Their one
+    # reader is perfbench/bench.py's ensemble workload; the pipeline reads
+    # the module constants.
+    group_tol = GROUP_TOL
+    kmeans_max_iter = KMEANS_MAX_ITER
+    kmeans_retries = KMEANS_RETRIES
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -374,8 +374,6 @@ class PipelineConfig:
             far_weight=self.far_weight,
             near_weight=self.near_weight,
             bar=self.bar,
-            coupling_density=self.coupling_density,
-            coupling_scale=self.coupling_scale,
             seed=self.child_seeds()["topology"],
         )
 
@@ -470,7 +468,7 @@ def stages(cfg: PipelineConfig):
     with _stage("sweep"):
         # One decomposition of the fitted matrix serves the sweep and both
         # coarse-grainings.
-        decomposition = decompose(report.p, cfg.group_tol)
+        decomposition = decompose(report.p)
         sweep = norm_sweep(decomposition, cfg.p_list)
     yield "sweep", sweep
     with _stage("detect"):
@@ -479,14 +477,7 @@ def stages(cfg: PipelineConfig):
     with _stage("coarse-grain"):
         seed = cfg.child_seeds()["kmeans"]
         coarse = {
-            method: coarse_grain(
-                decomposition,
-                detection.k_star,
-                method=method,
-                seed=seed,
-                max_iter=cfg.kmeans_max_iter,
-                retries=cfg.kmeans_retries,
-            )
+            method: coarse_grain(decomposition, detection.k_star, method=method, seed=seed)
             for method in (WITH_INFINITESIMAL, WITHOUT_INFINITESIMAL)
         }
         ei_macro = {
@@ -601,7 +592,11 @@ def manifest_payload(cfg: PipelineConfig) -> dict:
     return {
         "config": cfg.to_dict(),
         "child_seeds": cfg.child_seeds(),
-        "tolerances": {"rank_tol": RANK_TOL, "stochastic_tol": STOCHASTIC_TOL},
+        "tolerances": {
+            "group_tol": GROUP_TOL,
+            "rank_tol": RANK_TOL,
+            "stochastic_tol": STOCHASTIC_TOL,
+        },
         "versions": {
             "package": __version__,
             "numpy": np.__version__,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualMatrix, DualVector, check_real, sym
+from .core import DualMatrix, DualVector, check_real, skew, sym
 
 RANK_TOL = 1e-12
 GROUP_TOL = 1e-8
@@ -149,7 +149,7 @@ def _coupling_generators(
     sj, sk = s[:, None], s[None, :]
     denom = np.where(same, 1.0, sk**2 - sj**2)
     block_mean = np.array([np.mean(s[start:stop]) for start, stop in blocks])
-    half_skew = 0.5 * (b - b.T) / (2.0 * block_mean[gid][:, None])
+    half_skew = skew(b) / (2.0 * block_mean[gid][:, None])
     omega_u = np.where(same, half_skew, (sk * b + sj * b.T) / denom)
     omega_v = np.where(same, -half_skew, (sj * b + sk * b.T) / denom)
     return omega_u, omega_v

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from dualce import (
+    GROUP_TOL,
     DualMatrix,
     DualScalar,
     DualVector,
@@ -540,7 +541,7 @@ def test_benchmark_detection_majority():
         flagged = [q for q, _, degenerate in result.detection.per_p if degenerate]
         assert not flagged, f"seed {seed}: no drift signal at p = {flagged}"
         fitted = [k for _, k, _ in result.detection.per_p]
-        truth = detect_k(norm_sweep(decompose(result.chain, cfg.group_tol), cfg.p_list))
+        truth = detect_k(norm_sweep(decompose(result.chain, GROUP_TOL), cfg.p_list))
         generator = [k for _, k, _ in truth.per_p]
         assert fitted == generator, f"seed {seed}: fit {fitted}, generator {generator}"
         drift = dumbbell_dtpm(cfg.dumbbell()).i

@@ -153,6 +153,38 @@ class TestDualEffectiveInformation:
             v = dual_effective_information(p)
             fd_check(v, fd_directional(effective_information, p.s, p.i))
 
+    # A DTPM with zeros in P_s; each direction keeps its columns summing to 0.
+    ZERO_SUPPORT_S = np.array([[0.5, 0.2, 0.3], [0.5, 0.8, 0.3], [0.0, 0.0, 0.4]])
+
+    def test_zero_support_without_drift_matches_fd(self):
+        p_i = np.array([[0.1, -0.05, 0.1], [-0.1, 0.05, -0.1], [0.0, 0.0, 0.0]])
+        p = validate_dtpm(DualMatrix(self.ZERO_SUPPORT_S, p_i))
+        est = fd_directional(effective_information, p.s, p.i)
+        assert est.converged
+        fd_check(dual_effective_information(p), est)
+
+    def test_zero_support_drift_keeps_closed_form_finite(self):
+        # P_i = 0.2 and 0.1 where P_s = 0: the derivative there is -inf, so
+        # the quotients fall by log2(10) * 0.3 / 3 per decade of t, while the
+        # closed form gives those entries 0.
+        n, p_s = 3, self.ZERO_SUPPORT_S
+        p_i = np.array([[-0.1, 0.0, 0.1], [-0.1, -0.1, -0.1], [0.2, 0.1, 0.0]])
+        p = validate_dtpm(DualMatrix(p_s, p_i))
+        closed = dual_effective_information(p)
+        assert math.isfinite(closed.i)
+        est = fd_directional(effective_information, p_s, p_i)
+        assert not est.converged
+        quotients = [q for _, q in est.steps]
+        drops = np.diff(quotients)
+        assert np.allclose(drops, -math.log2(10) * 0.3 / n, rtol=1e-3)
+        assert est.value < closed.i - 2.0
+        # Less the zero-support entries' a log2(t a) / n, the quotients
+        # converge to the closed form.
+        a = p_i[p_s == 0.0]
+        for t, q in est.steps:
+            rest = q - np.sum(a * np.log2(t * a)) / n
+            assert abs(rest - closed.i) <= 0.2 * t
+
     def test_uniform_is_flat(self):
         rng = np.random.default_rng(6)
         n = 6

@@ -1,9 +1,11 @@
 """Norm sweep, class-count detection, coarse-graining, artifacts, CLI."""
 
+import dataclasses
 import gc
 import importlib.util
 import inspect
 import json
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,6 +15,8 @@ import pytest
 
 import dualce
 from dualce import (
+    GROUP_TOL,
+    RANK_TOL,
     DetectionResult,
     DualMatrix,
     FitOptions,
@@ -37,8 +41,14 @@ from dualce import (
 )
 from dualce import fitting, pipeline
 from dualce.cli import main
-from dualce.markov import read_matrix_csv
-from dualce.pipeline import EmptyClusterError, StageError, random_initial_states
+from dualce.markov import STOCHASTIC_TOL, read_matrix_csv
+from dualce.pipeline import (
+    KMEANS_MAX_ITER,
+    KMEANS_RETRIES,
+    EmptyClusterError,
+    StageError,
+    random_initial_states,
+)
 from tests.conftest import (
     assert_bits_equal,
     matrix_with_sigmas,
@@ -476,7 +486,7 @@ class TestProjectionReference:
     )
     def test_clustered_points_are_the_reference_projection(self, monkeypatch, cfg):
         result = analyze(cfg, "detect")
-        d = decompose(result.p, cfg.group_tol)
+        d = decompose(result.p, GROUP_TOL)
         k = result.detection.k_star
         u = cdsvd(d).U
         u_s, u_i, p = u.s[:, :k], u.i[:, :k], d.matrix
@@ -532,11 +542,34 @@ class TestConfig:
         assert PipelineConfig().fit_options() == FitOptions()
 
     def test_kmeans_defaults_are_coarse_grain_defaults(self):
-        cfg = PipelineConfig()
+        # stages calls coarse_grain with its defaults, so every run clusters
+        # with the module constants.
         coarse = inspect.signature(coarse_grain).parameters
-        assert cfg.kmeans_max_iter == coarse["max_iter"].default
-        assert cfg.kmeans_retries == coarse["retries"].default
-        assert cfg.kmeans_max_iter == inspect.signature(kmeans).parameters["max_iter"].default
+        assert coarse["max_iter"].default == KMEANS_MAX_ITER
+        assert coarse["retries"].default == KMEANS_RETRIES
+        assert inspect.signature(kmeans).parameters["max_iter"].default == KMEANS_MAX_ITER
+        assert coarse["group_tol"].default == GROUP_TOL
+
+    # The keys that became constants, each with the value every run used.
+    REMOVED_KEYS = {
+        "coupling_density": 0.1, "coupling_scale": 0.05, "group_tol": 1e-8,
+        "kmeans_max_iter": 300, "kmeans_retries": 5,
+    }
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_rejected(self, key):
+        # Refused even at its old default, so a stale config cannot pass.
+        entry = {key: self.REMOVED_KEYS[key]}
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            PipelineConfig.from_dict(entry)
+        with pytest.raises(TypeError, match=key):
+            PipelineConfig(**entry)
+
+    def test_fields_are_the_settable_keys(self):
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "far_weight", "near_weight", "bar", "t", "p_list", "seed",
+            "fit_tol", "fit_max_iter", "drift", "trajectories",
+        ]
 
     def test_array_p_list_stored_as_float_tuple(self):
         cfg = PipelineConfig(p_list=np.array([1.3, 1.6]))
@@ -586,28 +619,27 @@ class TestConfig:
         assert type(cfg.drift) is bool and type(cfg.t) is int
         # An int for a float field is stored as a float, so equal configs
         # write the same config echo.
-        as_int, as_float = PipelineConfig(coupling_scale=1), PipelineConfig(coupling_scale=1.0)
+        as_int, as_float = PipelineConfig(fit_tol=1), PipelineConfig(fit_tol=1.0)
         assert as_int == as_float and hash(as_int) == hash(as_float)
         assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
 
     # The interval each numeric key is refused with, its owner's.
     SPANS = {
-        "t": ">= 1", "trajectories": ">= 1", "fit_max_iter": ">= 1",
-        "kmeans_max_iter": ">= 1", "kmeans_retries": ">= 0", "seed": ">= 0",
-        "far_weight": ">= 1", "fit_tol": r"in \[0, inf\)", "group_tol": r"in \[0, inf\)",
-        "coupling_density": r"in \[0, 1\]", "coupling_scale": r"in \(0, inf\)",
+        "t": ">= 1", "trajectories": ">= 1", "fit_max_iter": ">= 1", "seed": ">= 0",
+        "far_weight": ">= 1", "near_weight": ">= 1", "bar": ">= 1",
+        "fit_tol": r"in \[0, inf\)",
     }
 
     @pytest.mark.parametrize(
         "entry",
         [{"t": 0}, {"trajectories": -1}, {"fit_max_iter": 0},
-         {"kmeans_max_iter": 0}, {"kmeans_retries": -1}, {"fit_tol": -1e-10},
-         {"fit_tol": float("inf")}, {"group_tol": -1e-12},
-         {"group_tol": float("nan")}, {"far_weight": 0},
-         {"coupling_density": 1.5}, {"coupling_scale": -1.0},
+         {"near_weight": 0}, {"bar": 0}, {"fit_tol": -1e-10},
+         {"fit_tol": float("inf")}, {"fit_tol": -1e-300},
+         {"fit_tol": float("nan")}, {"far_weight": 0},
+         {"trajectories": 0}, {"fit_max_iter": -1},
          {"fit_tol": 10**400}, {"seed": -1},
-         # A non-finite coupling gets the dumbbell's interval, not a type-only one.
-         {"coupling_scale": float("inf")}, {"coupling_density": float("nan")}],
+         # A non-finite tolerance gets its interval, not a type-only message.
+         {"fit_tol": float("-inf")}, {"bar": -1}],
     )
     def test_out_of_range_values_rejected(self, entry):
         key = next(iter(entry))
@@ -617,10 +649,10 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         cfg = PipelineConfig(
-            t=1, trajectories=1, fit_max_iter=1, kmeans_max_iter=1,
-            kmeans_retries=0, fit_tol=0.0, group_tol=0.0,
+            t=1, trajectories=1, fit_max_iter=1, fit_tol=0.0, seed=0,
+            far_weight=1, near_weight=1, bar=1,
         )
-        assert cfg.kmeans_retries == 0
+        assert cfg.fit_max_iter == 1 and cfg.fit_tol == 0.0
 
     def test_int_stands_for_float(self):
         assert PipelineConfig.from_dict({"fit_tol": 0}).fit_tol == 0
@@ -805,7 +837,9 @@ class TestArtifacts:
         assert {"k_star", "per_p", "unanimous"} <= set(detection)
         # the manifest holds only what no other artifact does
         assert set(manifest) == {"config", "child_seeds", "tolerances", "versions"}
-        assert set(manifest["tolerances"]) == {"rank_tol", "stochastic_tol"}
+        assert manifest["tolerances"] == {
+            "group_tol": GROUP_TOL, "rank_tol": RANK_TOL, "stochastic_tol": STOCHASTIC_TOL,
+        }
         assert manifest["config"]["seed"] == tiny_config.seed
         assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
@@ -919,10 +953,11 @@ class TestCli:
         assert (tmp_path / "run" / "manifest.json").exists()
 
     def test_detect_subcommand(self, tmp_path, capsys):
+        # p is set only by the config file.
         cfg = self.config_file(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "p_list": [1.3, 1.6]}))
         code = main(
-            ["detect", "--config", str(cfg), "--seed", "7",
-             "--out", str(tmp_path / "d"), "--p-list", "1.3,1.6"]
+            ["detect", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "d")]
         )
         assert code == 0
         detection = json.loads((tmp_path / "d" / "detection.json").read_text())
@@ -1028,13 +1063,40 @@ class TestCli:
         assert main(["fit", "--config", str(self.config_file(tmp_path)),
                      "--out", str(tmp_path / "f")]) == 0
 
-    def test_nan_group_tol_fails(self, tmp_path, capsys):
+    def removed_flag_exits_two(self, tmp_path, capsys, flag, value):
+        # Only --seed, --config and --out are left; argparse refuses the rest.
         out = tmp_path / "d"
-        code = main(["detect", "--config", str(self.config_file(tmp_path)),
-                     "--group-tol", "nan", "--out", str(out)])
-        assert code == 2
-        assert "bad configuration: config key 'group_tol'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["detect", "--config", str(self.config_file(tmp_path)),
+                  flag, value, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nan_group_tol_fails(self, tmp_path, capsys):
+        # The grouping tolerance is svd.GROUP_TOL, which no flag sets.
+        self.removed_flag_exits_two(tmp_path, capsys, "--group-tol", "nan")
+
+    def test_p_list_flag_exits_two(self, tmp_path, capsys):
+        # p is set by the config file's p_list alone.
+        self.removed_flag_exits_two(tmp_path, capsys, "--p-list", "1.3,1.6")
+
+    @pytest.mark.parametrize("key", sorted(TestConfig.REMOVED_KEYS))
+    def test_removed_key_exits_two(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"far_weight": 2, key: TestConfig.REMOVED_KEYS[key]}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_FILES))
+    def test_help_lists_only_the_three_flags(self, capsys, sub):
+        with pytest.raises(SystemExit) as exit_info:
+            main([sub, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--seed", "--config", "--out"}
 
     @pytest.mark.parametrize(
         "sub",
@@ -1042,13 +1104,13 @@ class TestCli:
     )
     @pytest.mark.parametrize(
         "entry, flags",
-        [({}, ["--p-list", "2.5"]), ({"t": "5"}, []), ({"drift": "yes"}, []),
+        [({}, ["--seed", "-1"]), ({"t": "5"}, []), ({"drift": "yes"}, []),
          ({"t": -3}, []), ({"trajectories": 0}, []), ({"fit_tol": -1}, []),
-         ({"kmeans_retries": -1}, []), ({}, ["--group-tol", "nan"]),
-         ({"coupling_density": 2.0}, []), ({"coupling_scale": float("inf")}, []),
-         ({"coupling_scale": float("nan")}, []), ({"group_tol": 10**400}, []),
+         ({"fit_max_iter": 0}, []), ({"fit_tol": float("nan")}, []),
+         ({"near_weight": 0}, []), ({"fit_tol": float("inf")}, []),
+         ({"p_list": [2.5]}, []), ({"fit_tol": 10**400}, []),
          ({"zero_threshold": 1e-13}, []), ({"seed": -1}, []),
-         ({}, ["--p-list", "1.3,1.3"])],
+         ({"p_list": [1.3, 1.3]}, [])],
     )
     def test_bad_configuration_exits_two(self, tmp_path, capsys, sub, entry, flags):
         path = tmp_path / "cfg.json"

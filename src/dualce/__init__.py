@@ -36,7 +36,6 @@ from .svd import (
     group_singular_values,
 )
 from .matrix_norms import (
-    RankDeficiencyWarning,
     dual_det,
     dual_trace,
     frobenius_norm,

@@ -163,18 +163,15 @@ def dual_abs(a: DualScalar) -> DualScalar:
 def dual_pow(a: DualScalar, p: float) -> DualScalar:
     """Dual power (a_s + a_i eps)**p for finite real p >= 1.
 
-    Defined for a_s > 0 as a_s**p + p a_s**(p-1) a_i eps, and at a_s = 0 by
-    the limit branches: the result is a_i eps when p == 1 and 0 when p > 1.
-    Raises ValueError for a_s < 0 (fractional powers of negative bases leave
-    the reals).
+    a_s**p + p a_s**(p-1) a_i eps for every a_s >= 0.  At a_s = 0 that is
+    a_i eps when p == 1 (0**0 = 1) and 0 when p > 1, the one-sided
+    derivatives of (t a_i)**p; with a_i < 0 and p > 1 the infinitesimal
+    part is -0.0, which equals 0.0 and hashes as it does.  Raises ValueError
+    for a_s < 0 (fractional powers of negative bases leave the reals).
     """
     p = check_real(p, "p", 1.0)
     if a.s < 0.0:
         raise ValueError("dual_pow requires a nonnegative standard part")
-    if a.s == 0.0:
-        if p == 1.0:
-            return DualScalar(0.0, a.i)
-        return DualScalar(0.0, 0.0)
     return DualScalar(a.s**p, p * a.s ** (p - 1.0) * a.i)
 
 
@@ -325,9 +322,10 @@ def skew(m: np.ndarray) -> np.ndarray:
 
 
 def check_square(a, name: str) -> None:
-    """Raise ValueError unless a (array, dual matrix or Decomposition) is n x n."""
-    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} needs a square matrix, got shape {a.shape}")
+    """Raise ValueError unless a is an n x n array, dual matrix or Decomposition."""
+    shape = getattr(a, "shape", None)
+    if shape is None or len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{name} needs a square matrix, got shape {shape}")
 
 
 def check_integer(value, name: str, low: int, high: int | None = None) -> int:

@@ -224,7 +224,7 @@ class FitOptions:
         check_real(self.tol, "FitOptions.tol", FIT_MINIMUM["tol"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitStage:
     """Result of one projected-gradient solve."""
 

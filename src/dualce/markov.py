@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _LN2, DualMatrix, DualScalar, check_integer, check_real, check_square
-from .svd import Decomposition
 
 STOCHASTIC_TOL = 1e-12
 # is_dynamically_reversible's bound on |P_s - permutation| and on |P_i|.
@@ -121,20 +120,14 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     jj, _ = np.nonzero(support)
     vals_s = p_s[support]
     vals_i = p_i[support]
-    term1 = 0.0
-    if vals_s.size:
-        term1 = float(
-            np.sum(
-                vals_i / _LN2
-                + vals_i * np.log2(vals_s)
-                - (vals_s / _LN2) * (rows_i[jj] / rows_s[jj])
-            )
-        )
+    term1 = np.sum(
+        vals_i / _LN2
+        + vals_i * np.log2(vals_s)
+        - (vals_s / _LN2) * (rows_i[jj] / rows_s[jj])
+    )
     live = rows_s > 0.0
-    term2 = 0.0
-    if np.any(live):
-        term2 = float(np.sum(p_i[live, :] * np.log2(rows_s[live] / n)[:, None]))
-    return DualScalar(ei_s, (term1 - term2) / n)
+    term2 = np.sum(p_i[live, :] * np.log2(rows_s[live] / n)[:, None])
+    return DualScalar(ei_s, float(term1 - term2) / n)
 
 
 def _is_permutation(m: np.ndarray) -> bool:
@@ -293,23 +286,20 @@ def simulate(m, x1: np.ndarray, t: int):
     return DualMatrix._owned(*parts)
 
 
-def delta_gamma(p: np.ndarray | Decomposition, k: int, p_exp: float) -> float:
+def delta_gamma(p: np.ndarray, k: int, p_exp: float) -> float:
     """Vague causal-emergence degree (1/k)||P||_(k,p)^p - (1/n)||P||_Sp^p.
 
-    Uses the real Ky Fan p-k and Schatten p norms of the matrix, so both
-    terms are sums of sigma^p: over the first k singular values and over
-    all of them.  A Decomposition supplies the singular values of its
-    standard part.  Identically zero at k = n and at matrices with all
+    Uses the real Ky Fan p-k and Schatten p norms of the real matrix P, so
+    both terms are sums of sigma^p: over the first k singular values and
+    over all of them.  Identically zero at k = n and at matrices with all
     singular values equal.
     """
-    if not isinstance(p, Decomposition):
-        p = np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     check_square(p, "delta_gamma")
     n = p.shape[0]
     check_integer(k, "k", 1, n)
     p_exp = check_real(p_exp, "p_exp", 1.0, 2.0)
-    sigma = p.s if isinstance(p, Decomposition) else np.linalg.svd(p, compute_uv=False)
-    powered = sigma**p_exp
+    powered = np.linalg.svd(p, compute_uv=False) ** p_exp
     return float(np.sum(powered[:k]) / k - np.sum(powered) / n)
 
 

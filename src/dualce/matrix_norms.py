@@ -3,11 +3,14 @@
 Unitarily invariant kinds (Ky Fan p-k, Ky Fan k, spectral, Schatten p,
 nuclear) are dual vector norms of the dual singular values that a
 Decomposition carries: the Ky Fan p-k norm is the dual vector p-norm of the
-first k, the Schatten p-norm that of all of them, and the Ky Fan k,
-spectral and nuclear norms are their p = 1 cases.  Each accepts a
+first k, the Schatten p-norm that of all of them, for 1 <= p <= inf, and the
+Ky Fan k, spectral and nuclear norms are their p = 1 cases.  Each accepts a
 DualMatrix, decomposed at the default tolerances, or a Decomposition, read
 as it was built, so many norms of one matrix need one SVD.  Operator 1- and
 infinity-norms are lexicographic maxima of dual column / row 1-norms.
+
+Past the rank, for p > 1, the value is still the one-sided derivative,
+which finite differences approach only as t^(p-1) (see ky_fan_pk_norm).
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
 when A_s is exactly zero.  Inputs with m < n are decomposed through their
@@ -17,30 +20,11 @@ row/column meaning and are never transposed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .core import (
-    DualMatrix,
-    DualScalar,
-    DualVector,
-    check_integer,
-    check_real,
-    check_square,
-)
+from .core import DualMatrix, DualScalar, DualVector, check_integer, check_square
 from .svd import Decomposition, decompose
 from .vector_norms import dual_vector_norm
-
-
-class RankDeficiencyWarning(UserWarning):
-    """A Ky Fan p-k norm was evaluated with sigma_k = 0 and 1 < p < inf.
-
-    The dual singular values past the rank enter the dual vector p-norm
-    with weight 0; the general subdifferential construction only covers
-    this regime for p = 1, so the value is the natural limit rather than a
-    proved formula.
-    """
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -48,25 +32,21 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def ky_fan_pk_norm(a: DualMatrix | Decomposition, k: int, p: float) -> DualScalar:
-    """Dual-valued Ky Fan p-k norm, 1 <= p < inf, 1 <= k <= min(m, n).
+    """Dual-valued Ky Fan p-k norm, 1 <= p <= inf, 1 <= k <= min(m, n).
 
     The dual vector p-norm of the first k dual singular values.  For p > 1
     its infinitesimal part is
     [<U1 Sigma1^(p-1) V1^T, A_i> + sigma_k^(p-1) sum_{l<=t} lambda_l(M)]
     divided by ||A_s||_{(k,p)}^(p-1), where U2/V2 span the singular subspace
     of the block containing sigma_k, M = sym(U2^T A_i V2), and t counts the
-    block positions at or before k.  p = 1 is the Ky Fan k-norm.
+    block positions at or before k.  With k past the rank, sigma_k = 0 and
+    the block term vanishes: the singular values past the rank add O(t^p)
+    to the real norm along A_s + t A_i, so the value is the one-sided
+    derivative, and finite differences approach it only as t^(p-1).
+    p = 1 is the Ky Fan k-norm; p = inf is the spectral norm for every k.
     """
-    p = check_real(p, "p", 1.0)
     check_integer(k, "k", 1, min(a.shape))
-    d = decompose(a)
-    if p > 1.0 and 0 < d.rank < k:
-        warnings.warn(
-            f"Ky Fan ({k},{p}) norm at sigma_{k} = 0: block term vanishes",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return dual_vector_norm(d.sigma[:k], p)
+    return dual_vector_norm(decompose(a).sigma[:k], p)
 
 
 def ky_fan_norm(a: DualMatrix | Decomposition, k: int) -> DualScalar:
@@ -88,14 +68,14 @@ def spectral_norm(a: DualMatrix | Decomposition) -> DualScalar:
 
 
 def schatten_norm(a: DualMatrix | Decomposition, p: float) -> DualScalar:
-    """Dual-valued Schatten p-norm for 1 <= p < inf.
+    """Dual-valued Schatten p-norm for 1 <= p <= inf.
 
     The dual vector p-norm of all dual singular values.  For p > 1 the
     infinitesimal part is <U_r Sigma_r^(p-1) V_r^T, A_i> normalized by
     ||A_s||_{S_p}^(p-1), with the compact factors of A_s; p = 1 is the
-    nuclear norm, which adds the complement term ||U_c^T A_i V_c||_*.
+    nuclear norm, which adds the complement term ||U_c^T A_i V_c||_*, and
+    p = inf the spectral norm.  Past the rank, see ky_fan_pk_norm.
     """
-    p = check_real(p, "p", 1.0)
     return dual_vector_norm(decompose(a).sigma, p)
 
 

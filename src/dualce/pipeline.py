@@ -232,7 +232,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER) -> np.nda
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoarseGraining:
     """Hard assignment of micro states to k = len(upsilon) macro states."""
 
@@ -393,7 +393,7 @@ class PipelineConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
     """What the stages made, once each: outputs maps each stage name that
     `analyze` ran, but simulate unless it ran last, to what `stages` yields

@@ -48,7 +48,7 @@ class CdsvdResult:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """SVD of a dual matrix's standard part and its dual singular values.
 

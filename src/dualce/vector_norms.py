@@ -24,9 +24,12 @@ def quantize(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _real_norm(v: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.linalg.norm(v, ord=p))
+    """||v||_p as m ||v / m||_p with m = max |v| (the p = inf norm), so no
+    power of an entry under- or overflows where the norm is representable."""
+    m = float(np.max(np.abs(v), initial=0.0))
+    if m == 0.0 or math.isinf(p):
+        return m
+    return m * float(np.linalg.norm(v / m, ord=p))
 
 
 def dual_vector_norm(x: DualVector, p: float) -> DualScalar:
@@ -53,13 +56,12 @@ def dual_vector_norm(x: DualVector, p: float) -> DualScalar:
         deriv = float(np.sign(xs) @ xi + np.sum(np.abs(xi[xs == 0.0])))
         return DualScalar(value, deriv)
 
+    value = _real_norm(xs, p)
     if math.isinf(p):
-        value = float(np.max(np.abs(xs)))
         tied = np.abs(xs) == value
         deriv = float(np.max(np.sign(xs[tied]) * xi[tied]))
         return DualScalar(value, deriv)
 
-    value = _real_norm(xs, p)
     # Normalize before exponentiating: every ratio lies in [0, 1], so
     # |x_s|^(p-2) x_s / ||x_s||^(p-1) cannot overflow for extreme p or tiny
     # entries.  Zero entries contribute 0 (their coefficient vanishes for

@@ -26,12 +26,17 @@ from dualce import (
     dm_inverse,
     dm_is_orthogonal,
     dual_abs,
+    dual_det,
+    dual_effective_information,
     dual_log2,
     dual_pow,
     dual_root,
+    dual_trace,
     fd_directional,
+    is_dynamically_reversible,
     kmeans,
     ky_fan_pk_norm,
+    norm_sweep,
     quantize,
     schatten_norm,
     skew,
@@ -136,6 +141,17 @@ class TestDualScalar:
         assert_dual_close(sq, a.s**2, 2 * a.s * a.i, 1e-12, 1e-12)
         back = dual_root(dual_pow(a, 2.3), 2.3)
         assert_dual_close(back, a.s, a.i, 1e-10, 1e-10)
+
+    def test_pow_at_zero(self):
+        # a_s**p + p a_s**(p-1) a_i eps at a_s = 0: a_i eps at p = 1, as
+        # 0**0 = 1, and 0 at p > 1, the one-sided derivatives of (t a_i)**p.
+        # With a_i < 0 the 0 is -0.0, which equals and hashes as 0.0.
+        for a_i in (2.5, 0.0, -2.5):
+            a = DualScalar(0.0, a_i)
+            assert dual_pow(a, 1.0) == a
+            for p in (1.5, 2.0, 7.0):
+                out = dual_pow(a, p)
+                assert out == DualScalar(0.0, 0.0) and hash(out) == hash(0.0)
 
     def test_pow_and_root_reject_bad_p(self):
         a = DualScalar(1.7, -0.4)
@@ -481,6 +497,27 @@ def test_check_real_returns_a_float(value):
     assert type(out) is float and out == float(value)
 
 
+# Each function that reads its argument's shape through core.check_square:
+# (the name its message gives, call).
+SQUARE_SITES = {
+    "coarse_grain": lambda a: coarse_grain(a, 1),
+    "determinant": dual_det,
+    "dual inverse": dm_inverse,
+    "dual_effective_information": dual_effective_information,
+    "norm_sweep": lambda a: norm_sweep(a, (1.5,)),
+    "reversibility": is_dynamically_reversible,
+    "trace": dual_trace,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_SITES))
+def test_shapeless_input_refused(name):
+    # A DualVector has no shape; reading it raised AttributeError.
+    message = f"^{name} needs a square matrix, got shape None$"
+    with pytest.raises(ValueError, match=message):
+        SQUARE_SITES[name](DualVector([0.5, 0.5], [0.1, -0.1]))
+
+
 # Real-valued arguments checked with core.check_real that no other test
 # range-checks: (argument name, call).
 REAL_SITES = {
@@ -491,10 +528,20 @@ REAL_SITES = {
 }
 
 
-@pytest.mark.parametrize("site", sorted(REAL_SITES))
+_REFUSED = {"True": True, "1.5": "1.5", "None": None, "-1.0": -1.0, "inf": math.inf,
+            "nan": math.nan, "10**400": 10**400}
+
+
+# Both norms take p = inf, and an int past the float range as inf:
+# test_matrix_norms.py::test_p_inf_is_the_spectral_norm.
 @pytest.mark.parametrize(
-    "value",
-    [True, "1.5", None, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400")],
+    "site, value",
+    [
+        pytest.param(site, value, id=f"{label}-{site}")
+        for label, value in _REFUSED.items()
+        for site in sorted(REAL_SITES)
+        if not (site.endswith("norm p") and label in ("inf", "10**400"))
+    ],
 )
 def test_real_check_names_argument(site, value):
     # Unchecked, True ran as 1 and "1.5" as 1.5 in both norms, and a NaN

@@ -12,7 +12,6 @@ from dualce import (
     DualMatrix,
     DualScalar,
     DualVector,
-    RankDeficiencyWarning,
     cdsvd,
     coarse_grain,
     compare,
@@ -181,12 +180,9 @@ def test_kyfan_past_the_rank_matches_reference(sigmas):
     rng = np.random.default_rng(53)
     a = matrix_with_sigmas(rng, 6, 5, sigmas)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # p = 1 never warns, even past the rank
-        ones = [ky_fan_norm(a, k) for k in range(1, 6)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        for k, one in enumerate(ones, start=1):
-            for p, norm in ((1.0, one), (1.6, ky_fan_pk_norm(a, k, 1.6))):
+        warnings.simplefilter("error")  # no k or p warns, even past the rank
+        for k in range(1, 6):
+            for p, norm in ((1.0, ky_fan_norm(a, k)), (1.6, ky_fan_pk_norm(a, k, 1.6))):
                 ref = reference_ky_fan(a, k, p)
                 assert_dual_close(norm, ref.s, ref.i, 1e-8, 1e-8)
 
@@ -226,7 +222,7 @@ def test_decomposition_input_matches_matrix_input(make):
     pairs = [(spectral_norm(a), spectral_norm(d)), (nuclear_norm(a), nuclear_norm(d))]
     pairs += [(schatten_norm(a, 1.4), schatten_norm(d, 1.4))]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        warnings.simplefilter("error")
         for k in range(1, min(a.shape) + 1):
             pairs.append((ky_fan_norm(a, k), ky_fan_norm(d, k)))
             pairs.append((ky_fan_pk_norm(a, k, 1.6), ky_fan_pk_norm(d, k, 1.6)))
@@ -248,19 +244,16 @@ def test_decomposition_input_matches_matrix_input(make):
         # the vague-emergence degree, the sweep and coarse-graining are
         # defined for an n x n matrix only
         shape = re.escape(f"shape {a.shape}")
-        for real, p in ((a.s, a), (d, d)):
+        with pytest.raises(ValueError, match=shape):
+            delta_gamma(a.s, 1, 1.3)
+        for p in (a, d):
             for call in (
-                lambda: delta_gamma(real, 1, 1.3),
                 lambda: norm_sweep(p, (1.0, 1.5)),
                 lambda: coarse_grain(p, 1),
             ):
                 with pytest.raises(ValueError, match=shape):
                     call()
         return
-    for k in range(1, min(a.shape) + 1):
-        assert delta_gamma(d, k, 1.3) == pytest.approx(
-            delta_gamma(a.s, k, 1.3), rel=1e-12, abs=1e-14
-        )
     shared, direct = norm_sweep(d, (1.0, 1.5)), norm_sweep(a, (1.0, 1.5))
     assert shared.p_list == direct.p_list
     for part in ("standard", "infinitesimal", "delta_gamma"):
@@ -492,14 +485,44 @@ class TestOperatorChecks:
             operator_norm_ratio_check(a, 2.0, 2.0)
 
 
-def test_rank_deficiency_warning():
-    rng = np.random.default_rng(79)
-    a = matrix_with_sigmas(rng, 6, 5, [2.0, 1.0])  # rank 2, k past the rank
-    with pytest.warns(RankDeficiencyWarning):
-        ky_fan_pk_norm(a, 4, 1.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ky_fan_pk_norm(a, 2, 1.5)  # inside the rank: no warning
+@pytest.mark.parametrize("p", [1.5, 1.9])
+def test_kyfan_past_the_rank_is_the_derivative(p):
+    # Rank 2, k = 4: sigma_3 and sigma_4 of A_s + t A_i are O(t), so they add
+    # O(t^p) to the real norm and the FD quotients approach the closed form
+    # as t^(p-1).  Each decade of t must shrink the gap by 10^(p-1) to 0.1;
+    # a value off by 1% of the past-rank sigma_i leaves a gap that stalls.
+    # At p near 1 the rate is too slow to tell such an offset apart.
+    a = matrix_with_sigmas(np.random.default_rng(79), 6, 5, [2.0, 1.0])
+    assert decompose(a).rank == 2
+    closed = ky_fan_pk_norm(a, 4, p).i
+    ts = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    steps = fd_directional(lambda m: real_kyfan_pk(m, 4, p), a.s, a.i, ts).steps
+    gaps = np.array([abs(quotient - closed) for _, quotient in steps])
+    slopes = -np.diff(np.log10(gaps))
+    assert np.all(np.abs(slopes - (p - 1.0)) <= 0.1), slopes
+
+
+@pytest.mark.parametrize("p", [math.inf, 10**400], ids=["inf", "10**400"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_dual_matrix(rng, 6, 4, min_gap=0.05),
+        lambda rng: random_dual_matrix(rng, 4, 6, min_gap=0.05),
+        lambda rng: matrix_with_sigmas(rng, 6, 5, [2.0, 2.0, 1.0]),
+        lambda rng: DualMatrix(np.zeros((4, 3)), rng.standard_normal((4, 3))),
+    ],
+    ids=["tall", "wide", "repeated_top", "zero_standard"],
+)
+def test_p_inf_is_the_spectral_norm(make, p):
+    # The dual inf-norm of the dual singular values, for every k; an int
+    # past the float range reads as inf.
+    rng = np.random.default_rng(61)
+    a = make(rng)
+    spectral = spectral_norm(a)
+    fd_check(spectral, fd_directional(lambda m: float(np.linalg.norm(m, 2)), a.s, a.i))
+    norms = [schatten_norm(a, p)] + [ky_fan_pk_norm(a, k, p) for k in range(1, 4)]
+    for norm in norms:
+        assert (norm.s, norm.i) == (spectral.s, spectral.i)
 
 
 def test_zero_standard_part_norms():

@@ -150,11 +150,12 @@ class TestNormSweep:
         ids=["distinct", "repeated-block", "rank-deficient"],
     )
     def test_prefix_sums_match_per_entry_references(self, sigmas):
-        # The sweep reads each p column from prefix sums; ky_fan_pk_norm and
-        # delta_gamma evaluate one (k, p) at a time from the same
-        # decomposition.  12 values take numpy's pairwise summation off the
-        # sequential path, and the rank-deficient case keeps the
-        # below-rank singular values in delta_gamma's total.
+        # The sweep reads each p column from prefix sums; ky_fan_pk_norm
+        # evaluates one (k, p) at a time from the same decomposition, and
+        # delta_gamma from its own SVD of the standard part.  12 values take
+        # numpy's pairwise summation off the sequential path, and the
+        # rank-deficient case keeps the below-rank singular values in
+        # delta_gamma's total.
         p = matrix_with_sigmas(np.random.default_rng(21), 12, 12, sigmas)
         d = decompose(p)
         assert d.rank == len(sigmas)
@@ -170,7 +171,7 @@ class TestNormSweep:
                 assert abs(standard - ref.s) <= 1e-12 * abs(ref.s)
                 assert abs(infinitesimal - ref.i) <= 1e-12 * abs(ref.i)
                 gamma = table.delta_gamma[j, k - 1]
-                assert abs(gamma - delta_gamma(d, k, q)) <= 1e-14
+                assert abs(gamma - delta_gamma(p.s, k, q)) <= 1e-14
 
     def test_input_validation(self):
         rng = np.random.default_rng(3)
@@ -733,6 +734,22 @@ class TestAnalyze:
         coarse, ei_micro, ei_macro = out["coarse-grain"]
         assert fitted.coarse is coarse and fitted.ei_macro is ei_macro
         assert fitted.ei_micro is ei_micro
+
+    def test_records_compare_and_hash(self, fitted):
+        # Each record holds arrays, which dataclass == compared elementwise,
+        # so == raised and so did hash.  They compare by identity, and
+        # FitReport compares its fields, its FitStage records among them.
+        report = fitted.report
+        for record in (fitted, decompose(fitted.p), report.standard,
+                       report.infinitesimal, *fitted.coarse.values()):
+            twin = dataclasses.replace(record)
+            assert record == record and not record != record
+            assert record != twin and not record == twin
+            assert len({record, twin, record}) == 2
+        twin = dataclasses.replace(report)
+        assert report == twin and hash(report) == hash(twin)
+        restaged = dataclasses.replace(report, standard=dataclasses.replace(report.standard))
+        assert report != restaged
 
     def test_decomposes_once_after_the_fit(self, tiny_config, monkeypatch):
         # the sweep and both coarse-grainings share one SVD of the fitted P

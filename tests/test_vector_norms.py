@@ -63,6 +63,16 @@ def test_zero_standard_part(p):
     assert v.i == pytest.approx(norm_of(p)(x.i), abs=1e-12)
 
 
+@pytest.mark.parametrize("s, p", [(1e-200, 2.0), (0.5, 2000.0), (1e200, 2.0)])
+def test_extreme_entries_stay_representable(s, p):
+    # ||s + eps|| = s + eps at every p.  Unscaled, s^p underflowed to a zero
+    # real norm for the first two, and the infinitesimal part divided by
+    # it; for the third it overflowed the standard part.
+    for sign in (1.0, -1.0):
+        v = dual_vector_norm(DualVector([sign * s], [1.0]), p)
+        assert (v.s, v.i) == (s, sign)
+
+
 def dual_vector_norm_elementwise(x, p):
     """p-norm evaluated entirely in dual-scalar arithmetic: the reference
     for dual_vector_norm's closed form.

@@ -206,11 +206,6 @@ def project_zero_sum_masked(v, mask) -> np.ndarray:
     return _column_projector(mask[:, None], 0.0).project(v[:, None])[:, 0]
 
 
-# Smallest allowed value of each FitOptions field, which PipelineConfig's
-# fit_tol and fit_max_iter are checked against too.
-FIT_MINIMUM = {"tol": 0.0, "max_iter": 1}
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Solver settings.  A NaN or negative tol would switch the stopping test
@@ -220,8 +215,8 @@ class FitOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
-        check_integer(self.max_iter, "FitOptions.max_iter", FIT_MINIMUM["max_iter"])
-        check_real(self.tol, "FitOptions.tol", FIT_MINIMUM["tol"])
+        check_integer(self.max_iter, "FitOptions.max_iter", 1)
+        check_real(self.tol, "FitOptions.tol", 0.0)
 
 
 @dataclass(frozen=True, eq=False)

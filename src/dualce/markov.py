@@ -30,11 +30,24 @@ REVERSIBILITY_TOL = 1e-9
 DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
 
 
+def _real_square(p, name: str) -> np.ndarray:
+    """p as a float array; raises ValueError naming the function unless p is
+    an n x n real matrix with n >= 1.  A DualVector or DualMatrix is refused
+    here: its entries are dual numbers, which float() cannot read."""
+    try:
+        p = np.asarray(p, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} needs a real matrix, got a {type(p).__name__}") from None
+    check_square(p, name)
+    if p.shape[0] == 0:
+        raise ValueError(f"{name} needs at least one state, got a 0 x 0 matrix")
+    return p
+
+
 def validate_tpm(p: np.ndarray) -> np.ndarray:
-    """Check that p is square, finite, entrywise >= 0, with column sums 1 to
-    STOCHASTIC_TOL."""
-    p = np.asarray(p, dtype=float)
-    check_square(p, "a TPM")
+    """Check that p is square, nonempty, finite, entrywise >= 0, with column
+    sums 1 to STOCHASTIC_TOL."""
+    p = _real_square(p, "validate_tpm")
     if not np.isfinite(p).all():
         raise ValueError("TPM must contain only finite values")
     if p.min() < 0.0:
@@ -73,19 +86,16 @@ def effective_information(p: np.ndarray) -> float:
     """EI of an n x n column-stochastic matrix, uniform intervention prior.
 
     (1/n) sum over positive entries of P_jk (log2 P_jk - log2(rowsum_j / n)).
-    log2 n at permutations, 0 when all columns are identical.  A negative or
-    non-finite entry raises ValueError.
+    log2 n at permutations, 0 when all columns are identical or all zero.
+    A negative or non-finite entry, or n = 0, raises ValueError.
     """
-    p = np.asarray(p, dtype=float)
-    check_square(p, "effective_information")
+    p = _real_square(p, "effective_information")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise ValueError("effective_information needs finite, nonnegative entries")
     n = p.shape[0]
     rows = p.sum(axis=1)
     jj, _ = np.nonzero(p > 0.0)
     vals = p[p > 0.0]
-    if vals.size == 0:
-        return 0.0
     total = float(np.sum(vals * (np.log2(vals) - np.log2(rows[jj] / n))))
     return total / n
 
@@ -100,7 +110,7 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     then subtracts [P_i]_jk log2((rowsum_s)_j / n) over all k in rows with
     (rowsum_s)_j > 0, all divided by n.  Entries outside these index sets
     contribute 0, matching the standard part's log convention.  A negative
-    entry of P_s raises ValueError.
+    entry of P_s, or n = 0, raises ValueError.
 
     An entry with [P_s]_jk = 0 < [P_i]_jk = a also gives 0 in the first sum,
     the value eps^2 = 0 gives, though there the one-sided Gateaux derivative
@@ -110,7 +120,7 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     to this infinitesimal part.
     """
     check_square(p, "dual_effective_information")
-    p_s, p_i = p.s, p.i
+    p_s, p_i = _real_square(p.s, "dual_effective_information"), p.i
     n = p_s.shape[0]
     ei_s = effective_information(p_s)
 
@@ -294,8 +304,7 @@ def delta_gamma(p: np.ndarray, k: int, p_exp: float) -> float:
     over all of them.  Identically zero at k = n and at matrices with all
     singular values equal.
     """
-    p = np.asarray(p, dtype=float)
-    check_square(p, "delta_gamma")
+    p = _real_square(p, "delta_gamma")
     n = p.shape[0]
     check_integer(k, "k", 1, n)
     p_exp = check_real(p_exp, "p_exp", 1.0, 2.0)

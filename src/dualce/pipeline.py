@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .core import DualMatrix, check_integer, check_real, check_square
-from .fitting import FIT_MINIMUM, FitOptions, FitReport, build_snapshots, fit_dtpm
+from .fitting import FitOptions, FitReport, build_snapshots, fit_dtpm
 from .markov import (
     DUMBBELL_MINIMUM,
     DumbbellConfig,
@@ -296,15 +296,13 @@ def coarse_grain(
     return CoarseGraining(upsilon, labels, seed_used)
 
 
-# The bound arguments of each numeric setting's check: (low,) or check_real's
-# interval.  The dumbbell's and the fit's are read from their owners.
+# The bound arguments of each int setting's check_integer.  The dumbbell's
+# are read from their owner.
 _BOUNDS = {
     **{name: (low,) for name, low in DUMBBELL_MINIMUM.items()},
     "seed": (0,),
     "t": (1,),
     "trajectories": (1,),
-    "fit_max_iter": (FIT_MINIMUM["max_iter"],),
-    "fit_tol": (FIT_MINIMUM["tol"],),
 }
 
 
@@ -320,15 +318,15 @@ class PipelineConfig:
     drifting toward its five-class chain, propagated in dual arithmetic.
     trajectories > 1 fits the stacked snapshots of that many runs of t
     steps, each from its own random start.  The dumbbell's couplings are
-    DumbbellConfig's defaults, the singular values are grouped at
-    svd.GROUP_TOL and k-means runs with KMEANS_MAX_ITER and KMEANS_RETRIES.
+    DumbbellConfig's defaults, the fit runs with FitOptions' defaults, the
+    singular values are grouped at svd.GROUP_TOL and k-means runs with
+    KMEANS_MAX_ITER and KMEANS_RETRIES.
 
     Construction checks each field by the type of its default, naming the
-    config key in a ValueError: int fields through check_integer, float
-    fields through check_real, drift as a Python or numpy bool, p_list
-    through _check_p_list, each number within its _BOUNDS.  The checked
-    value is stored, so a float field given 1 holds 1.0 and p_list is a
-    tuple of floats.
+    config key in a ValueError: int fields through check_integer within
+    their _BOUNDS, drift as a Python or numpy bool, p_list through
+    _check_p_list.  The checked value is stored, so p_list is a tuple of
+    floats, an entry given 1 holding 1.0.
     """
 
     far_weight: int = DumbbellConfig.far_weight
@@ -337,17 +335,18 @@ class PipelineConfig:
     t: int = 500
     p_list: tuple = (1.3, 1.6, 1.9)
     seed: int = 0
-    fit_tol: float = FitOptions.tol
-    fit_max_iter: int = FitOptions.max_iter
     drift: bool = False
     trajectories: int = 1
 
-    # Plain class attributes, not fields, so no config sets them.  Their one
-    # reader is perfbench/bench.py's ensemble workload; the pipeline reads
-    # the module constants.
+    # Plain class attributes and a method, not fields, so no config sets
+    # them.  Their one reader is perfbench/bench.py's ensemble workload; the
+    # pipeline reads the module constants and FitOptions' defaults.
     group_tol = GROUP_TOL
     kmeans_max_iter = KMEANS_MAX_ITER
     kmeans_retries = KMEANS_RETRIES
+
+    def fit_options(self) -> FitOptions:
+        return FitOptions()
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -358,8 +357,6 @@ class PipelineConfig:
                 value = bool(value)
             elif isinstance(field.default, int):
                 value = check_integer(value, key, *_BOUNDS[field.name])
-            elif isinstance(field.default, float):
-                value = check_real(value, key, *_BOUNDS[field.name])
             else:
                 value = _check_p_list(value, key)
             object.__setattr__(self, field.name, value)
@@ -376,9 +373,6 @@ class PipelineConfig:
             bar=self.bar,
             seed=self.child_seeds()["topology"],
         )
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(tol=self.fit_tol, max_iter=self.fit_max_iter)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -462,7 +456,7 @@ def stages(cfg: PipelineConfig):
         # those are built, and the snapshots once the fit returns.
         pair = build_snapshots(trajectories, runs=cfg.trajectories)
         del trajectories
-        report = fit_dtpm(pair, cfg.fit_options())
+        report = fit_dtpm(pair)
         del pair
     yield "fit", report
     with _stage("sweep"):

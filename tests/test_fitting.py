@@ -684,12 +684,6 @@ class TestFitOptions:
         opts = FitOptions(tol=0.0, max_iter=1)
         assert (opts.tol, opts.max_iter) == (0.0, 1)
 
-    def test_bounds_match_pipeline_config(self):
-        from dualce import pipeline
-
-        for key, field in (("fit_tol", "tol"), ("fit_max_iter", "max_iter")):
-            assert pipeline._BOUNDS[key] == (fitting.FIT_MINIMUM[field],)
-
 
 class TestFitStandard:
     def test_identity_recovery(self):

@@ -10,6 +10,7 @@ import pytest
 from dualce import markov
 from dualce import (
     DualMatrix,
+    DualVector,
     DumbbellConfig,
     delta_gamma,
     dual_effective_information,
@@ -79,7 +80,39 @@ class TestValidation:
         assert validate_dtpm(good)
 
 
+# The functions that read a real matrix through markov._real_square.
+REAL_MATRIX_SITES = {
+    "validate_tpm": validate_tpm,
+    "effective_information": effective_information,
+    "delta_gamma": lambda a: delta_gamma(a, 1, 1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "container",
+    [DualVector([0.5, 0.5], [0.1, -0.1]), DualMatrix(np.full((2, 2), 0.5), np.zeros((2, 2)))],
+    ids=["DualVector", "DualMatrix"],
+)
+@pytest.mark.parametrize("name", sorted(REAL_MATRIX_SITES))
+def test_dual_container_refused(name, container):
+    # float() cannot read a dual entry; it raised TypeError.
+    message = f"^{name} needs a real matrix, got a {type(container).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        REAL_MATRIX_SITES[name](container)
+
+
 class TestEffectiveInformation:
+    def test_no_states_refused(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="^effective_information needs at least one state"):
+            effective_information(empty)
+        with pytest.raises(ValueError, match="^dual_effective_information needs at least one state"):
+            dual_effective_information(DualMatrix(empty, empty))
+
+    def test_all_zero_gives_zero(self):
+        # No positive entry: the sum over them is empty.
+        assert effective_information(np.zeros((3, 3))) == 0.0
+
     def test_permutation_attains_log2_n(self):
         rng = np.random.default_rng(2)
         for n in (2, 5, 85):

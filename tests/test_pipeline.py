@@ -554,7 +554,8 @@ class TestConfig:
     # The keys that became constants, each with the value every run used.
     REMOVED_KEYS = {
         "coupling_density": 0.1, "coupling_scale": 0.05, "group_tol": 1e-8,
-        "kmeans_max_iter": 300, "kmeans_retries": 5,
+        "kmeans_max_iter": 300, "kmeans_retries": 5, "fit_tol": 1e-10,
+        "fit_max_iter": 20000,
     }
 
     @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
@@ -569,7 +570,7 @@ class TestConfig:
     def test_fields_are_the_settable_keys(self):
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
             "far_weight", "near_weight", "bar", "t", "p_list", "seed",
-            "fit_tol", "fit_max_iter", "drift", "trajectories",
+            "drift", "trajectories",
         ]
 
     def test_array_p_list_stored_as_float_tuple(self):
@@ -596,7 +597,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "entry",
         [{"t": "5"}, {"drift": "yes"}, {"seed": 1.5}, {"trajectories": True},
-         {"fit_tol": "1e-10"}, {"p_list": [1.3, "1.6"]}, {"p_list": 1.3}],
+         {"far_weight": "2"}, {"p_list": [1.3, "1.6"]}, {"p_list": 1.3}],
     )
     def test_mistyped_values_rejected(self, entry):
         with pytest.raises(ValueError, match=next(iter(entry))):
@@ -611,36 +612,33 @@ class TestConfig:
 
     def test_plain_values_stored(self):
         cfg = PipelineConfig(
-            p_list=[1.3], seed=np.int64(3), fit_tol=np.float32(0.5),
-            drift=np.bool_(True), t=np.int64(5),
+            p_list=[np.float32(1.5)], seed=np.int64(3), drift=np.bool_(True), t=np.int64(5),
         )
-        plain = PipelineConfig(p_list=(1.3,), seed=3, fit_tol=0.5, drift=True, t=5)
+        plain = PipelineConfig(p_list=(1.5,), seed=3, drift=True, t=5)
         assert cfg == plain and hash(cfg) == hash(plain)
-        assert type(cfg.seed) is int and type(cfg.fit_tol) is float
+        assert type(cfg.seed) is int and type(cfg.p_list[0]) is float
         assert type(cfg.drift) is bool and type(cfg.t) is int
-        # An int for a float field is stored as a float, so equal configs
-        # write the same config echo.
-        as_int, as_float = PipelineConfig(fit_tol=1), PipelineConfig(fit_tol=1.0)
+        # An int p_list entry is stored as a float, so equal configs write
+        # the same config echo.
+        as_int, as_float = PipelineConfig(p_list=[1]), PipelineConfig(p_list=[1.0])
         assert as_int == as_float and hash(as_int) == hash(as_float)
         assert json.dumps(as_int.to_dict()) == json.dumps(as_float.to_dict())
 
     # The interval each numeric key is refused with, its owner's.
     SPANS = {
-        "t": ">= 1", "trajectories": ">= 1", "fit_max_iter": ">= 1", "seed": ">= 0",
+        "t": ">= 1", "trajectories": ">= 1", "seed": ">= 0",
         "far_weight": ">= 1", "near_weight": ">= 1", "bar": ">= 1",
-        "fit_tol": r"in \[0, inf\)",
     }
 
     @pytest.mark.parametrize(
         "entry",
-        [{"t": 0}, {"trajectories": -1}, {"fit_max_iter": 0},
-         {"near_weight": 0}, {"bar": 0}, {"fit_tol": -1e-10},
-         {"fit_tol": float("inf")}, {"fit_tol": -1e-300},
-         {"fit_tol": float("nan")}, {"far_weight": 0},
-         {"trajectories": 0}, {"fit_max_iter": -1},
-         {"fit_tol": 10**400}, {"seed": -1},
-         # A non-finite tolerance gets its interval, not a type-only message.
-         {"fit_tol": float("-inf")}, {"bar": -1}],
+        [{"t": 0}, {"trajectories": -1}, {"t": -1},
+         {"near_weight": 0}, {"bar": 0}, {"near_weight": -1},
+         {"far_weight": -1}, {"seed": np.int64(-1)},
+         {"t": -(10**400)}, {"far_weight": 0},
+         {"trajectories": 0}, {"trajectories": np.int64(0)},
+         {"seed": -(10**400)}, {"seed": -1},
+         {"far_weight": np.int8(-128)}, {"bar": -1}],
     )
     def test_out_of_range_values_rejected(self, entry):
         key = next(iter(entry))
@@ -650,13 +648,14 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         cfg = PipelineConfig(
-            t=1, trajectories=1, fit_max_iter=1, fit_tol=0.0, seed=0,
-            far_weight=1, near_weight=1, bar=1,
+            t=1, trajectories=1, seed=0, far_weight=1, near_weight=1, bar=1,
+            p_list=[1.0],
         )
-        assert cfg.fit_max_iter == 1 and cfg.fit_tol == 0.0
+        assert (cfg.t, cfg.far_weight, cfg.p_list) == (1, 1, (1.0,))
 
     def test_int_stands_for_float(self):
-        assert PipelineConfig.from_dict({"fit_tol": 0}).fit_tol == 0
+        p_list = PipelineConfig.from_dict({"p_list": [1]}).p_list
+        assert p_list == (1.0,) and type(p_list[0]) is float
 
     def test_random_initial_state(self):
         starts = random_initial_states(20, seed=4, count=2)
@@ -868,9 +867,10 @@ class TestArtifacts:
         pipeline.write_artifacts(result, out)
         return result, out
 
-    def test_json_artifacts_are_strict_json(self, default_run):
+    def test_json_artifacts_are_strict_json(self, default_run, tiny_config, tmp_path):
         """The default run's Gram is singular, so fit.json reports its
-        condition estimate, and no file may hold Infinity or NaN."""
+        condition estimate, and no file may hold Infinity or NaN; nor may
+        the fit.json of a fit capped short of convergence."""
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -881,6 +881,13 @@ class TestArtifacts:
         for path in paths:
             json.loads(path.read_text(), parse_constant=reject)
         assert json.loads((out / "fit.json").read_text())["condition_estimate"] is None
+
+        runs = analyze(tiny_config, "simulate").outputs["simulate"]
+        capped = fitting.fit_dtpm(fitting.build_snapshots(runs), FitOptions(max_iter=3))
+        pipeline.WRITERS["fit"](tmp_path, capped)
+        fit = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject)
+        assert fit["converged"] == [False, False]
+        assert np.isfinite(fit["kkt_residual"] + fit["gradient_norm"]).all()
 
     def test_fit_and_detection_json_read_their_records(self, default_run):
         """fit.json pairs each diagnostic of the two FitStage records as

@@ -323,11 +323,12 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     return np.asarray(d["values"], dtype=float).reshape(shape, order="C")
 
 
-def write_matrix_csv(path, m: np.ndarray) -> None:
-    """One matrix per file, 17 significant digits so values round-trip."""
+def write_matrix_csv(path, m: np.ndarray, header: str = "") -> None:
+    """One matrix per file, 17 significant digits so values round-trip,
+    under an optional header line."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, m, fmt="%.17g", delimiter=",")
+        np.savetxt(fh, m, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_matrix_csv(path) -> np.ndarray:

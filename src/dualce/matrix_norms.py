@@ -13,9 +13,7 @@ Past the rank, for p > 1, the value is still the one-sided derivative,
 which finite differences approach only as t^(p-1) (see ky_fan_pk_norm).
 
 Every kind returns ||A_i|| eps (same real norm of the infinitesimal part)
-when A_s is exactly zero.  Inputs with m < n are decomposed through their
-transpose for the unitarily invariant kinds; operator norms retain their
-row/column meaning and are never transposed.
+when A_s is exactly zero.
 """
 
 from __future__ import annotations
@@ -130,8 +128,6 @@ def _adjugate(a_s: np.ndarray) -> np.ndarray:
 def dual_det(a: DualMatrix) -> DualScalar:
     """Dual determinant det(A_s) + <adj(A_s)^T, A_i> eps."""
     check_square(a, "determinant")
-    if a.shape[0] == 0:
-        return DualScalar(1.0, 0.0)
     det_s = float(np.linalg.det(a.s))
     adj = _adjugate(a.s)
     return DualScalar(det_s, _inner(adj.T, a.i))

@@ -535,12 +535,12 @@ def _write_fit(out: Path, report: FitReport) -> list:
 
 def _write_sweep(out: Path, table: SweepTable) -> list:
     path = out / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("k,p,standard,infinitesimal,delta_gamma\n")
-        parts = (table.standard, table.infinitesimal, table.delta_gamma)
-        for q, row in zip(table.p_list, np.stack(parts, axis=2).tolist()):
-            for k, values in enumerate(row, start=1):
-                fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, q, *values))
+    n_p, rank = table.standard.shape
+    k = np.tile(np.arange(1.0, rank + 1), n_p)
+    p = np.repeat(table.p_list, rank)
+    parts = (table.standard, table.infinitesimal, table.delta_gamma)
+    rows = np.column_stack([k, p, *(part.ravel() for part in parts)])
+    write_matrix_csv(path, rows, header="k,p,standard,infinitesimal,delta_gamma")
     return [path]
 
 

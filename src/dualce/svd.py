@@ -52,19 +52,17 @@ class CdsvdResult:
 class Decomposition:
     """SVD of a dual matrix's standard part and its dual singular values.
 
-    matrix is the dual matrix decomposed; one with fewer rows than columns
-    is decomposed through its transpose, so with m >= n: u (m x m) and
-    v (n x n) are full singular vector bases of A_s and s its n singular
+    matrix is the m x n dual matrix decomposed: u (m x m) and v (n x n)
+    are full singular vector bases of A_s and s its min(m, n) singular
     values, descending.  rank counts s > RANK_TOL * s[0]; blocks holds the
     half-open (start, stop) ranges of the first rank values, grouped at the
     group_tol given to decompose, and each block of u and v is rotated
     into the eigenbasis of sym(B) on the block, descending, where
-    B = U^T A_i V.  sigma holds the n dual
-    singular values: standard part s with exact zeros past the rank;
-    infinitesimal part diag(B) up to the rank (the eigenvalues on a block),
-    then the descending singular values of B[rank:, rank:].  No sign
-    convention is applied: flipping a pair u_j, v_j together leaves sigma
-    unchanged.
+    B = U^T A_i V.  sigma holds the min(m, n) dual singular values:
+    standard part s with exact zeros past the rank; infinitesimal part
+    diag(B) up to the rank (the eigenvalues on a block), then the
+    descending singular values of B[rank:, rank:].  No sign convention is
+    applied: flipping a pair u_j, v_j together leaves sigma unchanged.
     """
 
     matrix: DualMatrix
@@ -104,17 +102,16 @@ def _signfix_columns(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def decompose(
     a: DualMatrix | Decomposition, group_tol: float = GROUP_TOL
 ) -> Decomposition:
-    """The one full SVD of A_s (of A^T when m < n) and the dual singular
-    values; a Decomposition is returned as it was built, whatever group_tol."""
+    """The one full SVD of A_s and the dual singular values; a
+    Decomposition is returned as it was built, whatever group_tol."""
     if isinstance(a, Decomposition):
         return a
-    t = a.T if a.shape[0] < a.shape[1] else a
-    u, s, vt = np.linalg.svd(t.s, full_matrices=True)
+    u, s, vt = np.linalg.svd(a.s, full_matrices=True)
     v = vt.T
     n = s.size
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if n and s[0] > 0.0 else 0
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if n else 0
     blocks = group_singular_values(s[:rank], group_tol)
-    b = u.T @ t.i @ v
+    b = u.T @ a.i @ v
     s_i = np.diagonal(b)[:rank].copy()
     # Rotate each repeated block into the eigenbasis of its symmetrized part
     # of B; its eigenvalues, descending, are the block's entries of sigma.
@@ -162,38 +159,35 @@ def cdsvd(a: DualMatrix | Decomposition) -> CdsvdResult:
     come from the decomposition; the columns are sign-fixed, the off-block
     entries of the rotation generators solve the first-order coupling
     equations, and complement components of A_i are folded into U_i, V_i
-    where the compact spans allow.  A matrix with m < n is factored in the
-    decomposition's orientation, as its transpose, and U and V swapped
-    back.  A zero standard part yields empty factors and residual
-    ||A_i||_F.
+    where the compact spans allow.  A zero standard part yields empty
+    factors and residual ||A_i||_F.
     """
     d = decompose(a)
-    wide = d.shape[0] < d.shape[1]
-    a_i = d.matrix.i.T if wide else d.matrix.i
+    a_i = d.matrix.i
     m, n = a_i.shape
     r = d.rank
     sigma = d.sigma[:r]
     if r == 0:
-        res_u = DualMatrix(np.zeros((m, 0)), np.zeros((m, 0)))
-        res_v = DualMatrix(np.zeros((n, 0)), np.zeros((n, 0)))
-        residual = float(np.linalg.norm(a_i))
-    else:
-        s, s_i = sigma.s, sigma.i
-        u, v = _signfix_columns(d.u[:, :r], d.v[:, :r])
+        return CdsvdResult(
+            DualMatrix(np.zeros((m, 0)), np.zeros((m, 0))),
+            sigma,
+            DualMatrix(np.zeros((n, 0)), np.zeros((n, 0))),
+            float(np.linalg.norm(a_i)),
+        )
+    s, s_i = sigma.s, sigma.i
+    u, v = _signfix_columns(d.u[:, :r], d.v[:, :r])
 
-        # First-order coupling, with B taken in the sign-fixed basis.
-        b = u.T @ a_i @ v
-        omega_u, omega_v = _coupling_generators(b, s, d.blocks)
+    # First-order coupling, with B taken in the sign-fixed basis.
+    b = u.T @ a_i @ v
+    omega_u, omega_v = _coupling_generators(b, s, d.blocks)
 
-        # Components of A_i orthogonal to the compact column spans are folded
-        # in where a first-order factor can carry them; what remains is the
-        # genuinely unreconstructable corner.
-        u_i = u @ omega_u + (a_i @ v - u @ b) / s[None, :]
-        v_i = v @ omega_v + (a_i.T @ u - v @ b.T) / s[None, :]
+    # Components of A_i orthogonal to the compact column spans are folded
+    # in where a first-order factor can carry them; what remains is the
+    # genuinely unreconstructable corner.
+    u_i = u @ omega_u + (a_i @ v - u @ b) / s[None, :]
+    v_i = v @ omega_v + (a_i.T @ u - v @ b.T) / s[None, :]
 
-        res_u, res_v = DualMatrix(u, u_i), DualMatrix(v, v_i)
-        recon = res_u @ DualMatrix(np.diag(s), np.diag(s_i)) @ res_v.T
-        residual = float(np.linalg.norm(a_i - recon.i))
-    if wide:
-        res_u, res_v = res_v, res_u
+    res_u, res_v = DualMatrix(u, u_i), DualMatrix(v, v_i)
+    recon = res_u @ DualMatrix(np.diag(s), np.diag(s_i)) @ res_v.T
+    residual = float(np.linalg.norm(a_i - recon.i))
     return CdsvdResult(res_u, sigma, res_v, residual)

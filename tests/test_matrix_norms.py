@@ -344,6 +344,11 @@ class TestTraceDet:
         d = dual_det(DualMatrix(np.eye(2), k))
         assert_dual_close(d, 1.0, np.trace(k), 1e-12, 1e-12)
 
+    def test_det_of_empty_matrix(self):
+        # the empty product: det = 1, and no entry to move it
+        d = dual_det(DualMatrix(np.zeros((0, 0)), np.zeros((0, 0))))
+        assert (d.s, d.i) == (1.0, 0.0)
+
     def test_det_singular_standard_part(self):
         # adjugate form stays finite where 1/det would not
         a = DualMatrix(np.diag([1.0, 0.0]), np.eye(2))

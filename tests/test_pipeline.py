@@ -994,6 +994,23 @@ class TestCli:
         assert code == 2
         assert "bad configuration" in capsys.readouterr().err
 
+    def test_config_array_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"seed": 1}]))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        # --out under a regular file cannot be made a directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["generate", "--config", str(self.config_file(tmp_path)),
+                     "--out", str(blocker / "run")])
+        assert code == 1
+        assert "error in generate" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"warp": 9}))

@@ -72,11 +72,20 @@ class TestReconstruction:
         # only the standard part reconstructs; the residual reports the rest
         assert np.allclose(res.U.s @ np.diag(res.S.s) @ res.V.s.T, a.s, atol=1e-10)
 
-    def test_zero_standard_part(self):
-        a = DualMatrix(np.zeros((3, 4)), np.ones((3, 4)))
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 4), (0, 3), (3, 0), (0, 0), (2, 5), (5, 2)],
+        ids=lambda shape: "%dx%d" % shape,
+    )
+    def test_zero_standard_part(self, shape):
+        # rank 0: factors with no columns, and all of A_i left as residual
+        m, n = shape
+        rng = np.random.default_rng(m * 7 + n)
+        a = DualMatrix(np.zeros(shape), rng.standard_normal(shape))
         res = cdsvd(a)
         assert len(res.S) == 0
-        assert res.residual == pytest.approx(np.linalg.norm(a.i))
+        assert res.U.shape == (m, 0) and res.V.shape == (n, 0)
+        assert res.residual == np.linalg.norm(a.i)
 
     def test_diagonal_is_exact(self):
         a = DualMatrix(np.diag([3.0, 1.0]), np.zeros((2, 2)))
@@ -173,13 +182,31 @@ def test_determinism():
 
 
 def test_transpose_swaps_factors():
+    # cdsvd(A^T) holds cdsvd(A)'s factors swapped, up to one sign per
+    # singular pair: some diagonal D = +-1 with U_t = V D and V_t = U D.
     rng = np.random.default_rng(10)
-    a = random_dual_matrix(rng, 4, 7)
+    a = random_dual_matrix(rng, 4, 7, min_gap=1e-6)
     res_t = cdsvd(a.T)
     res = cdsvd(a)
     assert np.allclose(res_t.S.s, res.S.s)
-    assert np.allclose(res_t.U.s, res.V.s)
-    assert np.allclose(res_t.V.s, res.U.s)
+    assert np.allclose(res_t.S.i, res.S.i)
+    d = np.sign(np.sum(res_t.U.s * res.V.s, axis=0))
+    assert np.all(np.abs(d) == 1.0)
+    for got, expect in ((res_t.U, res.V), (res_t.V, res.U)):
+        assert np.allclose(got.s, expect.s * d)
+        assert np.allclose(got.i, expect.i * d)
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 3), (5, 5), (4, 7)], ids=["tall", "square", "wide"]
+)
+def test_sign_convention_every_shape(shape):
+    # The largest-magnitude entry of each left singular vector is positive,
+    # whatever the orientation of the matrix.
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        u = cdsvd(random_dual_matrix(rng, *shape)).U.s
+        assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] > 0)
 
 
 def signfix_by_columns(u, v):

@@ -24,7 +24,7 @@ from .core import (
     skew,
     sym,
 )
-from .gateaux import DEFAULT_T_SCHEDULE, FdEstimate, fd_directional
+from .gateaux import FdEstimate, fd_directional
 from .vector_norms import dual_vector_norm, quantize
 from .svd import (
     GROUP_TOL,

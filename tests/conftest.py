@@ -1,4 +1,8 @@
-"""Shared generators and comparison helpers for the test suite."""
+"""Shared generators and comparison helpers for the test suite, and the
+table of closed forms checked against the finite-difference oracle."""
+
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -10,9 +14,28 @@ from dualce import (
     DualMatrix,
     DualScalar,
     DualVector,
+    cdsvd,
     dm_inverse,
+    dual_abs,
+    dual_det,
+    dual_effective_information,
+    dual_log2,
+    dual_pow,
+    dual_root,
+    dual_trace,
+    dual_vector_norm,
+    effective_information,
+    fd_directional,
+    frobenius_norm,
     group_singular_values,
+    ky_fan_norm,
+    ky_fan_pk_norm,
+    nuclear_norm,
+    operator_inf_norm,
+    operator_one_norm,
+    schatten_norm,
     skew,
+    spectral_norm,
     sym,
     validate_dtpm,
 )
@@ -153,16 +176,30 @@ def inverse_is_dtpm(p):
     return True
 
 
-def fd_check(closed, estimate, tol=None):
-    """Compare a closed-form infinitesimal part against an FdEstimate."""
+def fd_bound(closed_i):
+    """The largest gap fd_check accepts between a closed form's
+    infinitesimal part and the oracle."""
+    return 1e-7 * max(1.0, abs(closed_i))
+
+
+def fd_check(closed, estimate):
+    """Compare a closed-form infinitesimal part against a converged
+    FdEstimate; returns the gap."""
     __tracebackinfo__ = False
-    if tol is None:
-        tol = max(1e-4, 1e-3 * abs(closed.i))
+    assert estimate.converged, f"finite differences did not converge: {estimate.steps}"
     gap = abs(closed.i - estimate.value)
-    assert gap <= tol, (
+    assert gap <= fd_bound(closed.i), (
         f"closed form {closed.i} vs finite difference {estimate.value} "
-        f"(gap {gap:.3e} > {tol:.3e})"
+        f"(gap {gap:.3e} > {fd_bound(closed.i):.3e})"
     )
+    return gap
+
+
+def one_sided_quotients(f, x, u, ts):
+    """(f(x + t u) - f(x)) / t at each t: for the rate tests, whose
+    expansion in t is not a power series and so is not extrapolated."""
+    f0 = f(x)
+    return np.array([(f(x + t * u) - f0) / t for t in ts])
 
 
 def assert_bits_equal(a, b):
@@ -229,3 +266,189 @@ def tiny_config():
     from dualce import PipelineConfig
 
     return PipelineConfig(far_weight=2, near_weight=2, bar=1, t=50, seed=7)
+
+
+# ---------------------------------------------------------------------------
+# The oracle table: every closed-form infinitesimal part against
+# fd_directional of its real counterpart, at each input of its family.
+
+
+class FdRow(NamedTuple):
+    id: str
+    dual: Callable  # dual point -> DualScalar
+    real: Callable  # standard part -> float
+    inputs: Callable  # () -> list of dual points
+
+
+def fd_results(row):
+    """(closed form, FdEstimate) at each of row's inputs."""
+    return [(row.dual(x), fd_directional(row.real, x.s, x.i)) for x in row.inputs()]
+
+
+def _scalars(draw):
+    """200 dual scalars: standard part draw(rng, trial), infinitesimal part
+    normal with scale 2."""
+    rng = np.random.default_rng(20260816)
+    return [DualScalar(draw(rng, trial), rng.normal(scale=2.0)) for trial in range(200)]
+
+
+def _positive_scalars():
+    return _scalars(lambda rng, trial: rng.uniform(0.2, 3.0))
+
+
+def _vectors(p):
+    """60 random dual vectors of 1 to 8 entries, then 200 of 2 to 7 entries,
+    every tenth with a zero entry at p = 1 and a tie at the max at p = inf;
+    at p = 1 and inf a fixed case ends the list."""
+    rng = np.random.default_rng(42)
+    out = [random_dual_vector(rng, rng.integers(1, 9)) for _ in range(60)]
+    rng = np.random.default_rng(20260816)
+    for trial in range(200):
+        x_s, x_i = rng.standard_normal((2, rng.integers(2, 8)))
+        if trial % 10 == 0 and p == 1.0:
+            x_s[rng.integers(x_s.size)] = 0.0
+        elif trial % 10 == 0 and p == math.inf:
+            j = int(np.argmax(np.abs(x_s)))
+            x_s[(j + 1) % x_s.size] = x_s[j]
+        out.append(DualVector(x_s, x_i))
+    if p == 1.0:
+        # sign picks up 1 - 2 from the nonzero entries, |-3| from the zero one
+        out.append(DualVector([2.0, 0.0, -1.0], [1.0, -3.0, 2.0]))
+    if p == math.inf:
+        # tied indices: max(1 * 1, -1 * 5) = 1
+        out.append(DualVector([2.0, -2.0], [1.0, 5.0]))
+    return out
+
+
+REPEATED_SIGMAS = ([2.0, 2.0, 1.0, 0.5], [3.0, 3.0, 3.0, 0.9], [2.0, 1.0, 1.0, 1.0])
+
+
+def _matrices():
+    """200 random dual matrices of five shapes, singular values 0.05 apart,
+    and 42 of shape 6 x 4 with a repeated singular value."""
+    rng = np.random.default_rng(17)
+    shapes = [(6, 4), (5, 4), (6, 6), (4, 7), (8, 3)]
+    out = [random_dual_matrix(rng, m, n, min_gap=0.05) for _ in range(40) for m, n in shapes]
+    out += [matrix_with_sigmas(rng, 6, 4, s) for _ in range(14) for s in REPEATED_SIGMAS]
+    return out
+
+
+def _spectral_inputs():
+    # a repeated top singular value of a rank-deficient matrix, and A_s = 0
+    rng = np.random.default_rng(61)
+    return _matrices() + [
+        matrix_with_sigmas(rng, 6, 5, [2.0, 2.0, 1.0]),
+        DualMatrix(np.zeros((4, 3)), rng.standard_normal((4, 3))),
+    ]
+
+
+def _triple_block():
+    # a multiplicity-3 block straddling k = 1 to 4
+    rng = np.random.default_rng(23)
+    return [matrix_with_sigmas(rng, 7, 4, [2.0, 2.0, 2.0, 0.7]) for _ in range(10)]
+
+
+def _square_matrices():
+    rng = np.random.default_rng(67)
+    out = [random_dual_matrix(rng, 4, 4) for _ in range(230)]
+    # dual_det's one-SVD adjugate, on full-rank and on rank n - 1 standard parts
+    for n, shift in ((9, 9.0), (12, 0.0)):
+        a_s = rng.standard_normal((n, n)) + shift * np.eye(n)
+        out.append(DualMatrix(a_s, rng.standard_normal((n, n))))
+        a_s[:, -1] = a_s[:, :-1] @ rng.standard_normal(n - 1)
+        out.append(DualMatrix(a_s, rng.standard_normal((n, n))))
+    return out
+
+
+def _sigma_inputs():
+    # the last input's top three singular values form one block
+    rng = np.random.default_rng(5)
+    out = [random_dual_matrix(rng, 6, 4, min_gap=0.05) for _ in range(25)]
+    return out + [matrix_with_sigmas(rng, 6, 6, [2.0, 2.0, 2.0, 0.5])]
+
+
+# A DTPM standard part with zeros; each direction keeps its columns summing
+# to 0.
+EI_ZERO_SUPPORT = np.array([[0.5, 0.2, 0.3], [0.5, 0.8, 0.3], [0.0, 0.0, 0.4]])
+
+
+def _dtpms():
+    rng = np.random.default_rng(5)
+    out = [random_dtpm(rng, int(rng.integers(2, 9))) for _ in range(250)]
+    # P_i is 0 where P_s is: zero support without drift
+    p_i = np.array([[0.1, -0.05, 0.1], [-0.1, 0.05, -0.1], [0.0, 0.0, 0.0]])
+    return out + [validate_dtpm(DualMatrix(EI_ZERO_SUPPORT, p_i))]
+
+
+# The matrix norms, each with its real counterpart.
+MATRIX_NORMS = {
+    "kyfan_pk": (lambda a: ky_fan_pk_norm(a, 3, 1.6), lambda m: real_kyfan_pk(m, 3, 1.6)),
+    "kyfan_k": (lambda a: ky_fan_norm(a, 3), lambda m: real_kyfan_pk(m, 3, 1.0)),
+    "spectral": (spectral_norm, lambda m: float(np.linalg.norm(m, 2))),
+    "schatten": (lambda a: schatten_norm(a, 1.4), lambda m: real_kyfan_pk(m, min(m.shape), 1.4)),
+    "nuclear": (nuclear_norm, lambda m: float(np.linalg.norm(m, "nuc"))),
+    "frobenius": (frobenius_norm, lambda m: float(np.linalg.norm(m))),
+    "operator_one": (operator_one_norm, lambda m: float(np.linalg.norm(m, 1))),
+    "operator_inf": (operator_inf_norm, lambda m: float(np.linalg.norm(m, np.inf))),
+}
+
+FD_TABLE = [
+    FdRow(
+        "abs",
+        dual_abs,
+        abs,
+        lambda: _scalars(lambda rng, trial: 0.0 if trial % 10 == 0 else rng.normal()),
+    ),
+    *(
+        FdRow(f"pow_{q}", lambda x, q=q: dual_pow(x, q), lambda z, q=q: z**q, _positive_scalars)
+        for q in (1.5, 2.0, 3.5)
+    ),
+    *(
+        FdRow(
+            f"root_{r}",
+            lambda x, r=r: dual_root(x, r),
+            lambda z, r=r: z ** (1.0 / r),
+            _positive_scalars,
+        )
+        for r in (2, 3, 5)
+    ),
+    FdRow(
+        "log2", dual_log2, np.log2, lambda: _scalars(lambda rng, trial: rng.uniform(0.1, 10.0))
+    ),
+    *(
+        FdRow(
+            f"vector_p{p}",
+            lambda x, p=p: dual_vector_norm(x, p),
+            lambda z, p=p: float(np.linalg.norm(z, p)),
+            lambda p=p: _vectors(p),
+        )
+        for p in (1.0, 1.3, 1.7, 2.0, 3.5, math.inf)
+    ),
+    *(
+        FdRow(name, dual, real, _spectral_inputs if name == "spectral" else _matrices)
+        for name, (dual, real) in MATRIX_NORMS.items()
+    ),
+    *(
+        FdRow(
+            f"kyfan_block_k{k}_p{p}",
+            lambda a, k=k, p=p: ky_fan_pk_norm(a, k, p),
+            lambda m, k=k, p=p: real_kyfan_pk(m, k, p),
+            _triple_block,
+        )
+        for k, p in (
+            (1, 1.3), (2, 1.3), (3, 1.6), (4, 1.9), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)
+        )
+    ),
+    FdRow("trace", dual_trace, lambda m: float(np.trace(m)), _square_matrices),
+    FdRow("det", dual_det, lambda m: float(np.linalg.det(m)), _square_matrices),
+    *(
+        FdRow(
+            f"sigma_{j + 1}",
+            lambda a, j=j: cdsvd(a).S[j],
+            lambda m, j=j: float(np.linalg.svd(m, compute_uv=False)[j]),
+            _sigma_inputs,
+        )
+        for j in range(4)
+    ),
+    FdRow("effective_information", dual_effective_information, effective_information, _dtpms),
+]

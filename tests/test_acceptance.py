@@ -32,32 +32,24 @@ from dualce import (
     decompose,
     detect_k,
     dual_abs,
-    dual_det,
     dual_effective_information,
-    dual_log2,
-    dual_pow,
-    dual_root,
-    dual_trace,
     dual_vector_norm,
     dumbbell_dtpm,
     effective_information,
-    fd_directional,
-    frobenius_norm,
     is_dynamically_reversible,
-    ky_fan_norm,
     ky_fan_pk_norm,
     norm_sweep,
-    nuclear_norm,
-    operator_inf_norm,
-    operator_one_norm,
     project_simplex,
     project_zero_sum_masked,
     run_pipeline,
     schatten_norm,
-    spectral_norm,
 )
 from tests.conftest import (
+    FD_TABLE,
+    MATRIX_NORMS,
     dm_random_orthogonal,
+    fd_bound,
+    fd_results,
     grid_zero_sum_oracle,
     inverse_is_dtpm,
     matrix_with_sigmas,
@@ -66,7 +58,6 @@ from tests.conftest import (
     random_dtpm,
     random_dual_matrix,
     random_permutation_matrix,
-    random_tpm,
     reference_ky_fan,
     simplex_grid,
 )
@@ -81,110 +72,21 @@ def check(ok, name, detail):
 # finite-difference agreement across the public dual-valued functions
 
 
-def _square(rng, shape_cycle, trial):
-    m, n = shape_cycle[trial % len(shape_cycle)]
-    return random_dual_matrix(rng, m, n, min_gap=0.05)
-
-
-def _scalar_cases(rng, trial):
-    """(name, closed.i, f, x, u) tuples for the scalar functions."""
-    u = float(rng.normal(scale=2.0))
-    x = 0.0 if trial % 10 == 0 else float(rng.normal())
-    yield "dual_abs", dual_abs(DualScalar(x, u)).i, abs, x, u
-    x = float(rng.uniform(0.2, 3.0))
-    q = (2.0, 3.5, 1.5)[trial % 3]
-    yield "dual_pow", dual_pow(DualScalar(x, u), q).i, lambda z: z**q, x, u
-    r = (2, 3, 5)[trial % 3]
-    yield "dual_root", dual_root(DualScalar(x, u), r).i, lambda z: z ** (1.0 / r), x, u
-    x = float(rng.uniform(0.1, 10.0))
-    yield "dual_log2", dual_log2(DualScalar(x, u)).i, np.log2, x, u
-
-
-def _vector_cases(rng, trial):
-    for p in (1.0, 1.7, math.inf):
-        n = int(rng.integers(2, 8))
-        xs = rng.normal(size=n)
-        if trial % 10 == 0:
-            if p == 1.0:
-                xs[rng.integers(n)] = 0.0
-            elif p == math.inf:
-                j = int(np.argmax(np.abs(xs)))
-                xs[(j + 1) % n] = xs[j]  # exact tie at the max
-        xi = rng.normal(size=n)
-        closed = dual_vector_norm(DualVector(xs, xi), p)
-        yield (
-            f"vector_norm_p{p}",
-            closed.i,
-            lambda z, p=p: float(np.linalg.norm(z, p)),
-            xs,
-            xi,
-        )
-
-
-MATRIX_KINDS = [
-    ("ky_fan_pk", lambda a: ky_fan_pk_norm(a, 2, 1.6),
-     lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False)[:2] ** 1.6) ** (1 / 1.6))),
-    ("ky_fan_k", lambda a: ky_fan_norm(a, 2),
-     lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False)[:2]))),
-    ("spectral", spectral_norm, lambda m: float(np.linalg.norm(m, 2))),
-    ("schatten_1.4", lambda a: schatten_norm(a, 1.4),
-     lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False) ** 1.4) ** (1 / 1.4))),
-    ("nuclear", nuclear_norm, lambda m: float(np.linalg.norm(m, "nuc"))),
-    ("frobenius", frobenius_norm, lambda m: float(np.linalg.norm(m))),
-    ("operator_one", operator_one_norm, lambda m: float(np.linalg.norm(m, 1))),
-    ("operator_inf", operator_inf_norm, lambda m: float(np.linalg.norm(m, np.inf))),
-]
-
-REPEATED_SIGMAS = ([2.0, 2.0, 1.0, 0.5], [3.0, 3.0, 3.0, 0.9], [2.0, 1.0, 1.0, 1.0])
-
-
-def _matrix_cases(rng, trial):
-    if trial % 5 == 0:
-        a = matrix_with_sigmas(rng, 6, 4, REPEATED_SIGMAS[trial % 3])
-    else:
-        a = _square(rng, [(5, 4), (6, 6), (4, 7), (8, 3)], trial)
-    for name, dual_fn, real_fn in MATRIX_KINDS:
-        yield name, dual_fn(a).i, real_fn, a.s, a.i
-    sq = random_dual_matrix(rng, 4, 4, min_gap=0.05)
-    yield "dual_trace", dual_trace(sq).i, lambda m: float(np.trace(m)), sq.s, sq.i
-    yield "dual_det", dual_det(sq).i, lambda m: float(np.linalg.det(m)), sq.s, sq.i
-
-
-def _ei_case(rng, trial):
-    n = int(rng.integers(3, 9))
-    p = random_tpm(rng, n)
-    drift = rng.normal(size=(n, n))
-    drift -= drift.mean(axis=0, keepdims=True)
-    closed = dual_effective_information(DualMatrix(p, drift))
-    return "effective_information", closed.i, effective_information, p, drift
-
-
 def test_fd_oracle_agreement():
-    rng = np.random.default_rng(20260816)
-    trials = 200
-    counts = {}
-    failures = []
+    # every row of conftest.FD_TABLE, reported as one line
+    inputs = failures = 0
     worst = 0.0
-    for trial in range(trials):
-        cases = []
-        cases.extend(_scalar_cases(rng, trial))
-        cases.extend(_vector_cases(rng, trial))
-        cases.extend(_matrix_cases(rng, trial))
-        cases.append(_ei_case(rng, trial))
-        for name, closed_i, f, x, u in cases:
-            est = fd_directional(f, x, u)
-            bound = max(1e-4, 1e-3 * abs(closed_i))
-            dev = abs(est.value - closed_i)
-            counts[name] = counts.get(name, 0) + 1
-            worst = max(worst, dev / bound)
-            if dev > bound:
-                failures.append((name, trial, dev))
-    assert all(c == trials for c in counts.values())
+    for row in FD_TABLE:
+        for closed, est in fd_results(row):
+            ratio = abs(closed.i - est.value) / fd_bound(closed.i)
+            inputs += 1
+            worst = max(worst, ratio)
+            failures += ratio > 1.0 or not est.converged
     check(
         not failures,
         "fd oracle agreement",
-        f"{len(counts)} functions x {trials} directions, "
-        f"{len(failures)} out of tolerance (worst {worst:.3g} of bound)",
+        f"{len(FD_TABLE)} rows, {inputs} inputs, {failures} unconverged or "
+        f"out of tolerance (worst {worst:.3g} of bound)",
     )
 
 
@@ -245,7 +147,7 @@ def test_norm_axioms():
                 lambda x, y: x + y,
             )
         )
-    for name, dual_fn, _ in MATRIX_KINDS:
+    for name, (dual_fn, _) in MATRIX_NORMS.items():
         kinds.append(
             (
                 name,
@@ -274,7 +176,7 @@ def test_norm_axioms():
 
 
 def test_unitary_invariance():
-    kinds = [(name, fn) for name, fn, _ in MATRIX_KINDS[:6]]
+    kinds = [(name, fn) for name, (fn, _) in list(MATRIX_NORMS.items())[:6]]
     rng = np.random.default_rng(77)
     triples = 100
     worst = 0.0

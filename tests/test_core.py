@@ -32,7 +32,6 @@ from dualce import (
     dual_pow,
     dual_root,
     dual_trace,
-    fd_directional,
     is_dynamically_reversible,
     kmeans,
     ky_fan_pk_norm,
@@ -524,7 +523,6 @@ REAL_SITES = {
     "ky_fan_pk_norm p": ("p", lambda v: ky_fan_pk_norm(_P4, 2, v)),
     "schatten_norm p": ("p", lambda v: schatten_norm(_P4, v)),
     "quantize tol": ("tol", lambda v: quantize(_P4.s, v)),
-    "fd_directional rtol": ("rtol", lambda v: fd_directional(abs, 1.0, 1.0, rtol=v)),
 }
 
 

@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from dualce import DEFAULT_T_SCHEDULE, fd_directional
+from dualce import fd_directional
 
 
 def test_smooth_scalar_function():
     est = fd_directional(lambda x: x * x, 3.0, 2.0)
     assert est.value == pytest.approx(12.0, abs=1e-4)
     assert est.converged
-    assert len(est.steps) == len(DEFAULT_T_SCHEDULE)
-    assert est.steps[0][0] == DEFAULT_T_SCHEDULE[0]
+    assert [t for t, _ in est.steps] == [1e-4, 5e-5, 2.5e-5, 1.25e-5]
+
+
+def test_extrapolation_cancels_the_step_error():
+    # The plain quotient at t = 1e-6 is off by f''(x) u^2 t / 2: 8.2e-7 for
+    # exp and 4.0e-6 for x^2 here.
+    cases = ((np.exp, 0.5, 1.0, np.exp(0.5)), (lambda x: x * x, 3.0, 2.0, 12.0))
+    for f, x, u, expected in cases:
+        est = fd_directional(f, x, u)
+        assert abs(est.value - expected) <= 1e-9
+        assert est.converged
 
 
 def test_one_sided_at_kink():
@@ -35,19 +44,6 @@ def test_array_arguments():
     assert est.value == pytest.approx(3.0 / 5.0, abs=1e-5)
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        fd_directional(abs, 1.0, 1.0, t_schedule=())
-    with pytest.raises(ValueError):
-        fd_directional(abs, 1.0, 1.0, t_schedule=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        fd_directional(abs, 1.0, 1.0, t_schedule=(1e-3, 0.0))
-    for bad in ((float("nan"),), (float("inf"), 1e-3), (1e-3, float("nan")),
-                (True,), ("1e-3",), (None,)):
-        with pytest.raises(ValueError, match="^t_schedule entry must be"):
-            fd_directional(abs, 1.0, 1.0, t_schedule=bad)
-
-
 def test_convergence_flag():
     # x -> sqrt(|x|) has an infinite one-sided slope at 0: quotients blow up
     # instead of settling, so the estimate must flag itself unconverged.
@@ -56,8 +52,3 @@ def test_convergence_flag():
     smooth = fd_directional(lambda x: 2 * x, 0.0, 1.0)
     assert smooth.converged
 
-
-def test_single_step_schedule_marked_converged():
-    est = fd_directional(lambda x: x * x, 1.0, 1.0, t_schedule=(1e-6,))
-    assert est.converged
-    assert est.value == pytest.approx(2.0, abs=1e-5)

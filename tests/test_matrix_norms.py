@@ -21,7 +21,6 @@ from dualce import (
     dual_det,
     dual_trace,
     dual_vector_norm,
-    fd_directional,
     frobenius_norm,
     ky_fan_norm,
     ky_fan_pk_norm,
@@ -33,10 +32,15 @@ from dualce import (
     spectral_norm,
 )
 from tests.conftest import (
+    FD_TABLE,
+    MATRIX_NORMS,
     assert_dual_close,
     dm_random_orthogonal,
+    fd_bound,
     fd_check,
+    fd_results,
     matrix_with_sigmas,
+    one_sided_quotients,
     random_dtpm,
     random_dual_matrix,
     real_kyfan_pk,
@@ -44,69 +48,15 @@ from tests.conftest import (
 )
 
 
-NORM_FUNCS = {
-    "kyfan_pk": (
-        lambda a: ky_fan_pk_norm(a, 3, 1.6),
-        lambda m: real_kyfan_pk(m, 3, 1.6),
-    ),
-    "kyfan_k": (
-        lambda a: ky_fan_norm(a, 3),
-        lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False)[:3])),
-    ),
-    "spectral": (
-        spectral_norm,
-        lambda m: float(np.linalg.norm(m, 2)),
-    ),
-    "schatten": (
-        lambda a: schatten_norm(a, 1.4),
-        lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False) ** 1.4) ** (1 / 1.4)),
-    ),
-    "nuclear": (
-        nuclear_norm,
-        lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False))),
-    ),
-    "frobenius": (
-        frobenius_norm,
-        lambda m: float(np.linalg.norm(m)),
-    ),
-    "operator_one": (
-        operator_one_norm,
-        lambda m: float(np.max(np.sum(np.abs(m), axis=0))),
-    ),
-    "operator_inf": (
-        operator_inf_norm,
-        lambda m: float(np.max(np.sum(np.abs(m), axis=1))),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NORM_FUNCS))
-def test_closed_forms_match_fd(name):
-    dual_fn, real_fn = NORM_FUNCS[name]
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        a = random_dual_matrix(rng, 6, 4, min_gap=0.05)
-        fd_check(dual_fn(a), fd_directional(real_fn, a.s, a.i))
-
-
-@pytest.mark.parametrize("k,p", [(1, 1.3), (2, 1.3), (3, 1.6), (4, 1.9)])
-def test_kyfan_pk_repeated_sigmas_match_fd(k, p):
-    # multiplicity-3 block straddling every tested k
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        a = matrix_with_sigmas(rng, 7, 4, [2.0, 2.0, 2.0, 0.7])
-        fd_check(
-            ky_fan_pk_norm(a, k, p),
-            fd_directional(lambda m: real_kyfan_pk(m, k, p), a.s, a.i),
-        )
-        fd_check(
-            ky_fan_norm(a, k),
-            fd_directional(
-                lambda m: float(np.sum(np.linalg.svd(m, compute_uv=False)[:k])),
-                a.s,
-                a.i,
-            ),
-        )
+@pytest.mark.parametrize("row", FD_TABLE, ids=lambda row: row.id)
+def test_closed_forms_match_fd(row):
+    # Every row of the oracle table in conftest.py.
+    visible = False
+    for closed, est in fd_results(row):
+        gap = fd_check(closed, est)
+        # a 1e-6 relative error in the closed form must be able to fail the row
+        visible |= gap + 1e-6 * abs(closed.i) > fd_bound(closed.i)
+    assert visible, "no input would show a 1e-6 relative error"
 
 
 class TestSpecializations:
@@ -266,14 +216,8 @@ def test_decomposition_input_matches_matrix_input(make):
 
 
 class TestUnitaryInvariance:
-    KINDS = [
-        lambda a: ky_fan_pk_norm(a, 2, 1.6),
-        lambda a: ky_fan_norm(a, 2),
-        spectral_norm,
-        lambda a: schatten_norm(a, 1.4),
-        nuclear_norm,
-        frobenius_norm,
-    ]
+    # the singular-value norms
+    KINDS = [dual for dual, _ in list(MATRIX_NORMS.values())[:6]]
 
     def test_two_sided_rotation_preserves_both_parts(self):
         rng = np.random.default_rng(53)
@@ -288,16 +232,7 @@ class TestUnitaryInvariance:
 
 
 class TestAxioms:
-    KINDS = [
-        lambda a: ky_fan_pk_norm(a, 2, 1.6),
-        lambda a: ky_fan_norm(a, 2),
-        spectral_norm,
-        lambda a: schatten_norm(a, 1.4),
-        nuclear_norm,
-        frobenius_norm,
-        operator_one_norm,
-        operator_inf_norm,
-    ]
+    KINDS = [dual for dual, _ in MATRIX_NORMS.values()]
 
     def test_nonnegative_homogeneous_triangle(self):
         rng = np.random.default_rng(59)
@@ -335,9 +270,6 @@ class TestTraceDet:
             a = random_dual_matrix(rng, 4, 4)
             d = dual_det(a)
             assert d.s == pytest.approx(np.linalg.det(a.s), rel=1e-9)
-            fd_check(
-                d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i)
-            )
 
     def test_det_of_near_identity(self):
         k = np.array([[0.0, 1.0], [-2.0, 3.0]])
@@ -370,7 +302,6 @@ class TestTraceDet:
         d = dual_det(a)
         monkeypatch.undo()
         assert len(calls) <= 3
-        fd_check(d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i))
 
 
 @pytest.mark.parametrize("singular", [False, True], ids=["well-conditioned", "singular"])
@@ -398,7 +329,6 @@ def test_det_takes_one_svd_and_no_cond(singular, monkeypatch):
     d = dual_det(a)
     monkeypatch.undo()
     assert calls == {"svd": 1, "cond": 0}
-    fd_check(d, fd_directional(lambda m: float(np.linalg.det(m)), a.s, a.i))
 
 
 def test_adjugate_matches_det_times_inverse():
@@ -501,8 +431,8 @@ def test_kyfan_past_the_rank_is_the_derivative(p):
     assert decompose(a).rank == 2
     closed = ky_fan_pk_norm(a, 4, p).i
     ts = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    steps = fd_directional(lambda m: real_kyfan_pk(m, 4, p), a.s, a.i, ts).steps
-    gaps = np.array([abs(quotient - closed) for _, quotient in steps])
+    quotients = one_sided_quotients(lambda m: real_kyfan_pk(m, 4, p), a.s, a.i, ts)
+    gaps = np.abs(quotients - closed)
     slopes = -np.diff(np.log10(gaps))
     assert np.all(np.abs(slopes - (p - 1.0)) <= 0.1), slopes
 
@@ -524,7 +454,6 @@ def test_p_inf_is_the_spectral_norm(make, p):
     rng = np.random.default_rng(61)
     a = make(rng)
     spectral = spectral_norm(a)
-    fd_check(spectral, fd_directional(lambda m: float(np.linalg.norm(m, 2)), a.s, a.i))
     norms = [schatten_norm(a, p)] + [ky_fan_pk_norm(a, k, p) for k in range(1, 4)]
     for norm in norms:
         assert (norm.s, norm.i) == (spectral.s, spectral.i)

@@ -7,7 +7,6 @@ from dualce import (
     DualMatrix,
     cdsvd,
     decompose,
-    fd_directional,
     group_singular_values,
     sym,
 )
@@ -96,19 +95,9 @@ class TestReconstruction:
 
 
 class TestDualSigmas:
-    def test_distinct_sigmas_match_fd(self):
-        # sigma_j(A_s + t A_i) has one-sided slope u_j^T A_i v_j; the
-        # estimator checks each retained singular value separately.
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            a = random_dual_matrix(rng, 6, 4, min_gap=0.05)
-            res = cdsvd(a)
-            for j in range(len(res.S)):
-                f = lambda m, j=j: float(np.linalg.svd(m, compute_uv=False)[j])
-                est = fd_directional(f, a.s, a.i)
-                assert abs(res.S.i[j] - est.value) <= 1e-4
-
-    def test_repeated_block_matches_fd_in_sum_and_order(self):
+    def test_repeated_block_sorted_descending(self):
+        # each sigma_j(t) follows the j-th sorted eigenvalue: the sigma_j rows
+        # of conftest.FD_TABLE check it by finite differences
         rng = np.random.default_rng(6)
         a = matrix_with_sigmas(rng, 6, 6, [2.0, 2.0, 2.0, 0.5])
         res = cdsvd(a)
@@ -116,11 +105,6 @@ class TestDualSigmas:
         assert blk == (0, 3)
         lam = res.S.i[blk[0] : blk[1]]
         assert np.all(np.diff(lam) <= 1e-12)  # eigenvalues sorted descending
-        # individually each sigma_j(t) follows the j-th sorted eigenvalue
-        for j in range(3):
-            f = lambda m, j=j: float(np.linalg.svd(m, compute_uv=False)[j])
-            est = fd_directional(f, a.s, a.i)
-            assert abs(lam[j] - est.value) <= 1e-4
 
     def test_block_eigen_structure(self):
         rng = np.random.default_rng(7)

@@ -370,14 +370,14 @@ def _sigma_inputs():
 # A DTPM standard part with zeros; each direction keeps its columns summing
 # to 0.
 EI_ZERO_SUPPORT = np.array([[0.5, 0.2, 0.3], [0.5, 0.8, 0.3], [0.0, 0.0, 0.4]])
+# P_i is 0 where P_s is: zero support without drift
+EI_NO_DRIFT = np.array([[0.1, -0.05, 0.1], [-0.1, 0.05, -0.1], [0.0, 0.0, 0.0]])
 
 
 def _dtpms():
     rng = np.random.default_rng(5)
     out = [random_dtpm(rng, int(rng.integers(2, 9))) for _ in range(250)]
-    # P_i is 0 where P_s is: zero support without drift
-    p_i = np.array([[0.1, -0.05, 0.1], [-0.1, 0.05, -0.1], [0.0, 0.0, 0.0]])
-    return out + [validate_dtpm(DualMatrix(EI_ZERO_SUPPORT, p_i))]
+    return out + [validate_dtpm(DualMatrix(EI_ZERO_SUPPORT, EI_NO_DRIFT))]
 
 
 # The matrix norms, each with its real counterpart.
@@ -435,9 +435,7 @@ FD_TABLE = [
             lambda m, k=k, p=p: real_kyfan_pk(m, k, p),
             _triple_block,
         )
-        for k, p in (
-            (1, 1.3), (2, 1.3), (3, 1.6), (4, 1.9), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)
-        )
+        for k, p in ((1, 1.3), (2, 1.3), (3, 1.6), (4, 1.9), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
     ),
     FdRow("trace", dual_trace, lambda m: float(np.trace(m)), _square_matrices),
     FdRow("det", dual_det, lambda m: float(np.linalg.det(m)), _square_matrices),

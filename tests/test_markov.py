@@ -23,14 +23,11 @@ from dualce import (
     validate_dtpm,
     validate_tpm,
 )
-from dualce.markov import (
-    matrix_from_dict,
-    matrix_to_dict,
-    read_matrix_csv,
-    write_matrix_csv,
-)
+from dualce.markov import matrix_from_dict, matrix_to_dict, read_matrix_csv, write_matrix_csv
 from tests.conftest import (
+    EI_NO_DRIFT,
     EI_ZERO_SUPPORT,
+    fd_check,
     inverse_is_dtpm,
     one_sided_quotients,
     permutation_with_drift,
@@ -179,6 +176,15 @@ class TestDualEffectiveInformation:
             p = random_dtpm(rng, int(rng.integers(2, 8)))
             v = dual_effective_information(p)
             assert v.s == pytest.approx(effective_information(p.s), abs=1e-12)
+
+    def test_infinitesimal_matches_fd(self):
+        rng = np.random.default_rng(5)
+        for p in (random_dtpm(rng, int(rng.integers(2, 8))) for _ in range(50)):
+            fd_check(dual_effective_information(p), fd_directional(effective_information, p.s, p.i))
+
+    def test_zero_support_without_drift_matches_fd(self):
+        p = validate_dtpm(DualMatrix(EI_ZERO_SUPPORT, EI_NO_DRIFT))
+        fd_check(dual_effective_information(p), fd_directional(effective_information, p.s, p.i))
 
     def test_zero_support_drift_keeps_closed_form_finite(self):
         # P_i = 0.2 and 0.1 where P_s = 0: the derivative there is -inf, so

@@ -14,7 +14,6 @@ from .core import (
     DualMatrix,
     DualScalar,
     DualVector,
-    compare,
     dm_inverse,
     dm_is_orthogonal,
     dual_abs,

@@ -141,12 +141,6 @@ class DualScalar:
         return hash(self._s) if self._i == 0.0 else hash(self._key())
 
 
-def compare(a: DualScalar, b: DualScalar) -> int:
-    """Total-order comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)
-
-
 def dual_abs(a: DualScalar) -> DualScalar:
     """Dual absolute value.
 

@@ -1,6 +1,7 @@
 """Shared generators and comparison helpers for the test suite, and the
 table of closed forms checked against the finite-difference oracle."""
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -234,6 +235,24 @@ def simplex_grid(dim, step=1e-3):
     return np.vstack(pts)
 
 
+def _zero_sum_points(axes, mask):
+    """The grid points z with free coordinates on axes, sum z = 0 and
+    z[mask] >= 0."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    free = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = np.hstack([free, -free.sum(axis=1, keepdims=True)])
+    if mask.any():
+        pts = pts[(pts[:, mask] >= -1e-12).all(axis=1)]
+    return pts
+
+
+@functools.cache
+def _coarse_zero_sum_points(d, mask, half, coarse):
+    # mask is a tuple of bools, so the grid is built once per (d, mask)
+    axis = np.arange(-half, half + coarse / 2, coarse)
+    return _zero_sum_points([axis] * (d - 1), np.array(mask))
+
+
 def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
     """Two-pass grid minimizer over {sum z = 0, z[mask] >= 0}.
 
@@ -243,22 +262,11 @@ def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
     """
     v = np.asarray(v, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    d = v.size
-
-    def best_on(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        free = np.stack([g.ravel() for g in grids], axis=-1)
-        last = -free.sum(axis=1, keepdims=True)
-        pts = np.hstack([free, last])
-        if mask.any():
-            pts = pts[(pts[:, mask] >= -1e-12).all(axis=1)]
-        return nearest(pts, v)
-
-    rough = best_on([np.arange(-half, half + coarse / 2, coarse)] * (d - 1))
+    rough = nearest(_coarse_zero_sum_points(v.size, tuple(mask.tolist()), half, coarse), v)
     axes = [
         np.arange(c - 3 * coarse, c + 3 * coarse + fine / 2, fine) for c in rough[:-1]
     ]
-    return best_on(axes)
+    return nearest(_zero_sum_points(axes, mask), v)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from dualce import (
     DumbbellConfig,
     FitOptions,
     coarse_grain,
-    compare,
     delta_gamma,
     dm_inverse,
     dm_is_orthogonal,
@@ -112,9 +111,8 @@ class TestDualScalar:
         assert DualScalar(1, 5) < DualScalar(1, 7)
         assert DualScalar(2, -100) > DualScalar(1, 100)
         assert DualScalar(1, 1) <= DualScalar(1, 1)
-        assert compare(DualScalar(1, 5), DualScalar(1, 7)) == -1
-        assert compare(DualScalar(1, 7), DualScalar(1, 7)) == 0
-        assert compare(DualScalar(2, 0), DualScalar(1, 9)) == 1
+        assert DualScalar(1, 7) == DualScalar(1, 7)
+        assert DualScalar(2, 0) > DualScalar(1, 9)
 
     def test_hash_consistent_with_eq(self):
         assert hash(DualScalar(1, 2)) == hash(DualScalar(1.0, 2.0))

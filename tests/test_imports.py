@@ -1,4 +1,4 @@
-"""Every name a dualce module imports is used in that module.
+"""Every name a dualce module or a test file imports is used in that file.
 
 Read with the stdlib ast module only.  The package __init__ imports names to
 re-export them, and a line marked `# noqa: F401` imports a name on purpose
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dualce"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "dualce").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -67,8 +67,6 @@ from .fitting import (
     fit_dtpm,
     fit_infinitesimal,
     fit_standard,
-    project_simplex,
-    project_zero_sum_masked,
 )
 from .pipeline import (
     WITH_INFINITESIMAL,

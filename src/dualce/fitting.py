@@ -182,30 +182,6 @@ def _column_projector(mask: np.ndarray, b: float) -> _ColumnSet:
     return _ColumnSet(project, ~mask)
 
 
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection of a vector onto {u >= 0, sum(u) = 1}."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("project_simplex expects a nonempty 1-D vector")
-    simplex = _column_projector(np.ones((v.size, 1), dtype=bool), 1.0)
-    return simplex.project(v[:, None])[:, 0]
-
-
-def project_zero_sum_masked(v, mask) -> np.ndarray:
-    """Projection of a vector onto {u: sum(u) = 0, u_j >= 0 where mask_j}.
-
-    mask is a boolean array of v's shape.  With mask all False the result
-    is v minus its mean; with mask all True it is 0, the only feasible point.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("project_zero_sum_masked expects a nonempty 1-D vector")
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != v.shape:
-        raise ValueError("mask must be a boolean array of the vector's shape")
-    return _column_projector(mask[:, None], 0.0).project(v[:, None])[:, 0]
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Solver settings.  A NaN or negative tol would switch the stopping test

@@ -15,7 +15,6 @@ layout `fitting.build_snapshots` splits with its `runs` argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,11 @@ REVERSIBILITY_TOL = 1e-9
 # DumbbellConfig's lower bound on each block size, which PipelineConfig
 # checks its copies against.
 DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
+# dumbbell_tpm's couplings between adjacent blocks: the fraction of
+# cross-block entries made nonzero, and the bound on their raw magnitude
+# before column normalization.
+COUPLING_DENSITY = 0.1
+COUPLING_SCALE = 0.05
 
 
 def _real_square(p, name: str) -> np.ndarray:
@@ -165,22 +169,17 @@ class DumbbellConfig:
     """Five-block chain topology: far - near - bar - near - far.
 
     Defaults give the 85-node benchmark (25 + 15 + 5 + 15 + 25).  Couplings
-    exist only between adjacent blocks; coupling_density is the fraction of
-    cross-block entries made nonzero and coupling_scale bounds their raw
-    magnitude before column normalization."""
+    exist only between adjacent blocks, at COUPLING_DENSITY and
+    COUPLING_SCALE."""
 
     far_weight: int = 25
     near_weight: int = 15
     bar: int = 5
-    coupling_density: float = 0.1
-    coupling_scale: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         for name, low in {**DUMBBELL_MINIMUM, "seed": 0}.items():
             check_integer(getattr(self, name), name, low)
-        check_real(self.coupling_density, "coupling_density", 0.0, 1.0, "[]")
-        check_real(self.coupling_scale, "coupling_scale", 0.0, math.inf, "()")
 
     @property
     def block_sizes(self) -> tuple:
@@ -219,8 +218,8 @@ def dumbbell_tpm(cfg: DumbbellConfig) -> np.ndarray:
         ca, cb = offsets[b + 1], offsets[b + 2]
         for rows, cols in (((ra, rb), (ca, cb)), ((ca, cb), (ra, rb))):
             shape = (rows[1] - rows[0], cols[1] - cols[0])
-            mask = rng.random(size=shape) < cfg.coupling_density
-            weights = rng.uniform(0.0, cfg.coupling_scale, size=shape)
+            mask = rng.random(size=shape) < COUPLING_DENSITY
+            weights = rng.uniform(0.0, COUPLING_SCALE, size=shape)
             m[rows[0] : rows[1], cols[0] : cols[1]] = np.where(mask, weights, 0.0)
 
     m /= m.sum(axis=0, keepdims=True)

@@ -318,9 +318,9 @@ class PipelineConfig:
     drifting toward its five-class chain, propagated in dual arithmetic.
     trajectories > 1 fits the stacked snapshots of that many runs of t
     steps, each from its own random start.  The dumbbell's couplings are
-    DumbbellConfig's defaults, the fit runs with FitOptions' defaults, the
-    singular values are grouped at svd.GROUP_TOL and k-means runs with
-    KMEANS_MAX_ITER and KMEANS_RETRIES.
+    markov.COUPLING_DENSITY and COUPLING_SCALE, the fit runs with
+    FitOptions' defaults, the singular values are grouped at svd.GROUP_TOL
+    and k-means runs with KMEANS_MAX_ITER and KMEANS_RETRIES.
 
     Construction checks each field by the type of its default, naming the
     config key in a ValueError: int fields through check_integer within

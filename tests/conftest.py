@@ -1,7 +1,6 @@
 """Shared generators and comparison helpers for the test suite, and the
 table of closed forms checked against the finite-difference oracle."""
 
-import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -210,63 +209,71 @@ def assert_bits_equal(a, b):
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def nearest(points, v):
-    """The row of points closest to v in the Euclidean norm."""
-    return points[int(np.argmin(((points - v) ** 2).sum(axis=1)))]
+def projection_gap(v, q, mask, b):
+    """How far q is from the Euclidean projection of v onto the columnwise
+    set {u: sum(u) = b, u_j >= 0 where mask_j}: the largest violation,
+    relative to max(1, ||v||_inf), of feasibility and of the first-order
+    conditions.
 
-
-def simplex_grid(dim, step=1e-3):
-    """All points of the probability simplex (dims 2 and 3) with coordinates
-    on a step grid."""
-    units = int(round(1.0 / step))
-    if dim == 2:
-        first = np.arange(units + 1) * step
-        return np.column_stack([first, 1.0 - first])
-    if dim != 3:
-        raise ValueError("simplex_grid supports dims 2 and 3")
-    pts = []
-    for a in range(units + 1):
-        b = np.arange(units + 1 - a)
-        block = np.empty((b.size, 3))
-        block[:, 0] = a * step
-        block[:, 1] = b * step
-        block[:, 2] = 1.0 - block[:, 0] - block[:, 1]
-        pts.append(block)
-    return np.vstack(pts)
-
-
-def _zero_sum_points(axes, mask):
-    """The grid points z with free coordinates on axes, sum z = 0 and
-    z[mask] >= 0."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    free = np.stack([g.ravel() for g in grids], axis=-1)
-    pts = np.hstack([free, -free.sum(axis=1, keepdims=True)])
-    if mask.any():
-        pts = pts[(pts[:, mask] >= -1e-12).all(axis=1)]
-    return pts
-
-
-@functools.cache
-def _coarse_zero_sum_points(d, mask, half, coarse):
-    # mask is a tuple of bools, so the grid is built once per (d, mask)
-    axis = np.arange(-half, half + coarse / 2, coarse)
-    return _zero_sum_points([axis] * (d - 1), np.array(mask))
-
-
-def grid_zero_sum_oracle(v, mask, half=6.0, coarse=1e-2, fine=1e-3):
-    """Two-pass grid minimizer over {sum z = 0, z[mask] >= 0}.
-
-    The free coordinates are the first d - 1; the last one closes the sum.
-    The objective is strongly convex, so refining inside a window around
-    the coarse argmin cannot miss the optimum.
+    The set is convex and the distance strictly convex, so q is the
+    projection exactly when it is feasible and, in each column, v - q is
+    one multiplier lam on every free row and every row with q_j > 0, and at
+    most lam on the masked rows with q_j = 0.  lam is the midrange of v - q
+    over the first kind of rows, which minimizes their largest deviation;
+    a column without such rows is all masked with no positive entry, and a
+    large enough lam holds.
     """
-    v = np.asarray(v, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    rough = nearest(_coarse_zero_sum_points(v.size, tuple(mask.tolist()), half, coarse), v)
-    axes = [
-        np.arange(c - 3 * coarse, c + 3 * coarse + fine / 2, fine) for c in rough[:-1]
-    ]
-    return nearest(_zero_sum_points(axes, mask), v)
+    r = v - q
+    equal = ~mask | (q > 0.0)
+    hi = np.max(r, axis=0, where=equal, initial=-np.inf)
+    lo = np.min(r, axis=0, where=equal, initial=np.inf)
+    some = equal.any(axis=0)
+    lam = np.full(r.shape[1], np.inf)
+    lam[some] = 0.5 * (hi[some] + lo[some])
+    violations = np.concatenate([
+        np.abs(q.sum(axis=0) - b),
+        -q[mask],
+        0.5 * (hi - lo),
+        (r - lam)[mask & ~equal],
+    ])
+    return float(np.max(violations)) / max(1.0, float(np.max(np.abs(v))))
+
+
+def projection_cases():
+    """(v, mask) pairs: random, tie-heavy, all-free, all-masked, signed zeros."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(40):
+        n, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        v = rng.standard_normal((n, c))
+        mask = rng.random((n, c)) < rng.uniform(0.0, 1.0)
+        cases.append((v, mask))
+        cases.append((np.round(v, 1), mask))
+        cases.append((np.round(2.0 * v) / 2.0, rng.random((n, c)) < 0.8))
+    v = rng.standard_normal((9, 7))
+    cases.append((v, np.zeros_like(v, dtype=bool)))
+    cases.append((v, np.ones_like(v, dtype=bool)))
+    for _ in range(30):
+        zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=(6, 5), p=[0.4, 0.4, 0.1, 0.1])
+        cases.append((zeros, rng.random((6, 5)) < 0.7))
+        cases.append((zeros, np.ones_like(zeros, dtype=bool)))
+    cases.append((np.array([[-0.0], [0.0], [-0.0]]), np.array([[False], [True], [True]])))
+    # Exact ties, one column each, "m" marking a masked entry and "f" a free
+    # one: masked breakpoints equal to the root (1, or 0 among the signed
+    # zeros), tied maxima in all-masked columns, and signed-zero
+    # breakpoints.  The arithmetic is exact, so the count cut must give the
+    # reference's multiplier to the bit.
+    for values, kinds in (
+        ([1.0, 1.0, -2.0], "mfm"), ([1.0, 1.0], "fm"), ([3.0, -1.0, 1.0, 0.5], "ffmm"),
+        ([0.0, 2.0, 1.0, -1.0], "fmmm"), ([1.0, 1.0, 1.0, -4.0, 1.0], "mfmmm"),
+        ([2.0, 2.0, -1.0], "mmm"), ([1.0, 1.0, -5.0], "mmm"), ([-1.0, -1.0, -2.0], "mmm"),
+        ([0.5, 0.5, 0.5], "mmm"), ([0.0, -0.0, -0.0], "mmm"), ([-0.0, 0.0], "mm"),
+        ([-0.0, 0.0, -0.0], "fmm"), ([-0.0, 0.0, 0.0], "mfm"),
+        ([1.0, 0.0, -1.0, -0.0], "fmfm"),
+    ):
+        mask = np.array([[kind == "m"] for kind in kinds])
+        cases.append((np.array(values)[:, None], mask))
+    return cases
 
 
 @pytest.fixture(scope="session")

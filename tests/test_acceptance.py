@@ -19,6 +19,7 @@ import zlib
 import numpy as np
 import pytest
 
+from dualce import fitting
 from dualce import (
     GROUP_TOL,
     DualMatrix,
@@ -38,8 +39,6 @@ from dualce import (
     is_dynamically_reversible,
     ky_fan_pk_norm,
     norm_sweep,
-    project_simplex,
-    project_zero_sum_masked,
     run_pipeline,
     schatten_norm,
     validate_dtpm,
@@ -50,17 +49,16 @@ from tests.conftest import (
     dm_random_orthogonal,
     fd_bound,
     fd_results,
-    grid_zero_sum_oracle,
     inverse_is_dtpm,
     matrix_with_sigmas,
-    nearest,
     permutation_with_drift,
+    projection_cases,
+    projection_gap,
     random_dtpm,
     random_dual_matrix,
     random_dual_vector,
     random_permutation_matrix,
     reference_ky_fan,
-    simplex_grid,
 )
 
 
@@ -339,51 +337,121 @@ def test_schatten_extremes():
 
 
 # ---------------------------------------------------------------------------
-# projections agree with brute-force grid minimization
+# the fit's column projections certified by their first-order conditions
 
 
-def test_projection_grid_oracles():
+def _simplex(v):
+    return v, np.ones(v.shape, dtype=bool), 1.0
+
+
+def _fit_projections(monkeypatch, cfg):
+    """(v, mask, b) of every projection that analyze(cfg, "fit") makes."""
+    captured = []
+    build = fitting._column_projector
+
+    def capturing(mask, b):
+        columns = build(mask, b)
+
+        def project(v):
+            captured.append((v.copy(), mask, b))
+            return columns.project(v)
+
+        return columns._replace(project=project)
+
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "_column_projector", capturing)
+        analyze(cfg, "fit")
+    return captured
+
+
+def _projection_families(monkeypatch):
+    """Inputs (v, mask, b) by family, each v an n x c matrix whose columns
+    are projected onto {u: sum(u) = b, u_j >= 0 where mask_j}."""
+    families = {}
+    # dims 2 and 3, 100 inputs each, for both sets; every tenth mask is empty
     rng = np.random.default_rng(606)
-    inputs = 100
-    worst_sx = 0.0
-    worst_feas = 0.0
+    families["small"] = [
+        _simplex(rng.normal(scale=1.5, size=(dim, 1))) for dim in (2, 3) for _ in range(100)
+    ]
     for dim in (2, 3):
-        grid = simplex_grid(dim, 1e-3)
-        for _ in range(inputs):
-            v = rng.normal(scale=1.5, size=dim)
-            got = project_simplex(v)
-            oracle = nearest(grid, v)
-            worst_sx = max(worst_sx, float(np.max(np.abs(got - oracle))))
-            worst_feas = max(
-                worst_feas,
-                abs(got.sum() - 1.0),
-                float(max(0.0, -got.min())),
-                float(np.max(np.abs(project_simplex(got) - got))),
+        for trial in range(100):
+            v = rng.normal(scale=1.5, size=(dim, 1))
+            mask = (rng.random((dim, 1)) < 0.5) & (trial % 10 != 0)
+            families["small"].append((v, mask, 0.0))
+    # known projections, and random vectors of 2 to 6 entries
+    families["vectors"] = [
+        _simplex(np.array(v)[:, None])
+        for v in ([0.5, 0.5, 100.0], [0.0, 0.0], [0.2, 0.3, 0.5], [0.3, 0.1, 0.6, -0.2])
+    ] + [
+        (np.array([[3.0], [1.0], [-1.0]]), np.zeros((3, 1), dtype=bool), 0.0),
+        (np.array([[3.0], [-1.0]]), np.ones((2, 1), dtype=bool), 0.0),
+    ]
+    rng = np.random.default_rng(0)
+    families["vectors"] += [
+        _simplex(rng.uniform(-3, 3, size=(int(rng.integers(2, 7)), 1))) for _ in range(100)
+    ]
+    rng = np.random.default_rng(2)
+    families["vectors"] += [_simplex(rng.uniform(-4, 4, (5, 1))) for _ in range(200)]
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        d = int(rng.integers(2, 7))
+        v = rng.uniform(-3, 3, (d, 1))
+        families["vectors"].append((v, rng.random((d, 1)) < 0.5, 0.0))
+    rng = np.random.default_rng(5)
+    mask = np.array([[True], [False], [True], [False]])
+    families["vectors"] += [(rng.uniform(-4, 4, (4, 1)), mask, 0.0) for _ in range(200)]
+    # tie-heavy and signed-zero matrices, for both sets
+    families["cases"] = [
+        case for v, mask in projection_cases() for case in ((v, mask, 0.0), _simplex(v))
+    ]
+    # n x c blocks up to 89 x 89 at scales 1e-6 to 1e3
+    rng = np.random.default_rng(89)
+    families["blocks"] = []
+    for trial in range(250):
+        scale = (1e-6, 1e-3, 1.0, 1e3)[trial % 4]
+        n, c = (89, 89) if trial < 4 else rng.integers(1, 90, size=2)
+        v = scale * rng.standard_normal((n, c))
+        mask = rng.random((n, c)) < rng.uniform()
+        families["blocks"] += [(v, mask, 0.0), _simplex(v)]
+    # every projection of a fit on CI's drift and tiny configs
+    small = {"far_weight": 2, "near_weight": 2, "bar": 1}
+    families["drift fit"] = _fit_projections(
+        monkeypatch, PipelineConfig(**small, t=5, drift=True, trajectories=3)
+    )
+    families["tiny fit"] = _fit_projections(monkeypatch, PipelineConfig(**small, t=50))
+    return families
+
+
+def test_projection_optimality(monkeypatch):
+    """Every projection is certified exact by projection_gap, is idempotent,
+    leaves its input as it was and, column by column, moves no two points
+    further apart, each at 1e-12 relative to max(1, ||v||_inf)."""
+    rng = np.random.default_rng(607)
+    tol = 1e-12
+    failures = changed = 0
+    report = []
+    for name, cases in _projection_families(monkeypatch).items():
+        worst = 0.0
+        for v, mask, b in cases:
+            project = fitting._column_projector(mask, b).project
+            kept = v.copy()
+            q = project(v)
+            changed += kept.tobytes() != v.tobytes()
+            scale = max(1.0, float(np.max(np.abs(v))))
+            w = v + scale * rng.standard_normal(v.shape)
+            expansion = np.linalg.norm(q - project(w), axis=0) - np.linalg.norm(v - w, axis=0)
+            deviations = (
+                projection_gap(v, q, mask, b),
+                float(np.max(np.abs(project(q) - q))) / scale,
+                max(0.0, float(np.max(expansion))) / scale,
             )
-    worst_zs = 0.0
-    for dim in (2, 3):
-        for trial in range(inputs):
-            v = rng.normal(scale=1.5, size=dim)
-            mask = rng.random(dim) < 0.5
-            if trial % 10 == 0:
-                mask[:] = False
-            got = project_zero_sum_masked(v, mask)
-            oracle = grid_zero_sum_oracle(v, mask)
-            worst_zs = max(worst_zs, float(np.max(np.abs(got - oracle))))
-            feas = abs(got.sum())
-            if mask.any():
-                feas = max(feas, float(max(0.0, -got[mask].min())))
-            worst_feas = max(
-                worst_feas,
-                feas,
-                float(np.max(np.abs(project_zero_sum_masked(got, mask) - got))),
-            )
-    ok = worst_sx <= 1e-3 and worst_zs <= 1e-3 and worst_feas <= 1e-12
+            failures += not all(d <= tol for d in deviations)
+            worst = max(worst, *deviations)
+        report.append(f"{name} {len(cases)} (worst {worst:.2g})")
     check(
-        ok,
-        "projection grid oracles",
-        f"{inputs} inputs per dim: simplex dev {worst_sx:.3g}, zero-sum dev "
-        f"{worst_zs:.3g} (tol 1e-3); feasibility/idempotence {worst_feas:.3g}",
+        failures == 0 and changed == 0,
+        "projection optimality",
+        f"{failures} inputs above {tol:g}, {changed} inputs changed; " + ", ".join(report),
     )
 
 

@@ -18,13 +18,11 @@ from dualce import (
     fit_dtpm,
     fit_infinitesimal,
     fit_standard,
-    project_simplex,
-    project_zero_sum_masked,
     simulate,
     validate_dtpm,
 )
 from dualce.pipeline import PipelineConfig, stages
-from tests.conftest import assert_bits_equal, random_tpm
+from tests.conftest import assert_bits_equal, projection_cases, random_tpm
 
 
 def reference_zero_sum_columns(v, mask):
@@ -268,120 +266,6 @@ class TestBuildSnapshots:
             build_snapshots(np.ones((2, 2)))
         with pytest.raises(ValueError):
             build_snapshots(np.ones(5))
-
-
-class TestProjectSimplex:
-    def test_known_points(self):
-        assert np.allclose(project_simplex([0.5, 0.5, 100.0]), [0, 0, 1])
-        assert np.allclose(project_simplex([0.0, 0.0]), [0.5, 0.5])
-        on = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(on), on, atol=1e-12)
-
-    def test_unsorted_input_left_alone(self):
-        v = np.array([0.3, 0.1, 0.6, -0.2])
-        assert np.allclose(project_simplex(v), [0.3, 0.1, 0.6, 0.0], atol=1e-12)
-        assert np.array_equal(v, [0.3, 0.1, 0.6, -0.2])
-
-    def test_feasible_and_idempotent(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            v = rng.uniform(-3, 3, size=int(rng.integers(2, 7)))
-            u = project_simplex(v)
-            assert abs(u.sum() - 1.0) <= 1e-12
-            assert np.min(u) >= -1e-12
-            assert np.allclose(project_simplex(u), u, atol=1e-12)
-
-    def test_nonexpansive(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a, b = rng.uniform(-4, 4, 5), rng.uniform(-4, 4, 5)
-            pa, pb = project_simplex(a), project_simplex(b)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
-
-
-class TestProjectZeroSumMasked:
-    def test_empty_mask_demeans(self):
-        v = np.array([3.0, 1.0, -1.0])
-        u = project_zero_sum_masked(v, np.zeros(3, dtype=bool))
-        assert np.allclose(u, v - v.mean(), atol=1e-12)
-
-    def test_full_mask_with_positive_mean(self):
-        u = project_zero_sum_masked(np.array([3.0, -1.0]), np.ones(2, dtype=bool))
-        assert np.allclose(u, [0.0, 0.0], atol=1e-12)
-
-    def test_feasible_and_idempotent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            d = int(rng.integers(2, 7))
-            v = rng.uniform(-3, 3, d)
-            mask = rng.random(d) < 0.5
-            if mask.all() and d == 1:
-                continue
-            u = project_zero_sum_masked(v, mask)
-            assert abs(u.sum()) <= 1e-12
-            assert np.min(u[mask], initial=0.0) >= -1e-12
-            again = project_zero_sum_masked(u, mask)
-            assert np.allclose(again, u, atol=1e-12)
-
-    def test_nonexpansive(self):
-        rng = np.random.default_rng(5)
-        mask = np.array([True, False, True, False])
-        for _ in range(100):
-            a, b = rng.uniform(-4, 4, 4), rng.uniform(-4, 4, 4)
-            pa = project_zero_sum_masked(a, mask)
-            pb = project_zero_sum_masked(b, mask)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            project_zero_sum_masked(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            project_zero_sum_masked(np.array([]), np.array([], dtype=bool))
-        with pytest.raises(ValueError, match="boolean array"):
-            project_zero_sum_masked(np.array([1.0, 2.0]), np.array([True]))
-
-    @pytest.mark.parametrize("s", [[1.5], [1.0], [-1], [0, 3], [0, 2]])
-    def test_bad_indices_rejected(self, s):
-        # Index lists, in range or not, are not masks.
-        with pytest.raises(ValueError, match="boolean array"):
-            project_zero_sum_masked(np.array([1.0, -2.0, 0.5]), s)
-
-
-def projection_cases():
-    """(v, mask) pairs: random, tie-heavy, all-free, all-masked, signed zeros."""
-    rng = np.random.default_rng(14)
-    cases = []
-    for _ in range(40):
-        n, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        v = rng.standard_normal((n, c))
-        mask = rng.random((n, c)) < rng.uniform(0.0, 1.0)
-        cases.append((v, mask))
-        cases.append((np.round(v, 1), mask))
-        cases.append((np.round(2.0 * v) / 2.0, rng.random((n, c)) < 0.8))
-    v = rng.standard_normal((9, 7))
-    cases.append((v, np.zeros_like(v, dtype=bool)))
-    cases.append((v, np.ones_like(v, dtype=bool)))
-    for _ in range(30):
-        zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=(6, 5), p=[0.4, 0.4, 0.1, 0.1])
-        cases.append((zeros, rng.random((6, 5)) < 0.7))
-        cases.append((zeros, np.ones_like(zeros, dtype=bool)))
-    cases.append((np.array([[-0.0], [0.0], [-0.0]]), np.array([[False], [True], [True]])))
-    # Exact ties, one column each, "m" marking a masked entry and "f" a free
-    # one: masked breakpoints equal to the root (1, or 0 among the signed
-    # zeros), tied maxima in all-masked columns, and signed-zero
-    # breakpoints.  The arithmetic is exact, so the count cut must give the
-    # reference's multiplier to the bit.
-    for values, kinds in (
-        ([1.0, 1.0, -2.0], "mfm"), ([1.0, 1.0], "fm"), ([3.0, -1.0, 1.0, 0.5], "ffmm"),
-        ([0.0, 2.0, 1.0, -1.0], "fmmm"), ([1.0, 1.0, 1.0, -4.0, 1.0], "mfmmm"),
-        ([2.0, 2.0, -1.0], "mmm"), ([1.0, 1.0, -5.0], "mmm"), ([-1.0, -1.0, -2.0], "mmm"),
-        ([0.5, 0.5, 0.5], "mmm"), ([0.0, -0.0, -0.0], "mmm"), ([-0.0, 0.0], "mm"),
-        ([-0.0, 0.0, -0.0], "fmm"), ([-0.0, 0.0, 0.0], "mfm"),
-        ([1.0, 0.0, -1.0, -0.0], "fmfm"),
-    ):
-        mask = np.array([[kind == "m"] for kind in kinds])
-        cases.append((np.array(values)[:, None], mask))
-    return cases
 
 
 class TestProjectorsMatchReference:

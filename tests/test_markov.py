@@ -258,10 +258,6 @@ class TestDumbbell:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DumbbellConfig(far_weight=0)
-        with pytest.raises(ValueError):
-            DumbbellConfig(coupling_density=1.5)
-        with pytest.raises(ValueError):
-            DumbbellConfig(coupling_scale=0.0)
         # A fractional or boolean block size would fail later, inside
         # dumbbell_tpm, with a TypeError.
         for name in ("far_weight", "near_weight", "bar"):
@@ -273,26 +269,6 @@ class TestDumbbell:
         for value in (2.5, True, -1, "1"):
             with pytest.raises(ValueError, match="seed"):
                 DumbbellConfig(seed=value)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("coupling_density", "0.5"), ("coupling_density", None), ("coupling_density", True),
-         ("coupling_density", math.nan), ("coupling_scale", "0.05"), ("coupling_scale", None),
-         ("coupling_scale", True), ("coupling_scale", math.inf)],
-    )
-    def test_coupling_rejected(self, field, value):
-        # A string or None would fail on the range comparison with a TypeError.
-        with pytest.raises(ValueError, match=field):
-            DumbbellConfig(**{field: value})
-
-    @pytest.mark.parametrize("density", [0, 1, 0.0, 1.0, np.float32(0.5), np.int64(1)])
-    def test_coupling_density_edges_accepted(self, density):
-        cfg = DumbbellConfig(far_weight=2, near_weight=2, bar=1, coupling_density=density)
-        validate_tpm(dumbbell_tpm(cfg))
-
-    def test_coupling_accepts_real_numbers(self):
-        cfg = DumbbellConfig(coupling_density=1, coupling_scale=np.float64(0.5))
-        assert (cfg.coupling_density, cfg.coupling_scale) == (1, 0.5)
 
 
 class TestDumbbellDtpm:

@@ -376,4 +376,4 @@ def dm_is_orthogonal(a: DualMatrix) -> bool:
         return False
     g = a.T @ a
     eye_err = np.linalg.norm(g.s - np.eye(n))
-    return eye_err <= ORTHOGONAL_TOL and 0.5 * np.linalg.norm(g.i) <= ORTHOGONAL_TOL
+    return bool(eye_err <= ORTHOGONAL_TOL and 0.5 * np.linalg.norm(g.i) <= ORTHOGONAL_TOL)

@@ -22,8 +22,6 @@ import numpy as np
 from .core import _LN2, DualMatrix, DualScalar, check_integer, check_real, check_square
 
 STOCHASTIC_TOL = 1e-12
-# is_dynamically_reversible's bound on |P_s - permutation| and on |P_i|.
-REVERSIBILITY_TOL = 1e-9
 # DumbbellConfig's lower bound on each block size, which PipelineConfig
 # checks its copies against.
 DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
@@ -144,24 +142,23 @@ def dual_effective_information(p: DualMatrix) -> DualScalar:
     return DualScalar(ei_s, float(term1 - term2) / n)
 
 
-def _is_permutation(m: np.ndarray) -> bool:
-    """Whether the square m is within REVERSIBILITY_TOL of a permutation."""
-    ones = m > 0.5
-    if np.max(np.abs(m - ones)) > REVERSIBILITY_TOL:
-        return False
-    return bool(
-        np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)
-    )
-
-
 def is_dynamically_reversible(p: DualMatrix) -> bool:
     """Whether the dual inverse of a dual TPM is itself a dual TPM.
 
-    Decided by the characterization: exactly when P_s is a permutation and
-    P_i = O, both to REVERSIBILITY_TOL.  Nothing is inverted.
+    Decided exactly by the characterization, with no tolerance: every entry
+    of P_s is 0.0 or 1.0, each row and each column of P_s holds one 1.0,
+    and every entry of P_i is 0.0.  A -0.0 counts as zero in both parts.
+    Nothing is inverted.  A 0 x 0 input raises ValueError.
     """
     check_square(p, "reversibility")
-    return _is_permutation(p.s) and float(np.max(np.abs(p.i))) <= REVERSIBILITY_TOL
+    p_s = _real_square(p.s, "reversibility")
+    ones = p_s == 1.0
+    return bool(
+        np.all(ones | (p_s == 0.0))
+        and np.all(ones.sum(axis=0) == 1)
+        and np.all(ones.sum(axis=1) == 1)
+        and not p.i.any()
+    )
 
 
 @dataclass(frozen=True)

@@ -228,19 +228,10 @@ def test_kyfan_dual_sigma_equivalence():
 
 
 def test_ei_extremes():
-    # effective_information and, with no drift and with 20 column-sum-zero
-    # drifts of the uniform chain, dual_effective_information
+    # effective_information, and dual_effective_information with 20
+    # column-sum-zero drifts, vanish on the uniform chain.  Where EI reaches
+    # log2 n is test_reversibility_characterization's check.
     rng = np.random.default_rng(9)
-    dev_perm = 0.0
-    for n in (2, 5, 85):
-        perm = random_permutation_matrix(rng, n)
-        ei = dual_effective_information(DualMatrix(perm, np.zeros((n, n))))
-        dev_perm = max(
-            dev_perm,
-            abs(effective_information(perm) - math.log2(n)),
-            abs(ei.s - math.log2(n)),
-            abs(ei.i),
-        )
     dev_uni = 0.0
     for n in (2, 6, 7, 85):
         uniform = np.full((n, n), 1.0 / n)
@@ -251,51 +242,97 @@ def test_ei_extremes():
             ei = dual_effective_information(DualMatrix(uniform, drift))
             dev_uni = max(dev_uni, abs(ei.s), abs(ei.i))
     check(
-        dev_perm <= 1e-12 and dev_uni <= 1e-12,
+        dev_uni <= 1e-12,
         "effective information extremes",
-        f"permutations (n = 2, 5, 85) dev from log2(n) {dev_perm:.3g}, "
         f"uniform (n = 2, 6, 7, 85; 20 drifts each) dev {dev_uni:.3g}, tol 1e-12",
     )
 
 
 # ---------------------------------------------------------------------------
-# dynamical reversibility holds exactly for permutations and fails otherwise
+# dynamical reversibility, decided exactly, is where EI_d and the dual
+# Schatten p-norm reach their maxima
 
 
 def test_reversibility_characterization():
-    # Every input is also decided by the definition (inverse_is_dtpm), which
-    # must agree with the characterization is_dynamically_reversible uses.
+    # Each input is decided by is_dynamically_reversible and by the
+    # definition (inverse_is_dtpm); both must give the known answer.  Its
+    # dual Schatten p-norms and EI_d must reach n^(1/p) + 0 eps and
+    # log2 n + 0 eps when it is reversible (infinitesimal parts exactly 0,
+    # standard parts within 1e-12 relative) and sit strictly below them in
+    # the dual order otherwise, standard parts within 1e-12 relative
+    # counting as equal.  On a drifted permutation, m the drift's mass off
+    # the permutation's support, both take closed forms:
+    # n^(1/p) - n^(1/p - 1) m eps and log2 n - m / (n ln 2) eps.
     rng = np.random.default_rng(31)
-    disagree = 0
+    ps = (1.0, 1.3, 1.6, 1.9)
+    wrong = disagree = off_max = 0
+    worst = 0.0
 
-    def decide(p):
-        nonlocal disagree
+    def rel(got, want):
+        return abs(got - want) / abs(want)
+
+    def decide(p, reversible, gap_visible=True):
+        # gap_visible=False: the gap below the maxima may be under 1e-12
+        # relative, so only the decision is checked.
+        nonlocal wrong, disagree, off_max
         got = is_dynamically_reversible(p)
+        wrong += got != reversible
         disagree += got != inverse_is_dtpm(p)
-        return got
+        n = p.shape[0]
+        d = decompose(p)
+        values = [(schatten_norm(d, q), n ** (1.0 / q)) for q in ps]
+        values.append((dual_effective_information(p), math.log2(n)))
+        for value, top in values if gap_visible else ():
+            tie = rel(value.s, top) <= 1e-12
+            if got:
+                off_max += not (tie and value.i == 0.0)
+            else:
+                off_max += not ((value.s < top and not tie) or (tie and value.i < 0.0))
+        return values
 
-    false_pos = 0
     for _ in range(500):
-        n = int(rng.integers(2, 11))
-        false_pos += decide(random_dtpm(rng, n))
+        decide(random_dtpm(rng, int(rng.integers(2, 11))), False)
     sizes = (2, 4, 5, 9, 17, 85)
     perms = [random_permutation_matrix(rng, sizes[t % 6]) for t in range(24)]
     perms.append(np.eye(3))
-    false_neg = sum(not decide(DualMatrix(q, np.zeros(q.shape))) for q in perms)
+    for q in perms:
+        decide(DualMatrix(q, np.zeros(q.shape)), True)
+    drifted = [
+        (perm, scale * rng.uniform(0.0, 1.0, size=perm.shape))
+        for perm in perms
+        for scale in (1.0, 1e-6, 1e-10, 1e-12)
+    ]
+    drifted.append((np.roll(np.eye(5), 1, axis=0), np.full((5, 5), 0.5e-9)))
+    for perm, off in drifted:
+        p = validate_dtpm(permutation_with_drift(perm, off))
+        n, m = perm.shape[0], float(np.sum(p.i[perm == 0.0]))
+        closed = [-(n ** (1.0 / q - 1.0)) * m for q in ps] + [-m / (n * math.log(2.0))]
+        for (value, top), closed_i in zip(decide(p, False), closed):
+            worst = max(worst, rel(value.s, top), rel(value.i, closed_i))
     for perm in perms:
-        off = rng.uniform(0.0, 1.0, size=perm.shape)
-        for scale in (1.0, 1e-6):
-            false_pos += decide(validate_dtpm(permutation_with_drift(perm, scale * off)))
+        # one column's mass moved off the permutation, P_i = O
+        n = perm.shape[0]
+        col = int(rng.integers(n))
+        row = int(np.argmax(perm[:, col]))
+        for moved in (1e-10, 1e-12):
+            near = perm.copy()
+            near[row, col] -= moved
+            near[(row + 1) % n, col] += moved
+            decide(validate_dtpm(DualMatrix(near, np.zeros((n, n)))), False, moved > 1e-12)
     doubly = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    false_pos += decide(DualMatrix(doubly, np.zeros((3, 3))))
+    decide(DualMatrix(doubly, np.zeros((3, 3))), False)
     check(
-        false_pos == 0 and false_neg == 0 and disagree == 0,
+        wrong == 0 and disagree == 0 and off_max == 0 and worst <= 1e-12,
         "reversibility characterization",
-        f"500 random chains, {len(perms)} permutations (the identity among "
-        f"them) with a drift of scale 1 and 1e-6, and a doubly stochastic "
-        f"non-permutation: {false_pos} wrongly reversible; the permutations "
-        f"without drift: {false_neg} wrongly irreversible; "
-        f"{disagree} disagreements with the definition",
+        f"500 random chains; {len(perms)} permutations (n = 2 to 85, the "
+        f"identity among them) with no drift and with drifts of scale 1, "
+        f"1e-6, 1e-10 and 1e-12; the 5-cycle drifted by 0.5e-9; each "
+        f"permutation with 1e-10 and 1e-12 of a column moved; a doubly "
+        f"stochastic non-permutation: {wrong} decided wrong, {disagree} "
+        f"disagreements with the definition, {off_max} Schatten (p = 1, 1.3, "
+        f"1.6, 1.9) or EI_d values not at their maxima exactly when "
+        f"reversible; drifted closed forms worst rel. error {worst:.3g} "
+        f"(tol 1e-12)",
     )
 
 
@@ -304,14 +341,11 @@ def test_reversibility_characterization():
 
 
 def test_schatten_extremes():
+    # The bound n^(1/p) on random chains and the value 1 + 0 eps on the
+    # uniform chain.  Where the bound is reached is
+    # test_reversibility_characterization's check.
     n = 85
     rng = np.random.default_rng(444)
-    perm = random_permutation_matrix(rng, n)
-    perm_dev = 0.0
-    for p in (1.0, 1.3, 1.9):
-        val = schatten_norm(DualMatrix(perm, np.zeros((n, n))), p)
-        perm_dev = max(perm_dev, abs(val.s - n ** (1.0 / p)), abs(val.i))
-
     bound_violations = 0
     for trial in range(1000):
         d = decompose(random_dtpm(rng, n))
@@ -327,12 +361,11 @@ def test_schatten_extremes():
             val = schatten_norm(DualMatrix(uniform, drift), p)
             uni_dev = max(uni_dev, abs(val.s - 1.0), abs(val.i))
 
-    ok = perm_dev <= 1e-10 and bound_violations == 0 and uni_dev <= 1e-10
     check(
-        ok,
+        bound_violations == 0 and uni_dev <= 1e-10,
         "schatten extremes",
-        f"permutation dev {perm_dev:.3g}, 1000 random chains with "
-        f"{bound_violations} above n^(1/p), uniform dev {uni_dev:.3g}",
+        f"1000 random chains with {bound_violations} above n^(1/p), "
+        f"uniform dev {uni_dev:.3g}",
     )
 
 
@@ -517,6 +550,48 @@ def test_benchmark_detection_majority():
         f"k_star=5 in {hits}/10 seeds (need >= 7), k_star values {k_stars}, "
         f"fitted drift rel. error <= {max(errors):.1e}, "
         f"runtime {elapsed:.1f}s (budget 600s)",
+    )
+
+
+def test_detection_reach_along_drift():
+    """How far along the drift the first-order detection holds.
+
+    The drifting dumbbell's path M + tD, D = T - M, is a TPM for every t in
+    [0, 1] and ends at the lumpable five-class chain T.  At each p of the
+    default p_list, the argmax over k of the real quotient
+    (||M + tD||_(k,p) - ||M||_(k,p)) / t must be the dual per-p argmax of
+    detect_k, with no degenerate p, at every grid t <= 0.3.  The reach, the
+    largest grid t up to which every t keeps it, is reported per (seed, p).
+    Generator only: nothing is fitted.
+    """
+    ts = (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0)
+    p_list = PipelineConfig().p_list
+    flagged, short, reach = 0, [], {}
+    for seed in range(10):
+        chain = dumbbell_dtpm(PipelineConfig(drift=True, seed=seed).dumbbell())
+        table = norm_sweep(chain, p_list)
+        sigmas = [
+            np.linalg.svd(chain.s + t * chain.i, compute_uv=False)[: table.rank]
+            for t in (0.0,) + ts
+        ]
+        for q, k, degenerate in detect_k(table).per_p:
+            flagged += degenerate
+            norms = [np.cumsum(s**q) ** (1.0 / q) for s in sigmas]
+            kept = [
+                int(np.argmax((norm - norms[0]) / t)) + 1 == k
+                for t, norm in zip(ts, norms[1:])
+            ]
+            short += [(seed, q, t) for t, ok in zip(ts, kept) if t <= 0.3 and not ok]
+            held = (kept + [False]).index(False)
+            reach.setdefault(seed, []).append(f"{ts[held - 1] if held else 0.0:g}")
+    check(
+        flagged == 0 and not short,
+        "detection reach along the drift",
+        f"{flagged} degenerate p; (seed, p, t) with the dual argmax lost at "
+        f"t <= 0.3: {short}; reach per seed at p = "
+        + "/".join(f"{q:g}" for q in p_list)
+        + ": "
+        + ", ".join(f"{seed}: {'/'.join(r)}" for seed, r in reach.items()),
     )
 
 

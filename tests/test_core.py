@@ -361,7 +361,7 @@ class TestOrthogonal:
     def test_random_orthogonal_is_dual_orthogonal(self):
         for seed in range(5):
             q = dm_random_orthogonal(6, seed)
-            assert dm_is_orthogonal(q)
+            assert dm_is_orthogonal(q) is True
             assert np.allclose(q.s.T @ q.s, np.eye(6), atol=1e-12)
             assert np.allclose(sym(q.s.T @ q.i), 0.0, atol=1e-12)
 
@@ -373,9 +373,9 @@ class TestOrthogonal:
 
     def test_detects_non_orthogonal(self):
         q = dm_random_orthogonal(4, 0)
-        assert not dm_is_orthogonal(DualMatrix(q.s * 1.001, q.i))
-        assert not dm_is_orthogonal(DualMatrix(q.s, q.i + 0.01 * np.eye(4)))
-        assert not dm_is_orthogonal(DualMatrix(np.ones((2, 3)), np.zeros((2, 3))))
+        assert dm_is_orthogonal(DualMatrix(q.s * 1.001, q.i)) is False
+        assert dm_is_orthogonal(DualMatrix(q.s, q.i + 0.01 * np.eye(4))) is False
+        assert dm_is_orthogonal(DualMatrix(np.ones((2, 3)), np.zeros((2, 3)))) is False
 
 
 def test_import_needs_only_numpy():

@@ -25,7 +25,7 @@ STOCHASTIC_TOL = 1e-12
 # DumbbellConfig's lower bound on each block size, which PipelineConfig
 # checks its copies against.
 DUMBBELL_MINIMUM = {"far_weight": 1, "near_weight": 1, "bar": 1}
-# dumbbell_tpm's couplings between adjacent blocks: the fraction of
+# _block_chain's couplings between adjacent blocks: the fraction of
 # cross-block entries made nonzero, and the bound on their raw magnitude
 # before column normalization.
 COUPLING_DENSITY = 0.1
@@ -148,10 +148,11 @@ def is_dynamically_reversible(p: DualMatrix) -> bool:
     Decided exactly by the characterization, with no tolerance: every entry
     of P_s is 0.0 or 1.0, each row and each column of P_s holds one 1.0,
     and every entry of P_i is 0.0.  A -0.0 counts as zero in both parts.
-    Nothing is inverted.  A 0 x 0 input raises ValueError.
+    Nothing is inverted.  A 0 x 0 input or a non-DTPM raises ValueError.
     """
     check_square(p, "reversibility")
     p_s = _real_square(p.s, "reversibility")
+    validate_dtpm(p)
     ones = p_s == 1.0
     return bool(
         np.all(ones | (p_s == 0.0))
@@ -180,68 +181,67 @@ class DumbbellConfig:
 
     @property
     def block_sizes(self) -> tuple:
-        return (
-            self.far_weight,
-            self.near_weight,
-            self.bar,
-            self.near_weight,
-            self.far_weight,
-        )
+        far, near = self.far_weight, self.near_weight
+        return (far, near, self.bar, near, far)
 
     @property
     def n(self) -> int:
-        return 2 * self.far_weight + 2 * self.near_weight + self.bar
+        return sum(self.block_sizes)
 
 
-def dumbbell_tpm(cfg: DumbbellConfig) -> np.ndarray:
-    """Column-stochastic dumbbell chain, deterministic per cfg.seed.
+def _blocks(sizes) -> list:
+    """Each block's slice of the states, the blocks laid out in order."""
+    stops = np.cumsum(sizes).tolist()
+    return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
 
-    Each of the five diagonal blocks is dense with random positive weights;
-    adjacent blocks couple in both directions through a sparse random
-    pattern.  Columns are normalized at the end.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    sizes = cfg.block_sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n = cfg.n
+
+def _block_chain(sizes, rng: np.random.Generator) -> np.ndarray:
+    """Column-stochastic chain of dense random diagonal blocks of these
+    sizes, adjacent blocks coupled both ways: each coupling block draws its
+    mask at COUPLING_DENSITY, then its weights below COUPLING_SCALE."""
+    blocks = _blocks(sizes)
+    n = sum(sizes)
     m = np.zeros((n, n))
-
-    for b, size in enumerate(sizes):
-        a = offsets[b]
-        m[a : a + size, a : a + size] = rng.uniform(0.0, 1.0, size=(size, size))
-
-    for b in range(len(sizes) - 1):
-        ra, rb = offsets[b], offsets[b + 1]
-        ca, cb = offsets[b + 1], offsets[b + 2]
-        for rows, cols in (((ra, rb), (ca, cb)), ((ca, cb), (ra, rb))):
-            shape = (rows[1] - rows[0], cols[1] - cols[0])
+    for block in blocks:
+        m[block, block] = rng.uniform(0.0, 1.0, size=m[block, block].shape)
+    for first, second in zip(blocks, blocks[1:]):
+        for rows, cols in ((first, second), (second, first)):
+            shape = m[rows, cols].shape
             mask = rng.random(size=shape) < COUPLING_DENSITY
             weights = rng.uniform(0.0, COUPLING_SCALE, size=shape)
-            m[rows[0] : rows[1], cols[0] : cols[1]] = np.where(mask, weights, 0.0)
-
+            m[rows, cols] = np.where(mask, weights, 0.0)
     m /= m.sum(axis=0, keepdims=True)
     return m
 
 
-def dumbbell_dtpm(cfg: DumbbellConfig) -> DualMatrix:
-    """The dumbbell chain M drifting toward its five-class chain T.
-
-    B keeps M's diagonal blocks, drops every cross-block entry and
-    renormalises the columns; T replaces each column of B by the mean of
-    B's columns over the same block, so T is lumpable by block and
-    decoupled.  The result is the DTPM M + eps (T - M): its infinitesimal
-    columns sum to zero and T - M >= 0 wherever M = 0, so M + t (T - M) is
-    a TPM for t in [0, 1].
-    """
-    m = dumbbell_tpm(cfg)
-    labels = np.repeat(np.arange(len(cfg.block_sizes)), cfg.block_sizes)
-    b = np.where(labels[:, None] == labels[None, :], m, 0.0)
+def _lumping_drift(m: np.ndarray, sizes) -> np.ndarray:
+    """T - M, T the lumped chain of the block chain M: M's diagonal blocks,
+    columns renormalised, each column replaced by its block's mean column."""
+    blocks = _blocks(sizes)
+    b = np.zeros_like(m)
+    for block in blocks:
+        b[block, block] = m[block, block]
     b /= b.sum(axis=0, keepdims=True)
     t = np.empty_like(b)
-    for block in range(len(cfg.block_sizes)):
-        cols = labels == block
-        t[:, cols] = b[:, cols].mean(axis=1, keepdims=True)
-    return DualMatrix(m, t - m)
+    for block in blocks:
+        # An F-ordered copy sums its columns in order, as the pinned bytes do.
+        t[:, block] = np.asfortranarray(b[:, block]).mean(axis=1, keepdims=True)
+    return t - m
+
+
+def dumbbell_tpm(cfg: DumbbellConfig) -> np.ndarray:
+    """Column-stochastic dumbbell chain, deterministic per cfg.seed: the
+    block chain of cfg.block_sizes, five dense diagonal blocks with sparse
+    couplings between adjacent blocks."""
+    return _block_chain(cfg.block_sizes, np.random.default_rng(cfg.seed))
+
+
+def dumbbell_dtpm(cfg: DumbbellConfig) -> DualMatrix:
+    """The dumbbell chain M drifting toward its lumped five-class chain T:
+    the DTPM M + eps (T - M), whose infinitesimal columns sum to zero with
+    T - M >= 0 wherever M = 0, so M + t (T - M) is a TPM for t in [0, 1]."""
+    m = dumbbell_tpm(cfg)
+    return DualMatrix(m, _lumping_drift(m, cfg.block_sizes))
 
 
 def simulate(m, x1: np.ndarray, t: int):

@@ -43,6 +43,7 @@ from dualce import (
     schatten_norm,
     validate_dtpm,
 )
+from dualce.markov import _block_chain, _lumping_drift
 from tests.conftest import (
     FD_TABLE,
     MATRIX_NORMS,
@@ -592,6 +593,46 @@ def test_detection_reach_along_drift():
         + "/".join(f"{q:g}" for q in p_list)
         + ": "
         + ", ".join(f"{seed}: {'/'.join(r)}" for seed, r in reach.items()),
+    )
+
+
+def test_detection_on_planted_blocks():
+    """The detection claim on 600 generator DTPMs of b = 2 to 8 planted blocks.
+
+    One rng draws b, then b block sizes from 3 to 30, then the block chain M,
+    drifted toward its lumped b-class chain T as dumbbell_dtpm drifts the
+    dumbbell: M + eps (T - M).  Per chain: whether the vote's k_star over the
+    default p_list, the argmax at p = 1, and the argmax at all 100 p of
+    linspace(1, 1.99, 100) give b.  The counts are pinned, split at a
+    largest-to-smallest block-size ratio of 3; README.md lists the misses.
+    Generator only: nothing is fitted.
+    """
+    rng = np.random.default_rng(2024)
+    grid = np.linspace(1.0, 1.99, 100)
+    # per side of ratio 3: chains, vote = b, argmax b at p = 1, at every p
+    counts = {"< 3": [0, 0, 0, 0], ">= 3": [0, 0, 0, 0]}
+    misses = []
+    for _ in range(600):
+        b = int(rng.integers(2, 9))
+        sizes = rng.integers(3, 31, size=b).tolist()
+        m = _block_chain(sizes, rng)
+        d = decompose(validate_dtpm(DualMatrix(m, _lumping_drift(m, sizes))))
+        vote = detect_k(norm_sweep(d, PipelineConfig().p_list)).k_star
+        per_p = [k for _, k, _ in detect_k(norm_sweep(d, grid)).per_p]
+        row = counts["< 3" if max(sizes) < 3 * min(sizes) else ">= 3"]
+        for i, hit in enumerate((True, vote == b, per_p[0] == b, per_p == [b] * 100)):
+            row[i] += hit
+        if vote != b:
+            misses.append((sizes, vote))
+    check(
+        counts == {"< 3": [229, 227, 227, 227], ">= 3": [371, 362, 370, 356]},
+        "detection on planted blocks",
+        "; ".join(
+            f"size ratio {side}: {c} chains, k = b by the vote on {v}, at p = 1 "
+            f"on {one}, at all 100 p on {every}"
+            for side, (c, v, one, every) in counts.items()
+        )
+        + f"; vote misses (sizes, k_star): {misses}",
     )
 
 

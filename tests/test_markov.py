@@ -23,11 +23,18 @@ from dualce import (
     validate_dtpm,
     validate_tpm,
 )
-from dualce.markov import matrix_from_dict, matrix_to_dict, read_matrix_csv, write_matrix_csv
+from dualce.markov import (
+    _blocks,
+    matrix_from_dict,
+    matrix_to_dict,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 from tests.conftest import (
     EI_NO_DRIFT,
     EI_ZERO_SUPPORT,
     fd_check,
+    inverse_is_dtpm,
     one_sided_quotients,
     random_dtpm,
     random_tpm,
@@ -205,6 +212,14 @@ class TestReversibility:
         with pytest.raises(ValueError, match="^reversibility needs at least one state"):
             is_dynamically_reversible(empty)
 
+    def test_refuses_non_dtpm(self):
+        # P_i < 0 where P_s = 0: not a DTPM, yet its dual inverse is one, so
+        # an unchecked decision (False) would disagree with the definition.
+        p = DualMatrix(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
+        assert inverse_is_dtpm(p)
+        with pytest.raises(ValueError, match="infinitesimal part must be >= 0"):
+            is_dynamically_reversible(p)
+
 
 class TestDumbbell:
     def test_default_is_valid_85(self):
@@ -225,23 +240,17 @@ class TestDumbbell:
         # far-bar, or near-near across the bar
         cfg = DumbbellConfig(far_weight=3, near_weight=2, bar=1, seed=2)
         m = dumbbell_tpm(cfg)
-        sizes = cfg.block_sizes
-        offs = np.concatenate(([0], np.cumsum(sizes)))
-        for bi in range(5):
-            for bj in range(5):
-                if abs(bi - bj) <= 1:
-                    continue
-                block = m[offs[bi] : offs[bi + 1], offs[bj] : offs[bj + 1]]
-                assert np.all(block == 0.0), f"blocks {bi},{bj} must not couple"
+        blocks = _blocks(cfg.block_sizes)
+        for bi, rows in enumerate(blocks):
+            for bj, cols in enumerate(blocks):
+                if abs(bi - bj) > 1:
+                    assert np.all(m[rows, cols] == 0.0), f"blocks {bi},{bj} must not couple"
 
     def test_within_block_density(self):
         cfg = DumbbellConfig(far_weight=3, near_weight=2, bar=1, seed=3)
         m = dumbbell_tpm(cfg)
-        sizes = cfg.block_sizes
-        offs = np.concatenate(([0], np.cumsum(sizes)))
-        for b in range(5):
-            blk = m[offs[b] : offs[b + 1], offs[b] : offs[b + 1]]
-            assert np.all(blk > 0.0)
+        for block in _blocks(cfg.block_sizes):
+            assert np.all(m[block, block] > 0.0)
 
     def test_smallest_instance(self):
         m = dumbbell_tpm(DumbbellConfig(far_weight=1, near_weight=1, bar=1))
@@ -271,11 +280,10 @@ class TestDumbbellDtpm:
         assert np.array_equal(p.s, dumbbell_tpm(cfg))
         target = p.s + p.i
         validate_tpm(target)
-        labels = np.repeat(np.arange(5), cfg.block_sizes)
-        for block in range(5):
-            cols = target[:, labels == block]
+        for block in _blocks(cfg.block_sizes):
+            cols = target[:, block]
             # decoupled: no mass leaves the block; lumpable: equal columns
-            assert np.all(cols[labels != block] == 0.0)
+            assert np.all(np.delete(cols, block, axis=0) == 0.0)
             assert np.allclose(cols, cols[:, :1], atol=1e-15)
         assert np.linalg.matrix_rank(target) == 5
 
